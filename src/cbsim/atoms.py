@@ -37,7 +37,6 @@ SCHEME_KINDS = (TWO_LEVEL, V_TYPE, FULL_J0_J1)
 @dataclass(frozen=True)
 class Level:
     label: str
-    energy_offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,9 @@ class Transition:
 class LevelScheme:
     """Internal structure of one atom.
 
-    Levels carry energy offsets (in units of the decay rate) relative to the
-    frame rotating at the drive frequency; for the provided degenerate
-    schemes all offsets are zero.  Transition endpoints index into
-    ``levels``.
+    All levels of a manifold are degenerate; in the frame rotating at the
+    drive frequency only the detuning shifts the excited levels.
+    Transition endpoints index into ``levels``.
     """
 
     kind: str

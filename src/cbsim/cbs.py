@@ -13,6 +13,12 @@ At leading order in the exchange coupling no harmonic above order two
 exists in any phase, so four-point grids per phase resolve the
 decomposition exactly.  Intensities are reported in units of the squared
 exchange amplitude (3*gamma/(2*kr))^2 unless ``normalize=False``.
+
+Without photon exchange nothing populates the upper level of the detected
+sigma-minus transition, so the single-atom background of this
+helicity-preserving channel vanishes identically and every detected
+photon has been exchanged.  This is enforced as an invariant of the level
+scheme (see :func:`_detection_operators`) rather than subtracted.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +29,7 @@ import numpy as np
 from . import atoms, spectra
 from .errors import CbsimError, ConditioningError, ConfigurationError, DomainError
 from .liouvillian import PhysicalParams, assemble, rabi_for_saturation
-from .solver import ResolventSolver, steady_state, vectorize, unvectorize
+from .solver import steady_state
 
 #: Default phase-grid size per axis; separates harmonics {0, +-1, 2} exactly.
 DEFAULT_PHASE_POINTS = 4
@@ -146,6 +152,18 @@ def harmonic_extract(grid):
 
 
 def _detection_operators(scheme):
+    """Per-atom lowering and raising operators of the detected transition.
+
+    Raises :class:`ConfigurationError` unless the detected upper level stays
+    empty without exchange: it must be neither the driven upper level nor
+    the lower end of any transition (which spontaneous decay would fill).
+    """
+    detected = scheme.transitions[scheme.cbs_transition].upper
+    if (detected == scheme.transitions[scheme.driven_transition].upper
+            or any(t.lower == detected for t in scheme.transitions)):
+        raise ConfigurationError(
+            f"scheme {scheme.kind!r} populates the detected upper level without "
+            "photon exchange, so the detected channel has a single-atom background")
     low = atoms.lowering_operator(scheme, scheme.cbs_transition)
     lows = [atoms.embed(low, 1), atoms.embed(low, 2)]
     highs = [op.conj().T for op in lows]
@@ -154,10 +172,10 @@ def _detection_operators(scheme):
 
 def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True):
     """<R_j L_k> and <R_j><L_k> for the detected transition, plus the model."""
+    lows, highs = _detection_operators(scheme)
     liou = assemble(scheme, params, include_exchange=include_exchange,
                     cross_damping=cross_damping)
     rho = steady_state(liou)
-    lows, highs = _detection_operators(scheme)
     m = np.empty((2, 2), dtype=complex)
     means_low = np.array([np.trace(rho @ op) for op in lows])
     means_high = np.array([np.trace(rho @ op) for op in highs])
@@ -193,17 +211,15 @@ def detected_intensity(scheme, params, include_exchange=True, cross_damping=True
 
 
 def _intensity_task(args):
-    scheme, params, include_exchange, cross_damping, b_vals = args
-    m, e, _, _ = _moment_matrices(scheme, params, include_exchange=include_exchange,
-                                  cross_damping=cross_damping)
+    scheme, params, cross_damping, b_vals = args
+    m, e, _, _ = _moment_matrices(scheme, params, cross_damping=cross_damping)
     total = _as_real(_expand_b(m, b_vals), "detected intensity")
     elastic = _as_real(_expand_b(e, b_vals), "elastic intensity")
     return total, elastic
 
 
 def intensity_grids(scheme, params, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
-                    n_p=DEFAULT_PHASE_POINTS, include_exchange=True, cross_damping=True,
-                    workers=1):
+                    n_p=DEFAULT_PHASE_POINTS, cross_damping=True, workers=1):
     """Total and elastic intensity on the full (a, b, p) grid.
 
     One steady-state solve per (a, p) pair; the detection-phase dependence
@@ -213,8 +229,7 @@ def intensity_grids(scheme, params, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_
     b_vals = phase_values(n_b)
     p_vals = phase_values(n_p)
     tasks = [
-        (scheme, replace(params, laser_phase_a=a, prop_phase_p=p),
-         include_exchange, cross_damping, b_vals)
+        (scheme, replace(params, laser_phase_a=a, prop_phase_p=p), cross_damping, b_vals)
         for a in a_vals for p in p_vals
     ]
     results = _pmap(_intensity_task, tasks, workers=workers)
@@ -225,20 +240,6 @@ def intensity_grids(scheme, params, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_
         total[ia, :, ip] = tot
         elastic[ia, :, ip] = ela
     return (PhaseGrid(n_a, n_b, n_p, total), PhaseGrid(n_a, n_b, n_p, elastic))
-
-
-def _baseline_ladders(scheme, params):
-    """Phase-averaged intensity with the exchange switched off.
-
-    Without exchange nothing depends on the disorder phases, so a single
-    steady-state solve gives the (a, b, p)-averaged single-atom background
-    to subtract from the ladder term.  Zero in the helicity-preserving
-    channel of the sigma-minus detection.
-    """
-    m, e, _, _ = _moment_matrices(scheme, params, include_exchange=False)
-    total = float(_as_real(m[0, 0] + m[1, 1], "baseline intensity"))
-    elastic = float(_as_real(e[0, 0] + e[1, 1], "baseline elastic intensity"))
-    return total, elastic
 
 
 def exchange_scale(params):
@@ -254,9 +255,9 @@ def _resolve_drive(params, s, detuning):
     return params
 
 
-def _components_from_harmonics(h_total, h_elastic, base_total, base_elastic, scale):
-    l2_el = (h_elastic.ladder - base_elastic) / scale
-    l2_inel = (h_total.ladder - h_elastic.ladder - (base_total - base_elastic)) / scale
+def _components_from_harmonics(h_total, h_elastic, scale):
+    l2_el = h_elastic.ladder / scale
+    l2_inel = (h_total.ladder - h_elastic.ladder) / scale
     c2_el = h_elastic.crossed / scale
     c2_inel = (h_total.crossed - h_elastic.crossed) / scale
     return CbsComponents.from_intensities(l2_el, l2_inel, c2_el, c2_inel)
@@ -275,12 +276,9 @@ def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POIN
     grid_total, grid_elastic = intensity_grids(scheme, params, n_a=n_a, n_b=n_b,
                                                n_p=n_p, cross_damping=cross_damping,
                                                workers=workers)
-    base_total, base_elastic = _baseline_ladders(scheme, params)
     scale = exchange_scale(params) if normalize else 1.0
     return _components_from_harmonics(
-        harmonic_extract(grid_total), harmonic_extract(grid_elastic),
-        base_total, base_elastic, scale,
-    )
+        harmonic_extract(grid_total), harmonic_extract(grid_elastic), scale)
 
 
 def sample_orientations(n_configs, seed):
@@ -314,10 +312,13 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64
 
 
 def _sweep_point(args):
-    scheme, params, s, detuning, n_a, n_b, n_p = args
+    scheme, params, s, detuning, grid_sizes, n_configs, seed = args
     try:
-        comp = cbs_components(scheme, params, s=s, detuning=detuning,
-                              n_a=n_a, n_b=n_b, n_p=n_p)
+        if n_configs is None:
+            comp = cbs_components(scheme, params, s=s, detuning=detuning, **grid_sizes)
+        else:
+            comp = cbs_components_isotropic(scheme, params, s=s, detuning=detuning,
+                                            n_configs=n_configs, seed=seed, **grid_sizes)
     except (CbsimError, np.linalg.LinAlgError) as exc:
         return s, None, f"{type(exc).__name__}: {exc}"
     return s, comp, None
@@ -342,8 +343,12 @@ def sweep_alpha(scheme, detuning, s_values, params=None, n_a=DEFAULT_PHASE_POINT
 
 def sweep_alpha_collect(scheme, detuning, s_values, params=None,
                         n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
-                        n_p=DEFAULT_PHASE_POINTS, workers=1):
-    """Like :func:`sweep_alpha` but returns (s, components, error) triples."""
+                        n_p=DEFAULT_PHASE_POINTS, workers=1, n_configs=None, seed=0):
+    """Like :func:`sweep_alpha` but returns (s, components, error) triples.
+
+    With ``n_configs`` set, every point is the isotropic orientation average
+    of :func:`cbs_components_isotropic` over that many seeded samples.
+    """
     s_values = [float(s) for s in s_values]
     if any(s <= 0 for s in s_values):
         raise DomainError("sweep saturations must be positive")
@@ -351,7 +356,8 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
         raise DomainError("sweep saturations must be sorted ascending")
     if params is None:
         params = PhysicalParams()
-    tasks = [(scheme, params, s, detuning, n_a, n_b, n_p) for s in s_values]
+    grid_sizes = dict(n_a=n_a, n_b=n_b, n_p=n_p)
+    tasks = [(scheme, params, s, detuning, grid_sizes, n_configs, seed) for s in s_values]
     return _pmap(_sweep_point, tasks, workers=workers)
 
 
@@ -372,19 +378,8 @@ def _spectrum_phase_task(args):
     scheme, params, omega_grid, cross_damping = args
     m, e, liou, rho = _moment_matrices(scheme, params, cross_damping=cross_damping)
     lows, highs = _detection_operators(scheme)
-    rhs = np.column_stack([spectra.connected_initial(rho, op) for op in highs])
-    # The deflated system is nonsingular for every real frequency; the
-    # per-solve residual bound still guards accuracy, so the condition
-    # estimate is skipped inside this hot loop.
-    solver = ResolventSolver(liou, deflate=vectorize(rho), check_condition=False)
-    t_mat = np.empty((2, 2, omega_grid.size), dtype=complex)
-    for i, w in enumerate(omega_grid):
-        x = solver.factor(-w)(rhs)
-        for j in range(2):
-            xj = unvectorize(x[:, j])
-            for k in range(2):
-                t_mat[j, k, i] = np.einsum("ab,ba->", lows[k], xj)
-    return m, e, t_mat
+    seeds = [spectra.connected_initial(rho, op) for op in highs]
+    return m, e, spectra.spectral_response(liou, rho, seeds, lows, omega_grid)
 
 
 def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
@@ -425,24 +420,14 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
 
     h_total = harmonic_extract(PhaseGrid(n_a, n_b, n_p, total))
     h_elastic = harmonic_extract(PhaseGrid(n_a, n_b, n_p, elastic))
-    base_total, base_elastic = _baseline_ladders(scheme, params)
     scale = exchange_scale(params) if normalize else 1.0
-    components = _components_from_harmonics(h_total, h_elastic,
-                                            base_total, base_elastic, scale)
+    components = _components_from_harmonics(h_total, h_elastic, scale)
 
     ladder_density = density.mean(axis=(0, 1, 2))
     w_ab = np.exp(1j * (a_vals[:, None] + b_vals[None, :]))
     crossed_density = 2.0 * np.real(
         np.einsum("ab,abpw->w", w_ab, density) / (n_a * n_b * n_p)
     )
-    # Spectral baseline at zero exchange: reuse the intensity baseline to
-    # decide whether a per-frequency subtraction is needed at all (it is
-    # identically zero in the sigma-minus detection channel).
-    if abs(base_total) > 1e-12 * max(abs(h_total.ladder), 1e-300):
-        baseline_density = _baseline_spectrum_density(scheme, params, omega_grid)
-        ladder_density = ladder_density - baseline_density
-    bg_el = h_elastic.ladder - base_elastic
-    int_el = h_elastic.crossed
 
     if normalize:
         norm = float(np.trapezoid(ladder_density, omega_grid))
@@ -452,23 +437,10 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
         norm = 1.0
     background = spectra.SpectrumSeries(
         omega=omega_grid, density=ladder_density / norm,
-        elastic_weight=bg_el / norm, kind=spectra.BACKGROUND)
+        elastic_weight=h_elastic.ladder / norm, kind=spectra.BACKGROUND)
     interference = spectra.SpectrumSeries(
         omega=omega_grid, density=crossed_density / norm,
-        elastic_weight=int_el / norm, kind=spectra.INTERFERENCE)
+        elastic_weight=h_elastic.crossed / norm, kind=spectra.INTERFERENCE)
     return CbsSpectrumResult(background=background, interference=interference,
                              components=components)
 
-
-def _baseline_spectrum_density(scheme, params, omega_grid):
-    """Connected sigma-minus spectrum of the uncoupled pair (per frequency)."""
-    m, e, liou, rho = _moment_matrices(scheme, params, include_exchange=False)
-    lows, highs = _detection_operators(scheme)
-    rhs = np.column_stack([spectra.connected_initial(rho, op) for op in highs])
-    solver = ResolventSolver(liou, deflate=vectorize(rho), check_condition=False)
-    density = np.zeros(omega_grid.size)
-    for i, w in enumerate(omega_grid):
-        x = solver.factor(-w)(rhs)
-        for j in range(2):
-            density[i] += np.einsum("ab,ba->", lows[j], unvectorize(x[:, j])).real / np.pi
-    return density

@@ -87,21 +87,11 @@ def run_alpha_sweep(cfg, output_path=None, workers=1):
         raise ParseError("alpha-sweep requires a 'sweep_s' entry", key="sweep_s")
     scheme = atoms.build_scheme(cfg.scheme)
     params = cfg.params(rabi=0.0)
-    grid_sizes = dict(n_a=cfg.n_phase_a, n_b=cfg.n_phase_b, n_p=cfg.n_phase_p)
-
-    if cfg.orientation_mode == config.ISOTROPIC:
-        results = []
-        for s in cfg.sweep_s:
-            try:
-                comp = cbs.cbs_components_isotropic(
-                    scheme, params, s=s, detuning=cfg.detuning,
-                    n_configs=cfg.n_configs, seed=cfg.seed, **grid_sizes)
-                results.append((s, comp, None))
-            except (CbsimError, np.linalg.LinAlgError) as exc:
-                results.append((s, None, f"{type(exc).__name__}: {exc}"))
-    else:
-        results = cbs.sweep_alpha_collect(scheme, cfg.detuning, cfg.sweep_s,
-                                          params=params, workers=workers, **grid_sizes)
+    n_configs = cfg.n_configs if cfg.orientation_mode == config.ISOTROPIC else None
+    results = cbs.sweep_alpha_collect(
+        scheme, cfg.detuning, cfg.sweep_s, params=params, n_a=cfg.n_phase_a,
+        n_b=cfg.n_phase_b, n_p=cfg.n_phase_p, workers=workers,
+        n_configs=n_configs, seed=cfg.seed)
 
     rows = []
     failures = 0
@@ -297,6 +287,9 @@ def _load_config(path, seed_override):
         raise ParseError(f"cannot read config file: {exc}") from None
     cfg = config.parse_config(text)
     if seed_override is not None:
+        if seed_override < 0:
+            raise ParseError(f"--seed must be non-negative, got {seed_override}",
+                             key="seed")
         cfg.seed = seed_override
     return cfg
 

@@ -28,7 +28,7 @@ refine_halfwidth      5.0                      half-width of refined windows
 orientation_mode      fixed                    fixed | isotropic interatomic axis
 orientation           1,0,0                    axis used in fixed mode
 n_configs             64                       isotropic-average sample count
-seed                  0                        RNG seed (isotropic sampling)
+seed                  0                        non-negative RNG seed (isotropic sampling)
 output_dir            .                        directory for emitted artifacts
 ====================  =======================  =====================================
 """
@@ -199,6 +199,8 @@ def _validate(cfg):
         fail("refine_halfwidth", "refine_halfwidth must be positive")
     if cfg.n_configs < 1:
         fail("n_configs", "n_configs must be at least 1")
+    if cfg.seed < 0:
+        fail("seed", f"seed must be non-negative, got {cfg.seed}")
     if all(abs(c) < 1e-12 for c in cfg.orientation):
         fail("orientation", "orientation vector must be nonzero")
     return cfg

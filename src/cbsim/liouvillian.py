@@ -144,9 +144,6 @@ def drive_hamiltonian(scheme, params, n_atoms=2, global_phase=0.0):
     """
     driven = scheme.driven_transition  # raises ConfigurationError if absent
     h_single = np.zeros((scheme.n_levels, scheme.n_levels), dtype=complex)
-    for lv_index, lv in enumerate(scheme.levels):
-        if lv.energy_offset:
-            h_single += lv.energy_offset * atoms.level_projector(scheme, lv_index)
     for upper in scheme.excited_levels:
         h_single -= params.detuning * atoms.level_projector(scheme, upper)
     raising = atoms.raising_operator(scheme, driven)
@@ -214,13 +211,9 @@ def exchange_term(scheme, params, cross_damping=True):
     ``-g0 cos(p) T[q, q']`` and the cross-damping term with amplitude
     ``2 g0 sin(p) T[q, q']`` where ``g0 = 3 gamma / (2 kr)``.  Setting
     ``cross_damping=False`` keeps only the Hamiltonian part (diagnostic
-    switch, not a physical regime).
+    switch, not a physical regime).  ``PhysicalParams`` guarantees
+    ``kr >= KR_MIN``.
     """
-    if params.kr < KR_MIN:
-        raise DomainError(
-            f"kr >= {KR_MIN:g} required, got {params.kr} "
-            "(outside the weak-localization regime kr >> 1)"
-        )
     g0 = 1.5 * params.gamma / params.kr
     coherent_amp = -g0 * math.cos(params.prop_phase_p)
     damping_amp = 2.0 * g0 * math.sin(params.prop_phase_p)

@@ -55,23 +55,21 @@ def validate_density(rho, herm_tol=DENSITY_HERM_TOL, trace_tol=DENSITY_TRACE_TOL
         raise ConditioningError(f"density matrix has negative eigenvalue {min_eig:.3e}")
 
 
-def steady_state(liou, check_uniqueness=True):
+def steady_state(liou):
     """Stationary density matrix of a trace-preserving generator.
 
     The singular linear system L x = 0 is regularized by replacing its
-    first row with the trace constraint.  When ``check_uniqueness`` is set,
-    the two smallest singular values of L are compared; a second
-    near-vanishing one raises :class:`MultiplicityError` with the estimated
-    nullity.
+    first row with the trace constraint.  The two smallest singular values
+    of L are compared first; a second near-vanishing one raises
+    :class:`MultiplicityError` with the estimated nullity.
     """
     gen = liou.generator
     n = liou.hilbert_dim
-    if check_uniqueness:
-        svals = np.linalg.svd(gen, compute_uv=False)
-        scale = svals[0] if svals[0] > 0 else 1.0
-        small = svals / scale < NULLITY_RATIO
-        if small.sum() > 1:
-            raise MultiplicityError(int(small.sum()))
+    svals = np.linalg.svd(gen, compute_uv=False)
+    scale = svals[0] if svals[0] > 0 else 1.0
+    small = svals / scale < NULLITY_RATIO
+    if small.sum() > 1:
+        raise MultiplicityError(int(small.sum()))
 
     system = gen.copy()
     system[0, :] = np.eye(n, dtype=complex).reshape(-1)
@@ -153,11 +151,6 @@ class ResolventSolver:
         return solve
 
 
-def resolvent_factor(liou, omega, deflate=None):
-    """LU-factorize (i omega Id - L) and return a solve closure."""
-    return ResolventSolver(liou, deflate=deflate).factor(omega)
-
-
 def resolvent_solve(liou, rhs, omega, deflate=None):
     """Solve (i omega Id - L) x = rhs by dense LU with partial pivoting."""
     rhs = np.asarray(rhs, dtype=complex)
@@ -167,4 +160,4 @@ def resolvent_solve(liou, rhs, omega, deflate=None):
         )
     if not np.any(rhs):
         return np.zeros_like(rhs)
-    return resolvent_factor(liou, omega, deflate=deflate)(rhs)
+    return ResolventSolver(liou, deflate=deflate).factor(omega)(rhs)

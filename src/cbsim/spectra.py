@@ -4,9 +4,10 @@ Stationary two-time correlations <A(t) B(t+tau)> follow from the same
 generator as one-time expectations: the operator rho_ss A is propagated and
 closed with a trace against B.  The half-line Fourier transform is obtained
 directly in the frequency domain from a single resolvent solve per
-frequency.  Spectra use the connected correlator (means subtracted), which
-removes the coherent delta at the drive frequency exactly; that elastic
-weight is reported separately.
+frequency; every spectrum goes through the one kernel
+:func:`spectral_response`.  Spectra use the connected correlator (means
+subtracted), which removes the coherent delta at the drive frequency
+exactly; that elastic weight is reported separately.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 from . import atoms, dressed
 from .errors import DomainError
 from .liouvillian import assemble_single
-from .solver import ResolventSolver, resolvent_factor, steady_state, vectorize, unvectorize
+from .solver import ResolventSolver, steady_state, vectorize, unvectorize
 
 BACKGROUND = "background"
 INTERFERENCE = "interference"
@@ -77,8 +78,28 @@ def correlation(liou, rho_ss, a_op, b_op, omega, connected=False):
         deflate = None
     # exp(i omega tau) integrated against exp(L tau) gives (-i omega - L)^(-1),
     # i.e. the resolvent evaluated at the opposite frequency sign.
-    solve = resolvent_factor(liou, -omega, deflate=deflate)
+    solve = ResolventSolver(liou, deflate=deflate).factor(-omega)
     return complex(np.trace(b_op @ unvectorize(solve(rhs))))
+
+
+def spectral_response(liou, rho_ss, seeds, observables, omegas):
+    """Connected regression transforms over a frequency grid.
+
+    Returns ``t[j, k, i] = tr[B_k X_j]`` with (-i omega_i - L + |rho_ss><tr|)
+    X_j = seeds[j] for vectorized trace-free seeds (:func:`connected_initial`)
+    and observables B_k, i.e. ``correlation(..., connected=True)`` at every
+    frequency.  The deflated system is nonsingular for every real frequency,
+    so the condition estimate is skipped; the residual bound still applies.
+    """
+    rhs = np.column_stack(seeds)
+    # tr[B X] = vec(B^T) . vec(X) in the row-major vectorization.
+    project = np.array([vectorize(op.T) for op in observables])
+    omegas = np.asarray(omegas, dtype=float)
+    solver = ResolventSolver(liou, deflate=vectorize(rho_ss), check_condition=False)
+    out = np.empty((rhs.shape[1], project.shape[0], omegas.size), dtype=complex)
+    for i, w in enumerate(omegas):
+        out[:, :, i] = (project @ solver.factor(-w)(rhs)).T
+    return out
 
 
 def elastic_weight(rho_ss, a_op, b_op):
@@ -131,12 +152,8 @@ def single_atom_spectrum(params, omega_grid=None, scheme=None):
         omega_grid = default_omega_grid(params.rabi, params.detuning, params.gamma)
     omega_grid = np.asarray(omega_grid, dtype=float)
 
-    rhs = connected_initial(rho, high)
-    solver = ResolventSolver(liou, deflate=vectorize(rho), check_condition=False)
-    density = np.empty(omega_grid.size)
-    for i, w in enumerate(omega_grid):
-        x = unvectorize(solver.factor(-w)(rhs))
-        density[i] = np.einsum("ab,ba->", low, x).real / np.pi
+    seeds = [connected_initial(rho, high)]
+    density = spectral_response(liou, rho, seeds, [low], omega_grid)[0, 0].real / np.pi
     elastic = elastic_weight(rho, high, low).real
     return SpectrumSeries(omega=omega_grid, density=density,
                           elastic_weight=elastic, kind=BACKGROUND)

@@ -112,6 +112,24 @@ def test_harmonic_residue_small_on_computed_grids(v_scheme):
         assert h.residue <= 1e-9 * max(abs(h.ladder), 1e-300)
 
 
+def _custom_scheme(kind, n_levels, transitions):
+    return atoms.LevelScheme(
+        kind=kind, levels=tuple(atoms.Level(f"|{i}>") for i in range(n_levels)),
+        transitions=tuple(atoms.Transition(*t) for t in transitions))
+
+
+@pytest.mark.parametrize("scheme", [
+    # Lambda: the detected upper level is the driven one
+    _custom_scheme("lambda", 3, [(0, 2, atoms.SIGMA_PLUS), (1, 2, atoms.SIGMA_MINUS)]),
+    # the driven upper level also decays into the detected upper level
+    _custom_scheme("branching", 3, [(0, 2, atoms.SIGMA_PLUS), (0, 1, atoms.SIGMA_MINUS),
+                                    (1, 2, atoms.PI)]),
+], ids=["lambda", "branching"])
+def test_detected_channel_with_single_atom_background_rejected(scheme):
+    with pytest.raises(ConfigurationError):
+        cbs.cbs_components(scheme, default_params(), s=1.0)
+
+
 # -- components ------------------------------------------------------------------
 
 

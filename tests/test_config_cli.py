@@ -72,6 +72,21 @@ def test_phase_grid_minimum_enforced():
         config.parse_config("n_phase_a = 2\n")
 
 
+def test_negative_seed_rejected_with_line_and_key():
+    with pytest.raises(ParseError) as info:
+        config.parse_config("sweep_s = 0.5\nseed = -3\n")
+    assert info.value.line == 2 and info.value.key == "seed"
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "iso.cfg"
+    cfg_path.write_text("sweep_s = 0.5\norientation_mode = isotropic\nn_configs = 1\n"
+                        f"output_dir = {tmp_path}\n")
+    assert cli.main(["alpha-sweep", str(cfg_path), "--seed", "-3"]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "alpha_sweep.csv").exists()
+
+
 def test_orientation_vector_parses():
     cfg = config.parse_config("orientation = 0, 1, 0\norientation_mode = isotropic\n")
     assert cfg.orientation == (0.0, 1.0, 0.0)
@@ -226,6 +241,29 @@ def test_isotropic_sweep_runs_and_is_seeded(tmp_path):
     path2, _ = cli.run_alpha_sweep(cfg)
     _, _, rows2 = cli.read_csv(path2)
     assert rows == rows2
+
+
+def test_isotropic_sweep_identical_for_any_worker_count(tmp_path, monkeypatch):
+    from cbsim import cbs as cbs_module
+
+    real_pmap, sweep_workers = cbs_module._pmap, []
+
+    def spy(fn, items, workers=1):
+        if fn is cbs_module._sweep_point:
+            sweep_workers.append(workers)
+        return real_pmap(fn, items, workers=workers)
+
+    monkeypatch.setattr(cbs_module, "_pmap", spy)
+    cfg = config.parse_config(
+        "sweep_s = 0.5, 2\norientation_mode = isotropic\nn_configs = 2\nseed = 5\n")
+    rows = []
+    for workers in (1, 2):
+        path, failures = cli.run_alpha_sweep(
+            cfg, output_path=tmp_path / f"w{workers}.csv", workers=workers)
+        assert failures == 0
+        rows.append(cli.read_csv(path)[2])
+    assert sweep_workers == [1, 2]
+    assert rows[0] == rows[1]
 
 
 def test_worker_count_from_environment(monkeypatch):

@@ -59,6 +59,31 @@ def test_correlation_at_zero_tau_reduces_to_one_time_average():
     assert np.isclose(np.trapezoid(density, grid), c0.real, rtol=1e-2)
 
 
+def test_spectral_response_matches_connected_correlation():
+    # the batched kernel against independent rcond-checked single solves
+    scheme = atoms.build_scheme(atoms.V_TYPE)
+    rabi, detuning = 10.0, 2.0
+    params = lv.PhysicalParams(rabi=rabi, detuning=detuning, laser_phase_a=0.7,
+                               prop_phase_p=1.3)
+    liou = lv.assemble(scheme, params)
+    rho = solver.steady_state(liou)
+    low = atoms.lowering_operator(scheme, scheme.cbs_transition)
+    lows = [atoms.embed(low, 1), atoms.embed(low, 2)]
+    highs = [op.conj().T for op in lows]
+    omega_r = dressed.generalized_rabi(rabi, detuning)
+    omegas = np.array([0.0, omega_r, -omega_r, 1e3])
+    seeds = [spectra.connected_initial(rho, op) for op in highs]
+    response = spectra.spectral_response(liou, rho, seeds, lows, omegas)
+    assert response.shape == (2, 2, omegas.size)
+    for i, w in enumerate(omegas):
+        for j in range(2):
+            for k in range(2):
+                ref = spectra.correlation(liou, rho, highs[j], lows[k], w,
+                                          connected=True)
+                assert ref != 0.0
+                assert abs(response[j, k, i] - ref) <= 1e-12 * abs(ref)
+
+
 # -- elastic weight -----------------------------------------------------------
 
 
