@@ -23,6 +23,7 @@ scheme (see :func:`_detection_operators`) rather than subtracted.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -122,7 +123,6 @@ class HarmonicComponents:
 
     ladder: float
     crossed: float
-    crossed_harmonic: complex
     residue: float
 
 
@@ -130,21 +130,25 @@ def phase_values(n):
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def _crossed_coefficient(samples, conjugate=False):
+    """exp(-i(a+b)) (or, ``conjugate``, exp(+i(a+b))) coefficient over the
+    leading (a, b, p) axes of ``samples``; trailing (frequency) axes are kept."""
+    n_a, n_b, n_p = samples.shape[:3]
+    w_ab = np.exp(1j * (phase_values(n_a)[:, None] + phase_values(n_b)[None, :]))
+    if conjugate:
+        w_ab = w_ab.conj()
+    return np.einsum("ab,abp...->...", w_ab, samples) / (n_a * n_b * n_p)
+
+
 def harmonic_extract(grid):
     """Discrete Fourier analysis of a phase grid over (a, b, p)."""
     samples = np.asarray(grid.samples, dtype=float)
-    a_vals = phase_values(grid.n_a)
-    b_vals = phase_values(grid.n_b)
-    w_ab = np.exp(1j * (a_vals[:, None] + b_vals[None, :]))
-    ladder = samples.mean()
-    c_m1m1 = complex(np.einsum("ab,abp->", w_ab, samples) / samples.size)
-    c_p1p1 = complex(np.einsum("ab,abp->", w_ab.conj(), samples) / samples.size)
-    residue = abs(c_p1p1 - c_m1m1.conjugate())
+    c_m1m1 = complex(_crossed_coefficient(samples))
+    c_p1p1 = complex(_crossed_coefficient(samples, conjugate=True))
     return HarmonicComponents(
-        ladder=float(ladder),
+        ladder=float(samples.mean()),
         crossed=2.0 * c_m1m1.real,
-        crossed_harmonic=c_m1m1,
-        residue=residue,
+        residue=abs(c_p1p1 - c_m1m1.conjugate()),
     )
 
 
@@ -210,36 +214,49 @@ def detected_intensity(scheme, params, include_exchange=True, cross_damping=True
     return float(_as_real(value, "detected intensity"))
 
 
-def _intensity_task(args):
-    scheme, params, cross_damping, b_vals = args
-    m, e, _, _ = _moment_matrices(scheme, params, cross_damping=cross_damping)
+def _phase_point(args):
+    """Total, elastic and (given ``omega_grid``) spectral samples over b at one (a, p)."""
+    scheme, params, cross_damping, b_vals, omega_grid = args
+    m, e, liou, rho = _moment_matrices(scheme, params, cross_damping=cross_damping)
     total = _as_real(_expand_b(m, b_vals), "detected intensity")
     elastic = _as_real(_expand_b(e, b_vals), "elastic intensity")
-    return total, elastic
+    if omega_grid is None:
+        return total, elastic, None
+    lows, highs = _detection_operators(scheme)
+    seeds = [spectra.connected_initial(rho, op) for op in highs]
+    t_mat = spectra.spectral_response(liou, rho, seeds, lows, omega_grid)
+    # The transform itself is complex (dispersive parts); the spectral
+    # density is its real part by definition.
+    return total, elastic, _expand_b(t_mat, b_vals).real / np.pi
 
 
-def intensity_grids(scheme, params, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
-                    n_p=DEFAULT_PHASE_POINTS, cross_damping=True, workers=1):
-    """Total and elastic intensity on the full (a, b, p) grid.
+def _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, workers, omega_grid=None):
+    """Total and elastic phase grids, plus density samples (a, b, p, omega) or ``None``.
 
     One steady-state solve per (a, p) pair; the detection-phase dependence
     is expanded analytically from the dipole moment matrix.
     """
-    a_vals = phase_values(n_a)
     b_vals = phase_values(n_b)
-    p_vals = phase_values(n_p)
     tasks = [
-        (scheme, replace(params, laser_phase_a=a, prop_phase_p=p), cross_damping, b_vals)
-        for a in a_vals for p in p_vals
+        (scheme, replace(params, laser_phase_a=a, prop_phase_p=p), cross_damping, b_vals,
+         omega_grid)
+        for a in phase_values(n_a) for p in phase_values(n_p)
     ]
-    results = _pmap(_intensity_task, tasks, workers=workers)
-    total = np.empty((n_a, n_b, n_p))
-    elastic = np.empty((n_a, n_b, n_p))
-    for index, (tot, ela) in enumerate(results):
-        ia, ip = divmod(index, n_p)
-        total[ia, :, ip] = tot
-        elastic[ia, :, ip] = ela
-    return (PhaseGrid(n_a, n_b, n_p, total), PhaseGrid(n_a, n_b, n_p, elastic))
+    results = _pmap(_phase_point, tasks, workers=workers)
+
+    def grid(part):  # tasks run a-major; samples are indexed (a, b, p, ...)
+        stacked = np.stack([result[part] for result in results])
+        return np.ascontiguousarray(
+            stacked.reshape((n_a, n_p) + stacked.shape[1:]).swapaxes(1, 2))
+
+    density = None if omega_grid is None else grid(2)
+    return PhaseGrid(n_a, n_b, n_p, grid(0)), PhaseGrid(n_a, n_b, n_p, grid(1)), density
+
+
+def intensity_grids(scheme, params, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
+                    n_p=DEFAULT_PHASE_POINTS, cross_damping=True, workers=1):
+    """Total and elastic intensity on the full (a, b, p) grid."""
+    return _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, workers)[:2]
 
 
 def exchange_scale(params):
@@ -298,11 +315,12 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64
                              n_p=DEFAULT_PHASE_POINTS, normalize=True, workers=1):
     """Orientation-averaged components over an isotropic interatomic axis."""
     params = _resolve_drive(params, s, detuning)
+    # One map over orientations; each runs its phase points serially.
+    components = partial(cbs_components, scheme, n_a=n_a, n_b=n_b, n_p=n_p,
+                         normalize=normalize)
+    tasks = [replace(params, orientation=o) for o in sample_orientations(n_configs, seed)]
     sums = np.zeros(4)
-    for orientation in sample_orientations(n_configs, seed):
-        comp = cbs_components(scheme, replace(params, orientation=orientation),
-                              n_a=n_a, n_b=n_b, n_p=n_p, normalize=normalize,
-                              workers=workers)
+    for comp in _pmap(components, tasks, workers=workers):
         sums += (comp.l2_el, comp.l2_inel, comp.c2_el, comp.c2_inel)
     sums /= n_configs
     return CbsComponents.from_intensities(*sums)
@@ -373,15 +391,6 @@ class CbsSpectrumResult:
     components: CbsComponents
 
 
-def _spectrum_phase_task(args):
-    """Moments and regression transforms for one (a, p) phase point."""
-    scheme, params, omega_grid, cross_damping = args
-    m, e, liou, rho = _moment_matrices(scheme, params, cross_damping=cross_damping)
-    lows, highs = _detection_operators(scheme)
-    seeds = [spectra.connected_initial(rho, op) for op in highs]
-    return m, e, spectra.spectral_response(liou, rho, seeds, lows, omega_grid)
-
-
 def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
                  n_b=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
                  normalize=True, cross_damping=True, workers=1):
@@ -396,38 +405,15 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
     if omega_grid is None:
         omega_grid = spectra.default_omega_grid(params.rabi, params.detuning, params.gamma)
     omega_grid = np.asarray(omega_grid, dtype=float)
-
-    a_vals = phase_values(n_a)
-    b_vals = phase_values(n_b)
-    p_vals = phase_values(n_p)
-    tasks = [
-        (scheme, replace(params, laser_phase_a=a, prop_phase_p=p), omega_grid,
-         cross_damping)
-        for a in a_vals for p in p_vals
-    ]
-    results = _pmap(_spectrum_phase_task, tasks, workers=workers)
-
-    total = np.empty((n_a, n_b, n_p))
-    elastic = np.empty((n_a, n_b, n_p))
-    density = np.empty((n_a, n_b, n_p, omega_grid.size))
-    for index, (m, e, t_mat) in enumerate(results):
-        ia, ip = divmod(index, n_p)
-        total[ia, :, ip] = _as_real(_expand_b(m, b_vals), "detected intensity")
-        elastic[ia, :, ip] = _as_real(_expand_b(e, b_vals), "elastic intensity")
-        # The transform itself is complex (dispersive parts); the spectral
-        # density is its real part by definition.
-        density[ia, :, ip, :] = _expand_b(t_mat, b_vals).real / np.pi
-
-    h_total = harmonic_extract(PhaseGrid(n_a, n_b, n_p, total))
-    h_elastic = harmonic_extract(PhaseGrid(n_a, n_b, n_p, elastic))
+    grid_total, grid_elastic, density = _phase_samples(
+        scheme, params, n_a, n_b, n_p, cross_damping, workers, omega_grid=omega_grid)
+    h_total = harmonic_extract(grid_total)
+    h_elastic = harmonic_extract(grid_elastic)
     scale = exchange_scale(params) if normalize else 1.0
     components = _components_from_harmonics(h_total, h_elastic, scale)
 
     ladder_density = density.mean(axis=(0, 1, 2))
-    w_ab = np.exp(1j * (a_vals[:, None] + b_vals[None, :]))
-    crossed_density = 2.0 * np.real(
-        np.einsum("ab,abpw->w", w_ab, density) / (n_a * n_b * n_p)
-    )
+    crossed_density = 2.0 * np.real(_crossed_coefficient(density))
 
     if normalize:
         norm = float(np.trapezoid(ladder_density, omega_grid))

@@ -1,21 +1,27 @@
 """Master-equation generator for one or two driven atoms.
 
-The generator acts on row-major vectorized density matrices and collects
-three pieces: the semiclassical drive Hamiltonian in the frame rotating at
-the laser frequency, independent radiative decay of every transition, and
-the far-field photon-exchange coupling between the atoms.  The exchange
-carries a single complex amplitude per transition pair,
+The generator acts on row-major vectorized density matrices and has
+Lehmberg's collective form, built by :func:`master_generator`: one
+Hamiltonian H plus one rate matrix R over the lowering operators J_a of
+every transition of every atom (atom by atom; 2 n_t x 2 n_t for a pair),
+
+    L rho = -i [H, rho] + sum_ab R[a, b] (J_b rho J_a+ - {J_a+ J_b, rho} / 2).
+
+H is the drive Hamiltonian in the frame rotating at the laser frequency
+plus the coherent photon exchange.  R holds independent radiative decay
+(2*gamma on its diagonal) and the cross-atom damping in its off-diagonal
+(atom-to-atom) blocks, which ``cross_damping=False`` zeroes.  The exchange
+carries one complex amplitude per transition pair,
 
     G = (3*gamma/2) * exp(i*p) / kr * T[q, q'],
 
-whose real part (cos p) enters a coherent exchange Hamiltonian and whose
-imaginary part (sin p) enters a cross-atom damping term.  ``T`` is the
-transverse projector weight between the spherical polarization vectors of
-the two transitions; in scalar mode it is replaced by the identity.
+whose real part (cos p) enters H and whose imaginary part (sin p) enters R.
+``T`` is the transverse projector weight between the spherical polarization
+vectors of the two transitions; in scalar mode it is the identity.
 
-All quantities are expressed in units of gamma (half the excited-state
-population decay rate) and the propagation phase p is treated as an
-independent disorder variable while the amplitude is fixed by kr.
+All quantities are in units of gamma (half the excited-state population
+decay rate); the propagation phase p is an independent disorder variable
+while the amplitude is fixed by kr.
 """
 
 import math
@@ -108,31 +114,43 @@ class Liouvillian:
         return self.hilbert_dim**2
 
 
-# -- superoperator helpers (row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho))
+# -- superoperators (row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho))
 
 
-def spre(a):
-    return np.kron(a, np.eye(a.shape[0], dtype=complex))
+def _quadratic_form(coefficients, jumps):
+    """Operator sum_ab coefficients[a, b] J_a+ J_b over a stack of jump operators."""
+    return np.einsum("ab,aji,bjk->ik", coefficients, jumps.conj(), jumps, optimize=True)
 
 
-def spost(b):
-    return np.kron(np.eye(b.shape[0], dtype=complex), b.T)
+def master_generator(h, jumps, rates):
+    """Superoperator of rho -> -i [h, rho] + sum_ab rates[a, b] D_ab(rho).
 
-
-def sandwich(a, b):
-    """Superoperator of rho -> a @ rho @ b."""
-    return np.kron(a, b.T)
+    D_ab(rho) = J_b rho J_a+ - {J_a+ J_b, rho} / 2 over the stack ``jumps``,
+    for Hermitian h and rates.  The anticommutators fold into the effective
+    Hamiltonian h_eff = h - (i/2) K with K = sum_ab rates[a, b] J_a+ J_b.
+    """
+    dim = h.shape[0]
+    ident = np.eye(dim, dtype=complex)
+    k = _quadratic_form(rates, jumps)
+    left = -1j * (h - 0.5j * k)
+    # rho -> i rho h_eff+, h_eff+ = h + (i/2) K: transposing this sum rather than
+    # conjugating h_eff is exact also where h is Hermitian only to round-off.
+    right = 1j * (h + 0.5j * k)
+    jump = np.einsum("ab,bij,akl->ikjl", rates, jumps, jumps.conj(), optimize=True)
+    return np.kron(left, ident) + np.kron(ident, right.T) + jump.reshape(dim**2, dim**2)
 
 
 def hamiltonian_generator(h):
     """Superoperator of rho -> -i [h, rho]."""
-    return -1j * (spre(h) - spost(h))
+    return master_generator(h, np.zeros((0,) + h.shape, dtype=complex), np.zeros((0, 0)))
 
 
-def lindblad_dissipator(c, rate):
-    """Superoperator of rho -> rate * (c rho c+ - {c+ c, rho} / 2)."""
-    cdc = c.conj().T @ c
-    return rate * (sandwich(c, c.conj().T) - 0.5 * spre(cdc) - 0.5 * spost(cdc))
+def _jumps(scheme, n_atoms):
+    """Lowering operators of every transition, ordered atom by atom."""
+    lowering = [atoms.lowering_operator(scheme, t) for t in range(len(scheme.transitions))]
+    if n_atoms == 1:
+        return np.array(lowering)
+    return np.array([atoms.embed(low, atom) for atom in (1, 2) for low in lowering])
 
 
 def drive_hamiltonian(scheme, params, n_atoms=2, global_phase=0.0):
@@ -148,19 +166,16 @@ def drive_hamiltonian(scheme, params, n_atoms=2, global_phase=0.0):
         h_single -= params.detuning * atoms.level_projector(scheme, upper)
     raising = atoms.raising_operator(scheme, driven)
 
-    if n_atoms == 1:
-        coupling = 0.5 * params.rabi * np.exp(1j * global_phase) * raising
+    def single(phase):
+        coupling = 0.5 * params.rabi * np.exp(1j * phase) * raising
         return h_single + coupling + coupling.conj().T
 
+    if n_atoms == 1:
+        return single(global_phase)
     if n_atoms != 2:
         raise ConfigurationError(f"n_atoms must be 1 or 2, got {n_atoms}")
-    phases = (global_phase, global_phase + params.laser_phase_a)
-    h = np.zeros((scheme.n_levels**2,) * 2, dtype=complex)
-    for atom_index, phase in zip((1, 2), phases):
-        h += atoms.embed(h_single, atom_index)
-        coupling = 0.5 * params.rabi * np.exp(1j * phase) * atoms.embed(raising, atom_index)
-        h += coupling + coupling.conj().T
-    return h
+    return (atoms.embed(single(global_phase), 1)
+            + atoms.embed(single(global_phase + params.laser_phase_a), 2))
 
 
 def decay_dissipator(scheme, n_atoms=2, gamma=1.0):
@@ -169,16 +184,10 @@ def decay_dissipator(scheme, n_atoms=2, gamma=1.0):
     Each excited level decays through its single allowed transition with
     total population rate 2*gamma.
     """
+    jumps = _jumps(scheme, n_atoms)
     dim = scheme.n_levels**n_atoms
-    diss = np.zeros((dim**2, dim**2), dtype=complex)
-    for t in range(len(scheme.transitions)):
-        low = atoms.lowering_operator(scheme, t)
-        if n_atoms == 1:
-            diss += lindblad_dissipator(low, 2.0 * gamma)
-        else:
-            for atom_index in (1, 2):
-                diss += lindblad_dissipator(atoms.embed(low, atom_index), 2.0 * gamma)
-    return diss
+    return master_generator(np.zeros((dim, dim), dtype=complex), jumps,
+                            2.0 * gamma * np.eye(len(jumps)))
 
 
 def transverse_weights(scheme, params):
@@ -203,44 +212,33 @@ def transverse_weights(scheme, params):
     return weights
 
 
+def _exchange_coefficients(scheme, params, cross_damping):
+    """Exchange coefficients (Hamiltonian, damping rates) over the pair's jumps.
+
+    ``swap (x) T`` puts T in the atom-to-atom blocks of the atom-major jumps.
+    """
+    g0 = 1.5 * params.gamma / params.kr
+    coupling = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), transverse_weights(scheme, params))
+    damping = 2.0 * g0 * math.sin(params.prop_phase_p) if cross_damping else 0.0
+    return -g0 * math.cos(params.prop_phase_p) * coupling, damping * coupling
+
+
 def exchange_term(scheme, params, cross_damping=True):
     """Photon-exchange coupling between the two atoms.
 
-    Builds, for every ordered transition pair (q raised on one atom, q'
-    lowered on the other), the coherent exchange Hamiltonian with amplitude
-    ``-g0 cos(p) T[q, q']`` and the cross-damping term with amplitude
-    ``2 g0 sin(p) T[q, q']`` where ``g0 = 3 gamma / (2 kr)``.  Setting
-    ``cross_damping=False`` keeps only the Hamiltonian part (diagnostic
-    switch, not a physical regime).  ``PhysicalParams`` guarantees
-    ``kr >= KR_MIN``.
+    The coherent exchange Hamiltonian has amplitude ``-g0 cos(p) T[q, q']``
+    and the cross damping rate ``2 g0 sin(p) T[q, q']`` for every ordered
+    transition pair (q raised on one atom, q' lowered on the other), where
+    ``g0 = 3 gamma / (2 kr)``.  Setting ``cross_damping=False`` keeps only
+    the Hamiltonian part (diagnostic switch, not a physical regime).
+    ``PhysicalParams`` guarantees ``kr >= KR_MIN``.
     """
-    g0 = 1.5 * params.gamma / params.kr
-    coherent_amp = -g0 * math.cos(params.prop_phase_p)
-    damping_amp = 2.0 * g0 * math.sin(params.prop_phase_p)
-    weights = transverse_weights(scheme, params)
-
-    dim = scheme.n_levels**2
-    h_ex = np.zeros((dim, dim), dtype=complex)
-    damp = np.zeros((dim**2, dim**2), dtype=complex)
-    lowering = [atoms.lowering_operator(scheme, t) for t in range(len(scheme.transitions))]
-    for j, k in ((1, 2), (2, 1)):
-        for q, low_q in enumerate(lowering):
-            r_jq = atoms.embed(low_q.conj().T, j)
-            for qp, low_qp in enumerate(lowering):
-                w = weights[q, qp]
-                if w == 0.0:
-                    continue
-                l_kqp = atoms.embed(low_qp, k)
-                h_ex += coherent_amp * w * (r_jq @ l_kqp)
-                if cross_damping:
-                    rl = r_jq @ l_kqp
-                    damp += (damping_amp * w) * (
-                        sandwich(l_kqp, r_jq) - 0.5 * spre(rl) - 0.5 * spost(rl)
-                    )
-    return hamiltonian_generator(h_ex) + damp
+    jumps = _jumps(scheme, 2)
+    coherent, damping = _exchange_coefficients(scheme, params, cross_damping)
+    return master_generator(_quadratic_form(coherent, jumps), jumps, damping)
 
 
-def _check_trace_preserving(generator, dim):
+def _checked_liouvillian(generator, dim):
     trace_vec = np.eye(dim, dtype=complex).reshape(-1)
     residual = trace_vec @ generator
     scale = max(np.abs(generator).max(), 1.0)
@@ -249,22 +247,23 @@ def _check_trace_preserving(generator, dim):
             "assembled generator is not trace preserving "
             f"(max residual {np.abs(residual).max():.3e})"
         )
+    return Liouvillian(hilbert_dim=dim, generator=generator)
 
 
 def assemble(scheme, params, include_exchange=True, cross_damping=True):
     """Full two-atom generator: drive, decay, and photon exchange."""
-    gen = hamiltonian_generator(drive_hamiltonian(scheme, params, n_atoms=2))
-    gen = gen + decay_dissipator(scheme, n_atoms=2, gamma=params.gamma)
+    jumps = _jumps(scheme, 2)
+    h = drive_hamiltonian(scheme, params, n_atoms=2)
+    rates = 2.0 * params.gamma * np.eye(len(jumps))
     if include_exchange:
-        gen = gen + exchange_term(scheme, params, cross_damping=cross_damping)
-    dim = scheme.n_levels**2
-    _check_trace_preserving(gen, dim)
-    return Liouvillian(hilbert_dim=dim, generator=gen)
+        coherent, damping = _exchange_coefficients(scheme, params, cross_damping)
+        h, rates = h + _quadratic_form(coherent, jumps), rates + damping
+    return _checked_liouvillian(master_generator(h, jumps, rates), scheme.n_levels**2)
 
 
 def assemble_single(scheme, params):
     """Generator for one driven atom (no exchange, drive phase zero)."""
-    gen = hamiltonian_generator(drive_hamiltonian(scheme, params, n_atoms=1))
-    gen = gen + decay_dissipator(scheme, n_atoms=1, gamma=params.gamma)
-    _check_trace_preserving(gen, scheme.n_levels)
-    return Liouvillian(hilbert_dim=scheme.n_levels, generator=gen)
+    jumps = _jumps(scheme, 1)
+    gen = master_generator(drive_hamiltonian(scheme, params, n_atoms=1), jumps,
+                           2.0 * params.gamma * np.eye(len(jumps)))
+    return _checked_liouvillian(gen, scheme.n_levels)

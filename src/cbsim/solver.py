@@ -41,17 +41,16 @@ def unvectorize(v):
     return v.reshape(n, n)
 
 
-def validate_density(rho, herm_tol=DENSITY_HERM_TOL, trace_tol=DENSITY_TRACE_TOL,
-                     eig_floor=DENSITY_EIG_FLOOR):
+def validate_density(rho):
     """Raise if ``rho`` is not Hermitian, unit trace, and positive (up to noise)."""
     herm_err = np.abs(rho - rho.conj().T).max()
-    if herm_err > herm_tol:
+    if herm_err > DENSITY_HERM_TOL:
         raise ConditioningError(f"density matrix not Hermitian (max deviation {herm_err:.3e})")
     trace_err = abs(np.trace(rho) - 1.0)
-    if trace_err > trace_tol:
+    if trace_err > DENSITY_TRACE_TOL:
         raise ConditioningError(f"density matrix trace deviates by {trace_err:.3e}")
     min_eig = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if min_eig < eig_floor:
+    if min_eig < DENSITY_EIG_FLOOR:
         raise ConditioningError(f"density matrix has negative eigenvalue {min_eig:.3e}")
 
 

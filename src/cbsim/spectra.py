@@ -107,12 +107,11 @@ def elastic_weight(rho_ss, a_op, b_op):
     return complex(np.trace(rho_ss @ a_op) * np.trace(rho_ss @ b_op))
 
 
-def default_omega_grid(rabi, detuning, gamma=1.0, span=None, span_factor=SPAN_FACTOR,
-                       base_step=BASE_STEP, refine_step=REFINE_STEP,
-                       refine_halfwidth=REFINE_HALFWIDTH):
+def default_omega_grid(rabi, detuning, gamma=1.0, span=None, base_step=BASE_STEP,
+                       refine_step=REFINE_STEP, refine_halfwidth=REFINE_HALFWIDTH):
     """Symmetric frequency grid resolving all predicted resonances.
 
-    Covers ``+- span_factor * Omega_R`` (or an explicit ``span``) at
+    Covers ``+- SPAN_FACTOR * Omega_R`` (or an explicit ``span``) at
     ``base_step`` spacing with ``refine_step`` refinement inside
     ``+- refine_halfwidth`` of each predicted peak.  All points are integer
     multiples of ``refine_step`` so that a zero-detuning grid is exactly
@@ -122,7 +121,7 @@ def default_omega_grid(rabi, detuning, gamma=1.0, span=None, span_factor=SPAN_FA
         raise DomainError("grid steps must satisfy base_step >= refine_step > 0")
     omega_r = dressed.generalized_rabi(rabi, detuning)
     if span is None:
-        span = span_factor * max(omega_r, 1.0) * gamma
+        span = SPAN_FACTOR * max(omega_r, 1.0) * gamma
     coarse_every = max(int(round(base_step / refine_step)), 1)
     n_span = int(np.ceil(span / refine_step))
     positive = set(range(0, n_span + 1, coarse_every))

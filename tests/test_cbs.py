@@ -214,6 +214,22 @@ def test_isotropic_average_is_seed_deterministic(v_scheme):
     assert other != first
 
 
+def test_isotropic_average_maps_orientations_in_one_pool(v_scheme, monkeypatch):
+    real_pmap, pooled = cbs._pmap, []
+
+    def spy(fn, items, workers=1):
+        if workers > 1:
+            pooled.append(fn)
+        return real_pmap(fn, items, workers=workers)
+
+    kwargs = dict(s=0.5, detuning=0.0, n_configs=3, seed=11)
+    serial = cbs.cbs_components_isotropic(v_scheme, default_params(), **kwargs)
+    monkeypatch.setattr(cbs, "_pmap", spy)
+    parallel = cbs.cbs_components_isotropic(v_scheme, default_params(), workers=2, **kwargs)
+    assert len(pooled) == 1
+    assert parallel == serial
+
+
 # -- sweeps ----------------------------------------------------------------------
 
 

@@ -326,3 +326,21 @@ def test_cli_check_passes(capsys):
     assert cli.main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_check_reports_failing_steady_state_and_continues(monkeypatch, capsys):
+    from cbsim import solver
+    from cbsim.errors import ConditioningError
+
+    def failing_steady_state(liou):
+        raise ConditioningError("forced steady-state failure")
+
+    monkeypatch.setattr(solver, "steady_state", failing_steady_state)
+    assert cli.main(["check"]) == 2
+    out = capsys.readouterr().out
+    assert ("FAIL - steady-state density invariants (forced steady-state failure)"
+            in out)
+    for later in ("elastic reciprocity (detuning 0)", "elastic reciprocity (detuning 20)",
+                  "inverse-square exchange scaling", "phase-grid refinement (4 vs 8)",
+                  "weak-field enhancement = 2"):
+        assert f"PASS - {later}" in out

@@ -268,3 +268,82 @@ def test_uncoupled_pair_factorizes():
     rho_1 = solver.steady_state(single_0)
     rho_2 = solver.steady_state(lv.Liouvillian(3, gen2))
     assert np.linalg.norm(rho_pair - np.kron(rho_1, rho_2)) < 1e-9
+
+
+# -- independent reference: term-by-term Lindblad and exchange formulas ------------
+
+
+def _ref_hamiltonian(h):
+    """rho -> -i [h, rho] with vec(A rho B) = (A kron B^T) vec(rho)."""
+    ident = np.eye(h.shape[0])
+    return -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+
+
+def _ref_dissipator(jump_b, jump_a, rate):
+    """rho -> rate (J_b rho J_a+ - {J_a+ J_b, rho} / 2)."""
+    ident = np.eye(jump_b.shape[0])
+    prod = jump_a.conj().T @ jump_b
+    return rate * (np.kron(jump_b, jump_a.conj()) - 0.5 * np.kron(prod, ident)
+                   - 0.5 * np.kron(ident, prod.T))
+
+
+def _ref_decay(scheme, n_atoms, gamma):
+    dim = scheme.n_levels**n_atoms
+    out = np.zeros((dim**2, dim**2), dtype=complex)
+    for t in range(len(scheme.transitions)):
+        low = atoms.lowering_operator(scheme, t)
+        for jump in ([low] if n_atoms == 1 else [atoms.embed(low, 1), atoms.embed(low, 2)]):
+            out += _ref_dissipator(jump, jump, 2.0 * gamma)
+    return out
+
+
+def _ref_exchange(scheme, p, cross_damping):
+    g0 = 1.5 * p.gamma / p.kr
+    weights = lv.transverse_weights(scheme, p)
+    dim = scheme.n_levels**2
+    h = np.zeros((dim, dim), dtype=complex)
+    damping = np.zeros((dim**2, dim**2), dtype=complex)
+    n_t = len(scheme.transitions)
+    for j, k in ((1, 2), (2, 1)):
+        for q in range(n_t):
+            raise_jq = atoms.embed(atoms.raising_operator(scheme, q), j)
+            for qp in range(n_t):
+                lower_kqp = atoms.embed(atoms.lowering_operator(scheme, qp), k)
+                h += -g0 * np.cos(p.prop_phase_p) * weights[q, qp] * (raise_jq @ lower_kqp)
+                if cross_damping:
+                    rate = 2.0 * g0 * np.sin(p.prop_phase_p) * weights[q, qp]
+                    damping += _ref_dissipator(lower_kqp, raise_jq.conj().T, rate)
+    return _ref_hamiltonian(h) + damping
+
+
+def _assert_same_generator(built, reference):
+    assert built.shape == reference.shape
+    assert np.abs(built - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("kind", atoms.SCHEME_KINDS)
+@pytest.mark.parametrize("mode", [lv.VECTOR, lv.SCALAR])
+@pytest.mark.parametrize("include_exchange", [True, False])
+@pytest.mark.parametrize("cross_damping", [True, False])
+def test_generator_matches_term_by_term_reference(kind, mode, include_exchange,
+                                                   cross_damping):
+    rng = np.random.default_rng(11)
+    scheme = atoms.build_scheme(kind)
+    p = lv.PhysicalParams(rabi=2.7, detuning=-1.3, gamma=0.8, kr=37.0,
+                          laser_phase_a=0.9, prop_phase_p=2.2,
+                          orientation=tuple(rng.standard_normal(3)), coupling_mode=mode)
+    pair = lv.drive_hamiltonian(scheme, p, n_atoms=2)
+    reference = _ref_hamiltonian(pair) + _ref_decay(scheme, 2, p.gamma)
+    if include_exchange:
+        reference = reference + _ref_exchange(scheme, p, cross_damping)
+    built = lv.assemble(scheme, p, include_exchange=include_exchange,
+                        cross_damping=cross_damping)
+    _assert_same_generator(built.generator, reference)
+    _assert_same_generator(lv.exchange_term(scheme, p, cross_damping=cross_damping),
+                           _ref_exchange(scheme, p, cross_damping))
+    for n_atoms in (1, 2):
+        _assert_same_generator(lv.decay_dissipator(scheme, n_atoms=n_atoms, gamma=p.gamma),
+                               _ref_decay(scheme, n_atoms, p.gamma))
+    single = _ref_hamiltonian(lv.drive_hamiltonian(scheme, p, n_atoms=1))
+    _assert_same_generator(lv.assemble_single(scheme, p).generator,
+                           single + _ref_decay(scheme, 1, p.gamma))
