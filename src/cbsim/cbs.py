@@ -92,7 +92,11 @@ class CbsComponents:
 
 @dataclass(frozen=True, eq=False)
 class PhaseGrid:
-    """Intensity samples on the full (a, b, p) phase grid."""
+    """Intensity samples on the full (a, b, p) phase grid.
+
+    Samples may be complex as computed; their imaginary part is roundoff,
+    which :func:`harmonic_extract` reports as its ``residue``.
+    """
 
     n_a: int
     n_b: int
@@ -117,8 +121,10 @@ class HarmonicComponents:
     """Ladder and crossed harmonics of a phase grid.
 
     ``crossed`` is twice the real part of the exp(-i(a+b)) coefficient
-    (p-averaged); ``residue`` bounds the violation of the conjugate-pair
-    symmetry and of realness, and should be at roundoff level.
+    (p-averaged); ``residue`` is the violation of the conjugate-pair
+    symmetry |c(+1,+1) - conj c(-1,-1)| of the samples as computed, i.e.
+    twice the exp(-i(a+b)) harmonic of their imaginary part, and should be
+    at roundoff level.
     """
 
     ladder: float
@@ -131,24 +137,28 @@ def phase_values(n):
 
 
 def _crossed_coefficient(samples, conjugate=False):
-    """exp(-i(a+b)) (or, ``conjugate``, exp(+i(a+b))) coefficient over the
-    leading (a, b, p) axes of ``samples``; trailing (frequency) axes are kept."""
-    n_a, n_b, n_p = samples.shape[:3]
+    """exp(-i(a+b)) (or, ``conjugate``, exp(+i(a+b))) coefficient of (a, b, p) samples."""
+    n_a, n_b, n_p = samples.shape
     w_ab = np.exp(1j * (phase_values(n_a)[:, None] + phase_values(n_b)[None, :]))
     if conjugate:
         w_ab = w_ab.conj()
-    return np.einsum("ab,abp...->...", w_ab, samples) / (n_a * n_b * n_p)
+    return complex(np.einsum("ab,abp->", w_ab, samples)) / (n_a * n_b * n_p)
 
 
 def harmonic_extract(grid):
-    """Discrete Fourier analysis of a phase grid over (a, b, p)."""
-    samples = np.asarray(grid.samples, dtype=float)
-    c_m1m1 = complex(_crossed_coefficient(samples))
-    c_p1p1 = complex(_crossed_coefficient(samples, conjugate=True))
+    """Discrete Fourier analysis of a phase grid over (a, b, p).
+
+    The ladder and crossed harmonics are taken of the real part of the
+    samples; the residue of the samples themselves.
+    """
+    samples = np.asarray(grid.samples)
+    real = samples.real
+    residue = (_crossed_coefficient(samples, conjugate=True)
+               - _crossed_coefficient(samples).conjugate())
     return HarmonicComponents(
-        ladder=float(samples.mean()),
-        crossed=2.0 * c_m1m1.real,
-        residue=abs(c_p1p1 - c_m1m1.conjugate()),
+        ladder=float(real.mean()),
+        crossed=2.0 * _crossed_coefficient(real).real,
+        residue=abs(residue),
     )
 
 
@@ -174,9 +184,14 @@ def _detection_operators(scheme):
     return lows, highs
 
 
-def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True):
-    """<R_j L_k> and <R_j><L_k> for the detected transition, plus the model."""
-    lows, highs = _detection_operators(scheme)
+def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True,
+                     detection=None):
+    """<R_j L_k> and <R_j><L_k> for the detected transition, plus the model.
+
+    ``detection`` is the :func:`_detection_operators` pair of ``scheme``,
+    built here when not given.
+    """
+    lows, highs = detection or _detection_operators(scheme)
     liou = assemble(scheme, params, include_exchange=include_exchange,
                     cross_damping=cross_damping)
     rho = steady_state(liou)
@@ -206,51 +221,70 @@ def _as_real(values, what):
     return values.real
 
 
-def detected_intensity(scheme, params, include_exchange=True, cross_damping=True):
+def detected_intensity(scheme, params, include_exchange=True):
     """Normally ordered detected intensity <D+ D> at the phases in ``params``."""
-    m, _, _, _ = _moment_matrices(scheme, params, include_exchange=include_exchange,
-                                  cross_damping=cross_damping)
+    m, _, _, _ = _moment_matrices(scheme, params, include_exchange=include_exchange)
     value = _expand_b(m, [params.detect_phase_b])[0]
     return float(_as_real(value, "detected intensity"))
 
 
 def _phase_point(args):
-    """Total, elastic and (given ``omega_grid``) spectral samples over b at one (a, p)."""
-    scheme, params, cross_damping, b_vals, omega_grid = args
-    m, e, liou, rho = _moment_matrices(scheme, params, cross_damping=cross_damping)
-    total = _as_real(_expand_b(m, b_vals), "detected intensity")
-    elastic = _as_real(_expand_b(e, b_vals), "elastic intensity")
+    """Total and elastic samples over b at one (a, p), plus (given ``omega_grid``)
+    the b-sum and the exp(+ib)-weighted b-sum of the spectral density."""
+    scheme, params, cross_damping, detection, b_vals, omega_grid = args
+    m, e, liou, rho = _moment_matrices(scheme, params, cross_damping=cross_damping,
+                                       detection=detection)
+    # Checked real, but kept complex: harmonic_extract reports the residue.
+    total = _expand_b(m, b_vals)
+    elastic = _expand_b(e, b_vals)
+    _as_real(total, "detected intensity")
+    _as_real(elastic, "elastic intensity")
     if omega_grid is None:
         return total, elastic, None
-    lows, highs = _detection_operators(scheme)
+    lows, highs = detection
     seeds = [spectra.connected_initial(rho, op) for op in highs]
     t_mat = spectra.spectral_response(liou, rho, seeds, lows, omega_grid)
-    # The transform itself is complex (dispersive parts); the spectral
-    # density is its real part by definition.
-    return total, elastic, _expand_b(t_mat, b_vals).real / np.pi
+    # The density is Re(_expand_b(t_mat, b)) / pi by definition (the
+    # transform itself is complex).  On a uniform grid of n_b >= 3 points
+    # sum_b exp(+-ib) = sum_b exp(+-2ib) = 0, which leaves these closed forms.
+    n_b = len(b_vals)
+    return total, elastic, (n_b / np.pi * (t_mat[0, 0] + t_mat[1, 1]).real,
+                            n_b / (2 * np.pi) * (t_mat[0, 1] + t_mat[1, 0].conj()))
 
 
 def _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, workers, omega_grid=None):
-    """Total and elastic phase grids, plus density samples (a, b, p, omega) or ``None``.
+    """Total and elastic phase grids, plus the ladder and crossed spectral
+    densities over ``omega_grid`` (or ``None``).
 
     One steady-state solve per (a, p) pair; the detection-phase dependence
-    is expanded analytically from the dipole moment matrix.
+    is expanded analytically from the dipole moment matrix.  Densities are
+    reduced over b at each point, so no (a, b, p, omega) grid is stored.
     """
     b_vals = phase_values(n_b)
+    detection = _detection_operators(scheme)
     tasks = [
-        (scheme, replace(params, laser_phase_a=a, prop_phase_p=p), cross_damping, b_vals,
-         omega_grid)
+        (scheme, replace(params, laser_phase_a=a, prop_phase_p=p), cross_damping,
+         detection, b_vals, omega_grid)
         for a in phase_values(n_a) for p in phase_values(n_p)
     ]
     results = _pmap(_phase_point, tasks, workers=workers)
 
-    def grid(part):  # tasks run a-major; samples are indexed (a, b, p, ...)
+    def grid(part):  # tasks run a-major; samples are indexed (a, b, p)
         stacked = np.stack([result[part] for result in results])
-        return np.ascontiguousarray(
-            stacked.reshape((n_a, n_p) + stacked.shape[1:]).swapaxes(1, 2))
+        return PhaseGrid(n_a, n_b, n_p, np.ascontiguousarray(
+            stacked.reshape(n_a, n_p, n_b).swapaxes(1, 2)))
 
-    density = None if omega_grid is None else grid(2)
-    return PhaseGrid(n_a, n_b, n_p, grid(0)), PhaseGrid(n_a, n_b, n_p, grid(1)), density
+    if omega_grid is None:
+        return grid(0), grid(1), None
+    # The harmonics of harmonic_extract: the mean, and twice the real part
+    # of the exp(-i(a+b)) coefficient.  Per-point arrays stay separate and
+    # small, which keeps the heap from growing over repeated spectra.
+    count = n_a * n_b * n_p
+    e_a = np.repeat(np.exp(1j * phase_values(n_a)), n_p)  # tasks run a-major
+    ladder = sum(b_sum for _, _, (b_sum, _) in results) / count
+    crossed = 2.0 * np.real(sum(w * e_b_sum for w, (_, _, (_, e_b_sum))
+                                in zip(e_a, results))) / count
+    return grid(0), grid(1), (ladder, crossed)
 
 
 def intensity_grids(scheme, params, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
@@ -393,7 +427,7 @@ class CbsSpectrumResult:
 
 def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
                  n_b=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
-                 normalize=True, cross_damping=True, workers=1):
+                 normalize=True, workers=1):
     """Frequency-resolved background and interference spectra.
 
     Applies the same phase-harmonic extraction as the total intensities to
@@ -405,15 +439,12 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
     if omega_grid is None:
         omega_grid = spectra.default_omega_grid(params.rabi, params.detuning, params.gamma)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    grid_total, grid_elastic, density = _phase_samples(
-        scheme, params, n_a, n_b, n_p, cross_damping, workers, omega_grid=omega_grid)
+    grid_total, grid_elastic, (ladder_density, crossed_density) = _phase_samples(
+        scheme, params, n_a, n_b, n_p, True, workers, omega_grid=omega_grid)
     h_total = harmonic_extract(grid_total)
     h_elastic = harmonic_extract(grid_elastic)
     scale = exchange_scale(params) if normalize else 1.0
     components = _components_from_harmonics(h_total, h_elastic, scale)
-
-    ladder_density = density.mean(axis=(0, 1, 2))
-    crossed_density = 2.0 * np.real(_crossed_coefficient(density))
 
     if normalize:
         norm = float(np.trapezoid(ladder_density, omega_grid))

@@ -102,39 +102,35 @@ class ResolventSolver:
     map x -> tr(x) rho_ss removes the stationary zero mode so that
     trace-free right-hand sides can be solved at any real omega, including
     omega = 0, without changing the solution on the trace-free subspace.
-    The omega-independent part of the system matrix is prepared once;
-    ``check_condition`` controls the (relatively costly) reciprocal
-    condition estimate, while the cheap post-solve residual bound is always
-    enforced.
+    The omega-independent system matrix ``base`` (-L plus the deflation)
+    is prepared once; every factorization is checked by a reciprocal
+    condition estimate and every solve by a residual bound.
     """
 
-    def __init__(self, liou, deflate=None, check_condition=True):
+    def __init__(self, liou, deflate=None):
         base = -liou.generator
         if deflate is not None:
             trace_vec = np.eye(liou.hilbert_dim, dtype=complex).reshape(-1)
             base = base + np.outer(np.asarray(deflate, dtype=complex), trace_vec)
         else:
             base = base.copy()
-        self._base = base
+        self.base = base
         self._n = base.shape[0]
-        self._check_condition = check_condition
 
     def factor(self, omega):
         """LU-factorize at one frequency and return a solve closure."""
-        m = self._base.copy()
+        m = self.base.copy()
         m.flat[:: self._n + 1] += 1j * omega
-        if self._check_condition:
-            anorm = np.abs(m).sum(axis=0).max()
+        anorm = np.abs(m).sum(axis=0).max()
         lu, piv, info = lapack.zgetrf(m)
         if info != 0:
             raise ConditioningError(f"LU factorization failed (info={info})")
-        if self._check_condition:
-            rcond, _ = lapack.zgecon(lu, anorm)
-            if rcond < RCOND_MIN:
-                raise ConditioningError(
-                    f"resolvent system at omega={omega:g} is ill-conditioned "
-                    f"(condition estimate {1.0 / max(rcond, 1e-300):.3e})"
-                )
+        rcond, _ = lapack.zgecon(lu, anorm)
+        if rcond < RCOND_MIN:
+            raise ConditioningError(
+                f"resolvent system at omega={omega:g} is ill-conditioned "
+                f"(condition estimate {1.0 / max(rcond, 1e-300):.3e})"
+            )
 
         def solve(rhs):
             x, info_s = lapack.zgetrs(lu, piv, rhs)

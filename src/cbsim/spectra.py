@@ -3,9 +3,12 @@
 Stationary two-time correlations <A(t) B(t+tau)> follow from the same
 generator as one-time expectations: the operator rho_ss A is propagated and
 closed with a trace against B.  The half-line Fourier transform is obtained
-directly in the frequency domain from a single resolvent solve per
-frequency; every spectrum goes through the one kernel
-:func:`spectral_response`.  Spectra use the connected correlator (means
+directly in the frequency domain.  Every spectrum goes through the one
+kernel :func:`spectral_response`, which diagonalizes the deflated
+generator once and evaluates the resulting pole sum on the whole frequency
+grid; it checks itself and falls back to one LU solve per frequency.
+:func:`correlation` keeps a single rcond-checked LU solve as the
+independent reference.  Spectra use the connected correlator (means
 subtracted), which removes the coherent delta at the drive frequency
 exactly; that elastic weight is reported separately.
 """
@@ -17,7 +20,8 @@ import numpy as np
 from . import atoms, dressed
 from .errors import DomainError
 from .liouvillian import assemble_single
-from .solver import ResolventSolver, steady_state, vectorize, unvectorize
+from .solver import (RESOLVENT_RESIDUAL_TOL, ResolventSolver, steady_state, vectorize,
+                     unvectorize)
 
 BACKGROUND = "background"
 INTERFERENCE = "interference"
@@ -29,6 +33,14 @@ SPAN_FACTOR = 2.5
 BASE_STEP = 0.1
 REFINE_STEP = 0.02
 REFINE_HALFWIDTH = 5.0
+
+#: Eigen-route guard of :func:`spectral_response`: the largest eigenvector
+#: condition number trusted, and how many of the slowest-decaying poles
+#: get a residual check at their nearest grid frequency.
+EIGVEC_COND_MAX = 1e7
+CHECKED_POLES = 4
+#: Frequencies per block of the pole-sum evaluation.
+OMEGA_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,21 +97,58 @@ def correlation(liou, rho_ss, a_op, b_op, omega, connected=False):
 def spectral_response(liou, rho_ss, seeds, observables, omegas):
     """Connected regression transforms over a frequency grid.
 
-    Returns ``t[j, k, i] = tr[B_k X_j]`` with (-i omega_i - L + |rho_ss><tr|)
-    X_j = seeds[j] for vectorized trace-free seeds (:func:`connected_initial`)
-    and observables B_k, i.e. ``correlation(..., connected=True)`` at every
-    frequency.  The deflated system is nonsingular for every real frequency,
-    so the condition estimate is skipped; the residual bound still applies.
+    Returns ``t[j, k, i] = tr[B_k X_j]`` with (B - i omega_i) X_j = seeds[j],
+    B = -L + |rho_ss><tr|, for vectorized trace-free seeds
+    (:func:`connected_initial`) and observables B_k, i.e.
+    ``correlation(..., connected=True)`` at every frequency.  One
+    diagonalization B = V diag(lam) V^-1 serves the whole grid:
+    t[j, k, i] = sum_m w[j, k, m] / (lam_m - i omega_i).  When the guard of
+    :func:`_pole_sum` trips, every frequency is solved by LU instead.
     """
     rhs = np.column_stack(seeds)
     # tr[B X] = vec(B^T) . vec(X) in the row-major vectorization.
     project = np.array([vectorize(op.T) for op in observables])
     omegas = np.asarray(omegas, dtype=float)
-    solver = ResolventSolver(liou, deflate=vectorize(rho_ss), check_condition=False)
-    out = np.empty((rhs.shape[1], project.shape[0], omegas.size), dtype=complex)
-    for i, w in enumerate(omegas):
-        out[:, :, i] = (project @ solver.factor(-w)(rhs)).T
+    solver = ResolventSolver(liou, deflate=vectorize(rho_ss))
+    out = _pole_sum(solver.base, rhs, project, omegas)
+    if out is None:
+        out = np.empty((rhs.shape[1], project.shape[0], omegas.size), dtype=complex)
+        for i, w in enumerate(omegas):
+            out[:, :, i] = (project @ solver.factor(-w)(rhs)).T
     return out
+
+
+def _pole_sum(base, rhs, project, omegas):
+    """Eigen route of :func:`spectral_response`, or ``None`` if it is not trusted.
+
+    The eigenvector matrix must be invertible with condition number below
+    ``EIGVEC_COND_MAX``, and the true residual ||(B - i omega) x - rhs||
+    must stay within ``RESOLVENT_RESIDUAL_TOL * ||rhs||`` at the grid ends
+    and at the grid points nearest the slowest-decaying poles.
+    """
+    try:
+        lam, vecs = np.linalg.eig(base)
+        if not np.linalg.cond(vecs) < EIGVEC_COND_MAX:
+            return None
+        coeffs = np.linalg.solve(vecs, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if omegas.size:
+        # Pole m sits nearest the real axis at omega = Im lam_m.
+        slow = np.argsort(lam.real)[:CHECKED_POLES]
+        nearest = np.abs(omegas[:, None] - lam.imag[slow]).argmin(axis=0)
+        tol = RESOLVENT_RESIDUAL_TOL * max(np.linalg.norm(rhs), 1e-300)
+        for w in omegas[np.unique([0, omegas.size - 1, *nearest])]:
+            x = vecs @ (coeffs / (lam - 1j * w)[:, None])
+            if not np.linalg.norm(base @ x - 1j * w * x - rhs) <= tol:
+                return None
+    # w[j, k, m] = (project V)[k, m] (V^-1 rhs)[m, j], flattened over (j, k).
+    weights = np.einsum("km,mj->jkm", project @ vecs, coeffs).reshape(-1, lam.size)
+    out = np.empty((weights.shape[0], omegas.size), dtype=complex)
+    for start in range(0, omegas.size, OMEGA_CHUNK):
+        block = omegas[start:start + OMEGA_CHUNK]
+        out[:, start:start + block.size] = weights @ (1.0 / (lam[:, None] - 1j * block))
+    return out.reshape(rhs.shape[1], project.shape[0], omegas.size)
 
 
 def elastic_weight(rho_ss, a_op, b_op):

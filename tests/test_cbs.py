@@ -14,9 +14,9 @@ def default_params(**kwargs):
 # -- harmonic extraction -------------------------------------------------------
 
 
-def planted_grid(fn, n=4):
+def planted_grid(fn, n=4, dtype=float):
     a = cbs.phase_values(n)
-    samples = np.empty((n, n, n))
+    samples = np.empty((n, n, n), dtype=dtype)
     for i, ai in enumerate(a):
         for j, bj in enumerate(a):
             for k, pk in enumerate(a):
@@ -35,6 +35,15 @@ def test_harmonics_of_planted_interference():
     assert np.isclose(h.ladder, 1.0)
     assert np.isclose(h.crossed, 1.0)
     assert h.residue < 1e-14
+
+
+def test_harmonic_residue_reports_planted_imaginary_part():
+    # exp(-i(a+b)) has no exp(+i(a+b)) partner: the conjugate pairs break
+    h = cbs.harmonic_extract(planted_grid(lambda a, b, p: 1.0 + np.exp(-1j * (a + b)),
+                                          dtype=complex))
+    assert np.isclose(h.ladder, 1.0)
+    assert np.isclose(h.crossed, 1.0)
+    assert np.isclose(h.residue, 1.0)
 
 
 def test_harmonics_ignore_pure_propagation_phase():
@@ -110,6 +119,27 @@ def test_harmonic_residue_small_on_computed_grids(v_scheme):
     for grid in (grid_total, grid_elastic):
         h = cbs.harmonic_extract(grid)
         assert h.residue <= 1e-9 * max(abs(h.ladder), 1e-300)
+
+
+def test_computed_grids_keep_their_imaginary_roundoff(v_scheme):
+    # the residue is measured on the samples as computed, not on a real cast
+    grid_total, grid_elastic = cbs.intensity_grids(v_scheme, default_params(rabi=2.0))
+    for grid in (grid_total, grid_elastic):
+        assert np.iscomplexobj(grid.samples)
+
+
+def test_detection_operators_built_once_per_phase_grid(v_scheme, monkeypatch):
+    calls = []
+    original = cbs._detection_operators
+
+    def spy(scheme):
+        calls.append(scheme.kind)
+        return original(scheme)
+
+    monkeypatch.setattr(cbs, "_detection_operators", spy)
+    cbs.cbs_spectrum(v_scheme, default_params(rabi=2.0),
+                     omega_grid=np.linspace(-5.0, 5.0, 11))
+    assert calls == [v_scheme.kind]
 
 
 def _custom_scheme(kind, n_levels, transitions):

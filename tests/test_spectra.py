@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbsim import atoms, dressed, liouvillian as lv, solver, spectra
 
@@ -59,17 +60,23 @@ def test_correlation_at_zero_tau_reduces_to_one_time_average():
     assert np.isclose(np.trapezoid(density, grid), c0.real, rtol=1e-2)
 
 
-def test_spectral_response_matches_connected_correlation():
-    # the batched kernel against independent rcond-checked single solves
-    scheme = atoms.build_scheme(atoms.V_TYPE)
-    rabi, detuning = 10.0, 2.0
-    params = lv.PhysicalParams(rabi=rabi, detuning=detuning, laser_phase_a=0.7,
-                               prop_phase_p=1.3)
+def detected_pair(kind, rabi, detuning, a=0.7, p=1.3):
+    """Pair generator, steady state and detected-transition operators."""
+    scheme = atoms.build_scheme(kind)
+    params = lv.PhysicalParams(rabi=rabi, detuning=detuning, laser_phase_a=a,
+                               prop_phase_p=p)
     liou = lv.assemble(scheme, params)
     rho = solver.steady_state(liou)
     low = atoms.lowering_operator(scheme, scheme.cbs_transition)
     lows = [atoms.embed(low, 1), atoms.embed(low, 2)]
     highs = [op.conj().T for op in lows]
+    return liou, rho, lows, highs
+
+
+def test_spectral_response_matches_connected_correlation():
+    # the batched kernel against independent rcond-checked single solves
+    rabi, detuning = 10.0, 2.0
+    liou, rho, lows, highs = detected_pair(atoms.V_TYPE, rabi, detuning)
     omega_r = dressed.generalized_rabi(rabi, detuning)
     omegas = np.array([0.0, omega_r, -omega_r, 1e3])
     seeds = [spectra.connected_initial(rho, op) for op in highs]
@@ -82,6 +89,75 @@ def test_spectral_response_matches_connected_correlation():
                                           connected=True)
                 assert ref != 0.0
                 assert abs(response[j, k, i] - ref) <= 1e-12 * abs(ref)
+
+
+def spy_factor(monkeypatch):
+    """Record the frequency of every ``ResolventSolver.factor`` call."""
+    calls = []
+    original = solver.ResolventSolver.factor
+
+    def factor(self, omega):
+        calls.append(omega)
+        return original(self, omega)
+
+    monkeypatch.setattr(solver.ResolventSolver, "factor", factor)
+    return calls
+
+
+@pytest.mark.parametrize("guard", ["EIGVEC_COND_MAX", "RESOLVENT_RESIDUAL_TOL"])
+def test_spectral_response_falls_back_to_lu_when_guard_trips(monkeypatch, guard):
+    liou, rho, lows, highs = detected_pair(atoms.V_TYPE, 100.0, 20.0)
+    seeds = [spectra.connected_initial(rho, op) for op in highs]
+    omegas = np.concatenate([np.linspace(-250.0, 250.0, 51), [0.03, 101.98]])
+    calls = spy_factor(monkeypatch)
+    eigen = spectra.spectral_response(liou, rho, seeds, lows, omegas)
+    assert calls == []
+    # a zero condition limit or residual tolerance trips the eigen-route guard only
+    monkeypatch.setattr(spectra, guard, 0.0)
+    fallback = spectra.spectral_response(liou, rho, seeds, lows, omegas)
+    assert calls == list(-omegas)
+    assert np.all(np.abs(fallback - eigen) <= 1e-9 * np.abs(fallback))
+
+
+def test_near_defective_generator_takes_lu_fallback(monkeypatch):
+    # On resonance at rabi = gamma/2 two Bloch modes merge into a Jordan
+    # block at -3 gamma/2: the eigenvectors are numerically parallel.
+    liou, rho, low, high = driven_atom(0.5)
+    _, vecs = np.linalg.eig(-liou.generator)
+    assert np.linalg.cond(vecs) > spectra.EIGVEC_COND_MAX
+    omegas = np.array([-3.0, -0.5, 0.0, 0.25, 1.0, 40.0])
+    calls = spy_factor(monkeypatch)
+    response = spectra.spectral_response(
+        liou, rho, [spectra.connected_initial(rho, high)], [low], omegas)
+    assert len(calls) == omegas.size
+    for i, w in enumerate(omegas):
+        ref = spectra.correlation(liou, rho, high, low, w, connected=True)
+        assert abs(response[0, 0, i] - ref) <= 1e-9 * abs(ref)
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from([atoms.V_TYPE, atoms.FULL_J0_J1]),
+       log_rabi=st.floats(-3.0, 3.0), detuning=st.floats(-30.0, 30.0),
+       a=st.floats(0.0, 2 * np.pi), p=st.floats(0.0, 2 * np.pi),
+       omega=st.floats(-1e3, 1e3))
+def test_spectral_response_matches_correlation_anywhere(kind, log_rabi, detuning, a, p,
+                                                        omega):
+    rabi = 10.0 ** log_rabi
+    liou, rho, lows, highs = detected_pair(kind, rabi, detuning, a, p)
+    omega_r = dressed.generalized_rabi(rabi, detuning)
+    omegas = np.array([0.0, omega_r, -omega_r, omega])
+    seeds = [spectra.connected_initial(rho, op) for op in highs]
+    response = spectra.spectral_response(liou, rho, seeds, lows, omegas)
+    # At weak drive tr[B X] is ~1e-8 of |B| |X| (the detected level fills
+    # only through exchange), so roundoff of either solve sets a floor of a
+    # few hundred ulps of |B_k| |seed_j| under the 1e-9 relative bound.
+    floor = 1e-13 * np.outer([np.linalg.norm(s) for s in seeds],
+                             [np.linalg.norm(op) for op in lows])
+    for i, w in enumerate(omegas):
+        ref = np.array([[spectra.correlation(liou, rho, highs[j], lows[k], w,
+                                             connected=True) for k in range(2)]
+                        for j in range(2)])
+        assert np.all(np.abs(response[:, :, i] - ref) <= 1e-9 * np.abs(ref) + floor)
 
 
 # -- elastic weight -----------------------------------------------------------
