@@ -90,6 +90,15 @@ class CbsComponents:
                    c2_el=float(c2_el), c2_inel=float(c2_inel), alpha=float(alpha))
 
 
+def _check_grid_sizes(n_a, n_b, n_p):
+    for name, n in (("n_a", n_a), ("n_b", n_b), ("n_p", n_p)):
+        if n < 4:
+            raise ConfigurationError(
+                f"{name} = {n} too small; at least 4 points per phase are "
+                "needed to separate harmonics through order 2"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseGrid:
     """Intensity samples on the full (a, b, p) phase grid.
@@ -104,12 +113,7 @@ class PhaseGrid:
     samples: np.ndarray
 
     def __post_init__(self):
-        for name, n in (("n_a", self.n_a), ("n_b", self.n_b), ("n_p", self.n_p)):
-            if n < 4:
-                raise ConfigurationError(
-                    f"{name} = {n} too small; at least 4 points per phase are "
-                    "needed to separate harmonics through order 2"
-                )
+        _check_grid_sizes(self.n_a, self.n_b, self.n_p)
         if self.samples.shape != (self.n_a, self.n_b, self.n_p):
             raise ConfigurationError(
                 f"samples shape {self.samples.shape} does not match grid sizes"
@@ -259,7 +263,9 @@ def _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, workers, omega_
     One steady-state solve per (a, p) pair; the detection-phase dependence
     is expanded analytically from the dipole moment matrix.  Densities are
     reduced over b at each point, so no (a, b, p, omega) grid is stored.
+    Grid sizes are checked before any point is solved.
     """
+    _check_grid_sizes(n_a, n_b, n_p)
     b_vals = phase_values(n_b)
     detection = _detection_operators(scheme)
     tasks = [

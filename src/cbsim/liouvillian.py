@@ -22,8 +22,22 @@ vectors of the two transitions; in scalar mode it is the identity.
 All quantities are in units of gamma (half the excited-state population
 decay rate); the propagation phase p is an independent disorder variable
 while the amplitude is fixed by kr.
+
+The pair generator is affine in its per-point parameters,
+
+    L(rabi, delta, a, p) = D + delta H_delta + rabi H_1 + rabi e^{ia} H_2+
+                           + rabi e^{-ia} H_2- + cos(p) X_c + sin(p) X_s,
+
+with D the decay, H_delta, H_1 and H_2+- the commutator superoperators of
+minus the excited-level projector, of the atom-1 drive and of the sigma+
+and sigma- halves of the atom-2 drive, and X_c, X_s the coherent exchange
+and the cross damping.  Every block is built once by
+:func:`master_generator` for a given (scheme, gamma, kr, T) and kept
+read-only in a bounded cache (``BLOCK_CACHE_SIZE`` entries), so
+:func:`assemble` only combines them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +55,11 @@ COUPLING_MODES = (SCALAR, VECTOR)
 KR_MIN = 10.0
 
 TWO_PI = 2.0 * math.pi
+
+#: Block stacks kept by :func:`assemble`, one per (scheme, gamma, kr, T).
+#: One orientation needs one; an isotropic average cycles through as many
+#: as it samples, and a full_j0_j1 stack takes 7.3 MB.
+BLOCK_CACHE_SIZE = 4
 
 
 def saturation(rabi, detuning, gamma=1.0):
@@ -126,8 +145,10 @@ def master_generator(h, jumps, rates):
     """Superoperator of rho -> -i [h, rho] + sum_ab rates[a, b] D_ab(rho).
 
     D_ab(rho) = J_b rho J_a+ - {J_a+ J_b, rho} / 2 over the stack ``jumps``,
-    for Hermitian h and rates.  The anticommutators fold into the effective
-    Hamiltonian h_eff = h - (i/2) K with K = sum_ab rates[a, b] J_a+ J_b.
+    for Hermitian rates; the map is linear in h, which need not be
+    Hermitian (the affine drive blocks are not).  The anticommutators fold
+    into the effective Hamiltonian h_eff = h - (i/2) K with
+    K = sum_ab rates[a, b] J_a+ J_b.
     """
     dim = h.shape[0]
     ident = np.eye(dim, dtype=complex)
@@ -153,6 +174,17 @@ def _jumps(scheme, n_atoms):
     return np.array([atoms.embed(low, atom) for atom in (1, 2) for low in lowering])
 
 
+def _drive_parts(scheme):
+    """Single-atom drive operators: minus the excited-level projector (per
+    unit detuning) and half the driven raising operator (per unit
+    rabi * exp(i phase))."""
+    driven = scheme.driven_transition  # raises ConfigurationError if absent
+    pull = np.zeros((scheme.n_levels, scheme.n_levels), dtype=complex)
+    for upper in scheme.excited_levels:
+        pull -= atoms.level_projector(scheme, upper)
+    return pull, 0.5 * atoms.raising_operator(scheme, driven)
+
+
 def drive_hamiltonian(scheme, params, n_atoms=2, global_phase=0.0):
     """Rotating-frame drive Hamiltonian.
 
@@ -160,15 +192,11 @@ def drive_hamiltonian(scheme, params, n_atoms=2, global_phase=0.0):
     coupling acts on the sigma-plus transition only, with per-atom phases
     (``global_phase``, ``global_phase + laser_phase_a``).
     """
-    driven = scheme.driven_transition  # raises ConfigurationError if absent
-    h_single = np.zeros((scheme.n_levels, scheme.n_levels), dtype=complex)
-    for upper in scheme.excited_levels:
-        h_single -= params.detuning * atoms.level_projector(scheme, upper)
-    raising = atoms.raising_operator(scheme, driven)
+    pull, half_raise = _drive_parts(scheme)
 
     def single(phase):
-        coupling = 0.5 * params.rabi * np.exp(1j * phase) * raising
-        return h_single + coupling + coupling.conj().T
+        coupling = params.rabi * np.exp(1j * phase) * half_raise
+        return params.detuning * pull + coupling + coupling.conj().T
 
     if n_atoms == 1:
         return single(global_phase)
@@ -212,15 +240,42 @@ def transverse_weights(scheme, params):
     return weights
 
 
-def _exchange_coefficients(scheme, params, cross_damping):
-    """Exchange coefficients (Hamiltonian, damping rates) over the pair's jumps.
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _affine_blocks(scheme, gamma, kr, weights):
+    """Read-only stack [D, H_delta, H_1, H_2+, H_2-, X_c, X_s] of the pair
+    generator's affine blocks (module docstring); ``weights`` is T as a
+    tuple of rows.
 
     ``swap (x) T`` puts T in the atom-to-atom blocks of the atom-major jumps.
     """
-    g0 = 1.5 * params.gamma / params.kr
-    coupling = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), transverse_weights(scheme, params))
-    damping = 2.0 * g0 * math.sin(params.prop_phase_p) if cross_damping else 0.0
-    return -g0 * math.cos(params.prop_phase_p) * coupling, damping * coupling
+    jumps = _jumps(scheme, 2)
+    pull, half_raise = _drive_parts(scheme)
+    half_lower = half_raise.conj().T
+    g0 = 1.5 * gamma / kr
+    coupling = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array(weights))
+    no_h = np.zeros((scheme.n_levels**2,) * 2, dtype=complex)
+    blocks = np.array([
+        decay_dissipator(scheme, n_atoms=2, gamma=gamma),
+        hamiltonian_generator(atoms.embed(pull, 1) + atoms.embed(pull, 2)),
+        hamiltonian_generator(atoms.embed(half_raise + half_lower, 1)),
+        hamiltonian_generator(atoms.embed(half_raise, 2)),
+        hamiltonian_generator(atoms.embed(half_lower, 2)),
+        hamiltonian_generator(_quadratic_form(-g0 * coupling, jumps)),
+        master_generator(no_h, jumps, 2.0 * g0 * coupling),
+    ])
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _pair_blocks(scheme, params):
+    weights = transverse_weights(scheme, params)
+    return _affine_blocks(scheme, params.gamma, params.kr, tuple(map(tuple, weights)))
+
+
+def _exchange_phases(params, cross_damping):
+    """Coefficients of X_c and X_s; the cross damping is zeroed on request."""
+    p = params.prop_phase_p
+    return [math.cos(p), math.sin(p) if cross_damping else 0.0]
 
 
 def exchange_term(scheme, params, cross_damping=True):
@@ -233,9 +288,8 @@ def exchange_term(scheme, params, cross_damping=True):
     the Hamiltonian part (diagnostic switch, not a physical regime).
     ``PhysicalParams`` guarantees ``kr >= KR_MIN``.
     """
-    jumps = _jumps(scheme, 2)
-    coherent, damping = _exchange_coefficients(scheme, params, cross_damping)
-    return master_generator(_quadratic_form(coherent, jumps), jumps, damping)
+    return np.tensordot(_exchange_phases(params, cross_damping),
+                        _pair_blocks(scheme, params)[5:], axes=1)
 
 
 def _checked_liouvillian(generator, dim):
@@ -251,14 +305,15 @@ def _checked_liouvillian(generator, dim):
 
 
 def assemble(scheme, params, include_exchange=True, cross_damping=True):
-    """Full two-atom generator: drive, decay, and photon exchange."""
-    jumps = _jumps(scheme, 2)
-    h = drive_hamiltonian(scheme, params, n_atoms=2)
-    rates = 2.0 * params.gamma * np.eye(len(jumps))
+    """Full two-atom generator: drive, decay, and photon exchange, combined
+    from the cached affine blocks."""
+    drive = params.rabi * np.exp(1j * params.laser_phase_a)
+    coefficients = [1.0, params.detuning, params.rabi, drive, drive.conjugate()]
     if include_exchange:
-        coherent, damping = _exchange_coefficients(scheme, params, cross_damping)
-        h, rates = h + _quadratic_form(coherent, jumps), rates + damping
-    return _checked_liouvillian(master_generator(h, jumps, rates), scheme.n_levels**2)
+        coefficients += _exchange_phases(params, cross_damping)
+    blocks = _pair_blocks(scheme, params)[:len(coefficients)]
+    return _checked_liouvillian(np.tensordot(coefficients, blocks, axes=1),
+                                scheme.n_levels**2)
 
 
 def assemble_single(scheme, params):

@@ -5,6 +5,14 @@ Liouville space (dimension <= 256 for the schemes shipped with the
 package), so direct LU factorization with partial pivoting is used
 throughout.  All functions are pure; independent solves may run
 concurrently without shared state.
+
+The steady state solves the bordered system M x = e_0, where M is the
+generator with its first row replaced by the trace functional.  M is
+singular exactly when the stationary manifold is degenerate, so the LU
+factorization of M doubles as the uniqueness test: the singular-value
+check that reports the nullity runs only when the LAPACK condition
+estimate of that factorization falls below a bound derived in
+:func:`steady_state`.
 """
 
 import numpy as np
@@ -19,9 +27,12 @@ STEADY_RESIDUAL_TOL = 1e-10
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-8
-#: Ratio of the two smallest singular values below which the stationary
-#: manifold is reported as degenerate.
+#: Singular values below this fraction of the largest count towards the
+#: nullity; more than one reports the stationary manifold as degenerate.
 NULLITY_RATIO = 1e-6
+#: Safety factor on the rcond trigger of the singular-value check, since
+#: LAPACK's estimate can exceed the true reciprocal condition number.
+UNIQUENESS_MARGIN = 10.0
 #: Reciprocal-condition floor for resolvent solves (condition > 1e12 fails).
 RCOND_MIN = 1e-12
 #: Residual bound for resolvent solves, relative to ||rhs||.
@@ -54,27 +65,50 @@ def validate_density(rho):
         raise ConditioningError(f"density matrix has negative eigenvalue {min_eig:.3e}")
 
 
-def steady_state(liou):
-    """Stationary density matrix of a trace-preserving generator.
-
-    The singular linear system L x = 0 is regularized by replacing its
-    first row with the trace constraint.  The two smallest singular values
-    of L are compared first; a second near-vanishing one raises
-    :class:`MultiplicityError` with the estimated nullity.
-    """
-    gen = liou.generator
-    n = liou.hilbert_dim
+def _check_unique(gen):
+    """Raise :class:`MultiplicityError` with the estimated nullity when more
+    than one singular value of ``gen`` is below ``NULLITY_RATIO`` of the largest."""
     svals = np.linalg.svd(gen, compute_uv=False)
     scale = svals[0] if svals[0] > 0 else 1.0
     small = svals / scale < NULLITY_RATIO
     if small.sum() > 1:
         raise MultiplicityError(int(small.sum()))
 
+
+def steady_state(liou):
+    """Stationary density matrix of a trace-preserving generator.
+
+    The singular linear system L x = 0 is regularized by replacing its
+    first row with the trace constraint, and that bordered matrix M is
+    LU-factorized once.  A second near-vanishing singular value of L
+    raises :class:`MultiplicityError` with the estimated nullity; it is
+    looked for only when M is near singular.
+    """
+    gen = liou.generator
+    n = liou.hilbert_dim
     system = gen.copy()
     system[0, :] = np.eye(n, dtype=complex).reshape(-1)
+    m_norm = np.abs(system).sum(axis=0).max()
+    lu, piv, info = lapack.zgetrf(system, overwrite_a=True)
+    rcond = lapack.zgecon(lu, m_norm)[0] if info == 0 else 0.0
+    # When the singular-value check fires, sigma_{N-1}(L) < r ||L||_2 with
+    # N = n^2 and r = NULLITY_RATIO.  M is a rank-one update of L (row 0),
+    # so Weyl's inequality gives sigma_min(M) <= sigma_{N-1}(L), and with
+    # ||M^-1||_1 >= 1 / (sqrt(N) sigma_min(M)) and ||L||_2 <= sqrt(N) ||L||_1
+    #     rcond_1(M) <= sqrt(N) sigma_min(M) / ||M||_1 < N r ||L||_1 / ||M||_1.
+    # zgecon bounds ||M^-1||_1 from below and so can overestimate rcond;
+    # UNIQUENESS_MARGIN covers that.  NaN entries also take the check.
+    trigger = UNIQUENESS_MARGIN * n**2 * NULLITY_RATIO * np.abs(gen).sum(axis=0).max() / m_norm
+    if info != 0 or not rcond >= trigger:
+        _check_unique(gen)
+        if info != 0:
+            raise ConditioningError(f"bordered steady-state system is singular (info={info})")
+
     rhs = np.zeros(n * n, dtype=complex)
     rhs[0] = 1.0
-    x = sla.solve(system, rhs)
+    x, info = lapack.zgetrs(lu, piv, rhs)
+    if info != 0:
+        raise ConditioningError(f"steady-state LU solve failed (info={info})")
     rho = unvectorize(x)
     rho = 0.5 * (rho + rho.conj().T)
 

@@ -63,6 +63,25 @@ def test_phase_grid_requires_four_points():
         cbs.PhaseGrid(2, 4, 4, np.zeros((2, 4, 4)))
 
 
+@pytest.mark.parametrize("observable,sizes", [
+    (cbs.cbs_components, dict(n_a=2)),
+    (cbs.cbs_spectrum, dict(n_b=3)),
+], ids=["components_n_a_2", "spectrum_n_b_3"])
+def test_grid_sizes_checked_before_any_steady_state(v_scheme, monkeypatch, observable,
+                                                    sizes):
+    calls = []
+    original = cbs.steady_state
+
+    def spy(liou):
+        calls.append(liou.hilbert_dim)
+        return original(liou)
+
+    monkeypatch.setattr(cbs, "steady_state", spy)
+    with pytest.raises(ConfigurationError):
+        observable(v_scheme, default_params(rabi=2.0), **sizes)
+    assert calls == []
+
+
 # -- detected intensity ---------------------------------------------------------
 
 

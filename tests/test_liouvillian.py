@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cbsim import atoms, liouvillian as lv, solver
+from cbsim import atoms, cbs, liouvillian as lv, solver
 from cbsim.errors import ConfigurationError, DomainError
 
 
@@ -347,3 +348,44 @@ def test_generator_matches_term_by_term_reference(kind, mode, include_exchange,
     single = _ref_hamiltonian(lv.drive_hamiltonian(scheme, p, n_atoms=1))
     _assert_same_generator(lv.assemble_single(scheme, p).generator,
                            single + _ref_decay(scheme, 1, p.gamma))
+
+
+@pytest.mark.parametrize("kind", atoms.SCHEME_KINDS)
+@pytest.mark.parametrize("mode", [lv.VECTOR, lv.SCALAR])
+@pytest.mark.parametrize("include_exchange", [True, False])
+@pytest.mark.parametrize("cross_damping", [True, False])
+@settings(max_examples=10, deadline=None)
+@given(log_rabi=st.floats(-3.0, 3.0), detuning=st.floats(-30.0, 30.0),
+       a=st.floats(0.0, 2 * np.pi), p=st.floats(0.0, 2 * np.pi))
+def test_cached_assembly_matches_reference_anywhere(kind, mode, include_exchange,
+                                                    cross_damping, log_rabi, detuning, a, p):
+    scheme = atoms.build_scheme(kind)
+    params = lv.PhysicalParams(rabi=10.0**log_rabi, detuning=detuning, gamma=0.8, kr=37.0,
+                               laser_phase_a=a, prop_phase_p=p,
+                               orientation=(0.3, -0.5, 0.8), coupling_mode=mode)
+    reference = (_ref_hamiltonian(lv.drive_hamiltonian(scheme, params, n_atoms=2))
+                 + _ref_decay(scheme, 2, params.gamma))
+    if include_exchange:
+        reference = reference + _ref_exchange(scheme, params, cross_damping)
+    built = lv.assemble(scheme, params, include_exchange=include_exchange,
+                        cross_damping=cross_damping)
+    _assert_same_generator(built.generator, reference)
+
+
+def test_cached_blocks_are_read_only(v_scheme):
+    params = lv.PhysicalParams(rabi=2.0)
+    blocks = lv._pair_blocks(v_scheme, params)
+    assert not blocks.flags.writeable
+    with pytest.raises(ValueError):
+        blocks[0, 0, 0] = 1.0
+    # every call gets a generator of its own
+    first, second = lv.assemble(v_scheme, params), lv.assemble(v_scheme, params)
+    first.generator[0, 0] += 1.0
+    assert first.generator[0, 0] != second.generator[0, 0]
+
+
+def test_block_cache_bounded_over_isotropic_average(v_scheme):
+    cbs.cbs_components_isotropic(v_scheme, lv.PhysicalParams(), s=1.0, n_configs=64)
+    info = lv._affine_blocks.cache_info()
+    assert info.maxsize == lv.BLOCK_CACHE_SIZE
+    assert info.currsize == lv.BLOCK_CACHE_SIZE

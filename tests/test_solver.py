@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cbsim import atoms, liouvillian as lv, solver, spectra
+from cbsim import atoms, cli, config, liouvillian as lv, solver, spectra
 from cbsim.errors import ConditioningError, DomainError, MultiplicityError
 
 
@@ -73,6 +73,77 @@ def test_degenerate_manifold_reports_multiplicity():
     liou = lv.Liouvillian(4, gen)
     with pytest.raises(MultiplicityError):
         solver.steady_state(liou)
+
+
+def planted_slow_mode(slow_rate, rng):
+    """Three-level generator, dense in a random basis: levels 0 and 1 pump
+    each other, level 2 leaks into 0 at ``slow_rate``, a second slow mode."""
+    ket = np.eye(3)
+    jumps = np.array([np.outer(ket[i], ket[j]) for i, j in ((0, 1), (1, 0), (0, 2))],
+                     dtype=complex)
+    h = np.zeros((3, 3), dtype=complex)
+    h[:2, :2] = [[0.3, 0.7 - 0.2j], [0.7 + 0.2j, -0.4]]
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    jumps = q @ jumps @ q.conj().T
+    gen = lv.master_generator(q @ h @ q.conj().T, jumps, np.diag([1.0, 0.6, slow_rate]))
+    return lv.Liouvillian(3, gen)
+
+
+def svd_nullity(gen):
+    """The singular-value criterion of the uniqueness check, restated."""
+    svals = np.linalg.svd(gen, compute_uv=False)
+    return int((svals / svals[0] < solver.NULLITY_RATIO).sum()), svals[-2] / svals[0]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd`` during the test."""
+    calls = []
+    original = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def test_slow_mode_reported_exactly_when_svd_criterion_fires():
+    rng = np.random.default_rng(4)
+    ratios, fired = [], 0
+    for slow_rate in np.geomspace(1e-9, 1e-3, 49):
+        liou = planted_slow_mode(slow_rate, rng)
+        nullity, ratio = svd_nullity(liou.generator)
+        ratios.append(ratio)
+        if nullity > 1:
+            fired += 1
+            with pytest.raises(MultiplicityError) as err:
+                solver.steady_state(liou)
+            assert err.value.nullity == nullity
+        else:
+            solver.validate_density(solver.steady_state(liou))
+    assert min(ratios) < 1e-8 and max(ratios) > 1e-4
+    assert 0 < fired < len(ratios)
+
+
+def test_svd_fallback_returns_the_same_density(monkeypatch, svd_calls):
+    scheme = atoms.build_scheme(atoms.V_TYPE)
+    liou = lv.assemble(scheme, lv.PhysicalParams(rabi=2.0, detuning=1.0,
+                                                 laser_phase_a=0.7, prop_phase_p=1.9))
+    rho = solver.steady_state(liou)
+    assert svd_calls == []
+    monkeypatch.setattr(solver, "UNIQUENESS_MARGIN", np.inf)
+    assert np.array_equal(solver.steady_state(liou), rho)
+    assert svd_calls == [(81, 81)]
+
+
+def test_sweep_runs_no_svd(svd_calls, tmp_path):
+    cfg = config.parse_config("detuning = 0\nsweep_s = logspace(0.01, 1000, 25)\n"
+                              f"output_dir = {tmp_path}\n")
+    _, failures = cli.run_alpha_sweep(cfg)
+    assert failures == 0
+    assert svd_calls == []
 
 
 def test_steady_state_populations_invariant_under_global_drive_phase():
