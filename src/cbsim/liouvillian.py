@@ -34,7 +34,10 @@ and sigma- halves of the atom-2 drive, and X_c, X_s the coherent exchange
 and the cross damping.  Every block is built once by
 :func:`master_generator` for a given (scheme, gamma, kr, T) and kept
 read-only in a bounded cache (``BLOCK_CACHE_SIZE`` entries), so
-:func:`assemble` only combines them.
+:func:`assemble` only combines them.  The blocks are superoperators of
+few-body operators and so are sparse (the seven together cover under 3%
+of the 256 x 256 full_j0_j1 generator); the cache keeps their values on
+the union of their supports only.
 """
 
 import functools
@@ -56,10 +59,12 @@ KR_MIN = 10.0
 
 TWO_PI = 2.0 * math.pi
 
-#: Block stacks kept by :func:`assemble`, one per (scheme, gamma, kr, T).
-#: One orientation needs one; an isotropic average cycles through as many
-#: as it samples, and a full_j0_j1 stack takes 7.3 MB.
-BLOCK_CACHE_SIZE = 4
+#: Block sets kept by :func:`assemble`, one per (scheme, gamma, kr, T).  A
+#: fixed-orientation sweep or spectrum uses one; an isotropic average
+#: cycles through its orientations at every saturation, so two carry a
+#: two-orientation average from one saturation to the next.  One set takes
+#: 0.07 MB (v_type) to 0.21 MB (full_j0_j1, vector mode).
+BLOCK_CACHE_SIZE = 2
 
 
 def saturation(rabi, detuning, gamma=1.0):
@@ -240,11 +245,9 @@ def transverse_weights(scheme, params):
     return weights
 
 
-@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _affine_blocks(scheme, gamma, kr, weights):
-    """Read-only stack [D, H_delta, H_1, H_2+, H_2-, X_c, X_s] of the pair
-    generator's affine blocks (module docstring); ``weights`` is T as a
-    tuple of rows.
+def _dense_blocks(scheme, gamma, kr, weights):
+    """The pair generator's affine blocks [D, H_delta, H_1, H_2+, H_2-, X_c,
+    X_s] (module docstring), one at a time; ``weights`` is T.
 
     ``swap (x) T`` puts T in the atom-to-atom blocks of the atom-major jumps.
     """
@@ -253,23 +256,49 @@ def _affine_blocks(scheme, gamma, kr, weights):
     half_lower = half_raise.conj().T
     g0 = 1.5 * gamma / kr
     coupling = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array(weights))
-    no_h = np.zeros((scheme.n_levels**2,) * 2, dtype=complex)
-    blocks = np.array([
-        decay_dissipator(scheme, n_atoms=2, gamma=gamma),
-        hamiltonian_generator(atoms.embed(pull, 1) + atoms.embed(pull, 2)),
-        hamiltonian_generator(atoms.embed(half_raise + half_lower, 1)),
-        hamiltonian_generator(atoms.embed(half_raise, 2)),
-        hamiltonian_generator(atoms.embed(half_lower, 2)),
-        hamiltonian_generator(_quadratic_form(-g0 * coupling, jumps)),
-        master_generator(no_h, jumps, 2.0 * g0 * coupling),
-    ])
-    blocks.flags.writeable = False
-    return blocks
+    yield decay_dissipator(scheme, n_atoms=2, gamma=gamma)
+    yield hamiltonian_generator(atoms.embed(pull, 1) + atoms.embed(pull, 2))
+    yield hamiltonian_generator(atoms.embed(half_raise + half_lower, 1))
+    yield hamiltonian_generator(atoms.embed(half_raise, 2))
+    yield hamiltonian_generator(atoms.embed(half_lower, 2))
+    yield hamiltonian_generator(_quadratic_form(-g0 * coupling, jumps))
+    yield master_generator(np.zeros(jumps.shape[1:], dtype=complex), jumps,
+                           2.0 * g0 * coupling)
+
+
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _affine_blocks(scheme, gamma, kr, weights):
+    """Read-only ``(support, values)`` of the affine blocks: ``values[k]``
+    holds block k at the row-major flat indices ``support`` where any block
+    is nonzero.  ``weights`` is T as a tuple of rows.
+
+    Only one dense block is alive at a time.
+    """
+    entries = []
+    for block in _dense_blocks(scheme, gamma, kr, weights):
+        flat = np.flatnonzero(block)
+        entries.append((flat, block.reshape(-1)[flat]))
+    support = np.unique(np.concatenate([flat for flat, _ in entries]))
+    values = np.zeros((len(entries), support.size), dtype=complex)
+    for row, (flat, entry) in zip(values, entries):
+        row[np.searchsorted(support, flat)] = entry
+    support.flags.writeable = values.flags.writeable = False
+    return support, values
 
 
 def _pair_blocks(scheme, params):
     weights = transverse_weights(scheme, params)
     return _affine_blocks(scheme, params.gamma, params.kr, tuple(map(tuple, weights)))
+
+
+def _block_sum(scheme, params, coefficients, first=0):
+    """Dense sum over k of coefficients[k] times affine block first + k."""
+    support, values = _pair_blocks(scheme, params)
+    dim = scheme.n_levels**4
+    generator = np.zeros((dim, dim), dtype=complex)
+    generator.reshape(-1)[support] = np.dot(coefficients,
+                                            values[first:first + len(coefficients)])
+    return generator
 
 
 def _exchange_phases(params, cross_damping):
@@ -288,8 +317,7 @@ def exchange_term(scheme, params, cross_damping=True):
     the Hamiltonian part (diagnostic switch, not a physical regime).
     ``PhysicalParams`` guarantees ``kr >= KR_MIN``.
     """
-    return np.tensordot(_exchange_phases(params, cross_damping),
-                        _pair_blocks(scheme, params)[5:], axes=1)
+    return _block_sum(scheme, params, _exchange_phases(params, cross_damping), first=5)
 
 
 def _checked_liouvillian(generator, dim):
@@ -311,8 +339,7 @@ def assemble(scheme, params, include_exchange=True, cross_damping=True):
     coefficients = [1.0, params.detuning, params.rabi, drive, drive.conjugate()]
     if include_exchange:
         coefficients += _exchange_phases(params, cross_damping)
-    blocks = _pair_blocks(scheme, params)[:len(coefficients)]
-    return _checked_liouvillian(np.tensordot(coefficients, blocks, axes=1),
+    return _checked_liouvillian(_block_sum(scheme, params, coefficients),
                                 scheme.n_levels**2)
 
 

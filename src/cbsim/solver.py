@@ -86,7 +86,7 @@ def steady_state(liou):
     """
     gen = liou.generator
     n = liou.hilbert_dim
-    system = gen.copy()
+    system = np.array(gen, order="F")  # Fortran order: zgetrf factors it in place
     system[0, :] = np.eye(n, dtype=complex).reshape(-1)
     m_norm = np.abs(system).sum(axis=0).max()
     lu, piv, info = lapack.zgetrf(system, overwrite_a=True)

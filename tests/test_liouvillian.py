@@ -374,10 +374,10 @@ def test_cached_assembly_matches_reference_anywhere(kind, mode, include_exchange
 
 def test_cached_blocks_are_read_only(v_scheme):
     params = lv.PhysicalParams(rabi=2.0)
-    blocks = lv._pair_blocks(v_scheme, params)
-    assert not blocks.flags.writeable
-    with pytest.raises(ValueError):
-        blocks[0, 0, 0] = 1.0
+    for part in lv._pair_blocks(v_scheme, params):  # support, values
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 1
     # every call gets a generator of its own
     first, second = lv.assemble(v_scheme, params), lv.assemble(v_scheme, params)
     first.generator[0, 0] += 1.0
@@ -389,3 +389,11 @@ def test_block_cache_bounded_over_isotropic_average(v_scheme):
     info = lv._affine_blocks.cache_info()
     assert info.maxsize == lv.BLOCK_CACHE_SIZE
     assert info.currsize == lv.BLOCK_CACHE_SIZE
+
+
+def test_two_orientation_average_reuses_blocks_across_saturations(v_scheme):
+    # an isotropic sweep loops over orientations inside every saturation
+    lv._affine_blocks.cache_clear()
+    cbs.sweep_alpha_collect(v_scheme, 0.0, [0.5, 2.0], n_configs=2, seed=3)
+    info = lv._affine_blocks.cache_info()
+    assert (info.misses, info.hits) == (2, 62)

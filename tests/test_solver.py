@@ -75,18 +75,21 @@ def test_degenerate_manifold_reports_multiplicity():
         solver.steady_state(liou)
 
 
-def planted_slow_mode(slow_rate, rng):
-    """Three-level generator, dense in a random basis: levels 0 and 1 pump
-    each other, level 2 leaks into 0 at ``slow_rate``, a second slow mode."""
-    ket = np.eye(3)
-    jumps = np.array([np.outer(ket[i], ket[j]) for i, j in ((0, 1), (1, 0), (0, 2))],
-                     dtype=complex)
-    h = np.zeros((3, 3), dtype=complex)
+def planted_slow_mode(slow_rate, rng, n_levels=3):
+    """Generator dense in a random basis: levels 0 and 1 pump each other,
+    level 2 leaks into 0 at ``slow_rate``, a second slow mode, and every
+    further level decays into 0 at unit rate."""
+    ket = np.eye(n_levels)
+    pairs = [(0, 1), (1, 0), (0, 2)] + [(0, k) for k in range(3, n_levels)]
+    jumps = np.array([np.outer(ket[i], ket[j]) for i, j in pairs], dtype=complex)
+    h = np.zeros((n_levels, n_levels), dtype=complex)
     h[:2, :2] = [[0.3, 0.7 - 0.2j], [0.7 + 0.2j, -0.4]]
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    q, _ = np.linalg.qr(rng.standard_normal((n_levels, n_levels))
+                        + 1j * rng.standard_normal((n_levels, n_levels)))
     jumps = q @ jumps @ q.conj().T
-    gen = lv.master_generator(q @ h @ q.conj().T, jumps, np.diag([1.0, 0.6, slow_rate]))
-    return lv.Liouvillian(3, gen)
+    rates = np.diag([1.0, 0.6, slow_rate] + [1.0] * (n_levels - 3))
+    gen = lv.master_generator(q @ h @ q.conj().T, jumps, rates)
+    return lv.Liouvillian(n_levels, gen)
 
 
 def svd_nullity(gen):
@@ -109,13 +112,17 @@ def svd_calls(monkeypatch):
     return calls
 
 
-def test_slow_mode_reported_exactly_when_svd_criterion_fires():
+# 3 levels, and the Liouville dimensions of the shipped pair generators
+# (v_type 81, full_j0_j1 256)
+@pytest.mark.parametrize("n_levels", [3, 9, 16], ids=["N9", "N81", "N256"])
+def test_slow_mode_reported_exactly_when_svd_criterion_fires(n_levels, svd_calls):
     rng = np.random.default_rng(4)
-    ratios, fired = [], 0
-    for slow_rate in np.geomspace(1e-9, 1e-3, 49):
-        liou = planted_slow_mode(slow_rate, rng)
+    ratios, fired, unchecked = [], 0, 0
+    for slow_rate in np.geomspace(1e-9, 1.0, 28):
+        liou = planted_slow_mode(slow_rate, rng, n_levels)
         nullity, ratio = svd_nullity(liou.generator)
         ratios.append(ratio)
+        svds_before = len(svd_calls)
         if nullity > 1:
             fired += 1
             with pytest.raises(MultiplicityError) as err:
@@ -123,8 +130,11 @@ def test_slow_mode_reported_exactly_when_svd_criterion_fires():
             assert err.value.nullity == nullity
         else:
             solver.validate_density(solver.steady_state(liou))
+            unchecked += len(svd_calls) == svds_before
     assert min(ratios) < 1e-8 and max(ratios) > 1e-4
     assert 0 < fired < len(ratios)
+    # well-separated slow modes pass the condition estimate without an SVD
+    assert unchecked > 0
 
 
 def test_svd_fallback_returns_the_same_density(monkeypatch, svd_calls):
