@@ -13,7 +13,7 @@ from .atoms import (FULL_J0_J1, TWO_LEVEL, V_TYPE, LevelScheme, build_scheme,
                     embed, lowering_operator, raising_operator)
 from .cbs import (CbsComponents, CbsSpectrumResult, PhaseGrid, cbs_components,
                   cbs_components_isotropic, cbs_spectrum, detected_intensity,
-                  harmonic_extract, sweep_alpha)
+                  harmonic_extract, sweep_alpha_collect)
 from .dressed import (PeakSet, dressed_energies, generalized_rabi,
                       peak_positions, validate_spectrum)
 from .liouvillian import (Liouvillian, PhysicalParams, assemble,
@@ -29,7 +29,7 @@ __all__ = [
     "embed", "lowering_operator", "raising_operator",
     "CbsComponents", "CbsSpectrumResult", "PhaseGrid", "cbs_components",
     "cbs_components_isotropic", "cbs_spectrum", "detected_intensity",
-    "harmonic_extract", "sweep_alpha",
+    "harmonic_extract", "sweep_alpha_collect",
     "PeakSet", "dressed_energies", "generalized_rabi", "peak_positions",
     "validate_spectrum",
     "Liouvillian", "PhysicalParams", "assemble", "assemble_single",

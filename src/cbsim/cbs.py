@@ -21,9 +21,7 @@ photon has been exchanged.  This is enforced as an invariant of the level
 scheme (see :func:`_detection_operators`) rather than subtracted.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -36,15 +34,6 @@ from .solver import steady_state
 DEFAULT_PHASE_POINTS = 4
 
 _REAL_RESIDUE_TOL = 1e-10
-
-
-def _pmap(fn, items, workers=1):
-    """Order-preserving map, optionally fanned out over worker processes."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -232,10 +221,9 @@ def detected_intensity(scheme, params, include_exchange=True):
     return float(_as_real(value, "detected intensity"))
 
 
-def _phase_point(args):
+def _phase_point(scheme, params, cross_damping, detection, b_vals, omega_grid):
     """Total and elastic samples over b at one (a, p), plus (given ``omega_grid``)
     the b-sum and the exp(+ib)-weighted b-sum of the spectral density."""
-    scheme, params, cross_damping, detection, b_vals, omega_grid = args
     m, e, liou, rho = _moment_matrices(scheme, params, cross_damping=cross_damping,
                                        detection=detection)
     # Checked real, but kept complex: harmonic_extract reports the residue.
@@ -256,7 +244,7 @@ def _phase_point(args):
                             n_b / (2 * np.pi) * (t_mat[0, 1] + t_mat[1, 0].conj()))
 
 
-def _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, workers, omega_grid=None):
+def _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, omega_grid=None):
     """Total and elastic phase grids, plus the ladder and crossed spectral
     densities over ``omega_grid`` (or ``None``).
 
@@ -268,14 +256,13 @@ def _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, workers, omega_
     _check_grid_sizes(n_a, n_b, n_p)
     b_vals = phase_values(n_b)
     detection = _detection_operators(scheme)
-    tasks = [
-        (scheme, replace(params, laser_phase_a=a, prop_phase_p=p), cross_damping,
-         detection, b_vals, omega_grid)
+    results = [
+        _phase_point(scheme, replace(params, laser_phase_a=a, prop_phase_p=p),
+                     cross_damping, detection, b_vals, omega_grid)
         for a in phase_values(n_a) for p in phase_values(n_p)
     ]
-    results = _pmap(_phase_point, tasks, workers=workers)
 
-    def grid(part):  # tasks run a-major; samples are indexed (a, b, p)
+    def grid(part):  # points run a-major; samples are indexed (a, b, p)
         stacked = np.stack([result[part] for result in results])
         return PhaseGrid(n_a, n_b, n_p, np.ascontiguousarray(
             stacked.reshape(n_a, n_p, n_b).swapaxes(1, 2)))
@@ -286,7 +273,7 @@ def _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, workers, omega_
     # of the exp(-i(a+b)) coefficient.  Per-point arrays stay separate and
     # small, which keeps the heap from growing over repeated spectra.
     count = n_a * n_b * n_p
-    e_a = np.repeat(np.exp(1j * phase_values(n_a)), n_p)  # tasks run a-major
+    e_a = np.repeat(np.exp(1j * phase_values(n_a)), n_p)  # points run a-major
     ladder = sum(b_sum for _, _, (b_sum, _) in results) / count
     crossed = 2.0 * np.real(sum(w * e_b_sum for w, (_, _, (_, e_b_sum))
                                 in zip(e_a, results))) / count
@@ -294,9 +281,9 @@ def _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, workers, omega_
 
 
 def intensity_grids(scheme, params, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
-                    n_p=DEFAULT_PHASE_POINTS, cross_damping=True, workers=1):
+                    n_p=DEFAULT_PHASE_POINTS, cross_damping=True):
     """Total and elastic intensity on the full (a, b, p) grid."""
-    return _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, workers)[:2]
+    return _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping)[:2]
 
 
 def exchange_scale(params):
@@ -322,7 +309,7 @@ def _components_from_harmonics(h_total, h_elastic, scale):
 
 def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POINTS,
                    n_b=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
-                   normalize=True, cross_damping=True, workers=1):
+                   normalize=True, cross_damping=True):
     """Background/interference intensities and enhancement factor.
 
     ``s`` and ``detuning``, when given, override the drive parameters (the
@@ -331,8 +318,7 @@ def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POIN
     """
     params = _resolve_drive(params, s, detuning)
     grid_total, grid_elastic = intensity_grids(scheme, params, n_a=n_a, n_b=n_b,
-                                               n_p=n_p, cross_damping=cross_damping,
-                                               workers=workers)
+                                               n_p=n_p, cross_damping=cross_damping)
     scale = exchange_scale(params) if normalize else 1.0
     return _components_from_harmonics(
         harmonic_extract(grid_total), harmonic_extract(grid_elastic), scale)
@@ -352,15 +338,13 @@ def sample_orientations(n_configs, seed):
 
 def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64,
                              seed=0, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
-                             n_p=DEFAULT_PHASE_POINTS, normalize=True, workers=1):
+                             n_p=DEFAULT_PHASE_POINTS, normalize=True):
     """Orientation-averaged components over an isotropic interatomic axis."""
     params = _resolve_drive(params, s, detuning)
-    # One map over orientations; each runs its phase points serially.
-    components = partial(cbs_components, scheme, n_a=n_a, n_b=n_b, n_p=n_p,
-                         normalize=normalize)
-    tasks = [replace(params, orientation=o) for o in sample_orientations(n_configs, seed)]
     sums = np.zeros(4)
-    for comp in _pmap(components, tasks, workers=workers):
+    for orientation in sample_orientations(n_configs, seed):
+        comp = cbs_components(scheme, replace(params, orientation=orientation),
+                              n_a=n_a, n_b=n_b, n_p=n_p, normalize=normalize)
         sums += (comp.l2_el, comp.l2_inel, comp.c2_el, comp.c2_inel)
     sums /= n_configs
     return CbsComponents.from_intensities(*sums)
@@ -369,43 +353,14 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64
 # -- saturation sweep -------------------------------------------------------
 
 
-def _sweep_point(args):
-    scheme, params, s, detuning, grid_sizes, n_configs, seed = args
-    try:
-        if n_configs is None:
-            comp = cbs_components(scheme, params, s=s, detuning=detuning, **grid_sizes)
-        else:
-            comp = cbs_components_isotropic(scheme, params, s=s, detuning=detuning,
-                                            n_configs=n_configs, seed=seed, **grid_sizes)
-    except (CbsimError, np.linalg.LinAlgError) as exc:
-        return s, None, f"{type(exc).__name__}: {exc}"
-    return s, comp, None
-
-
-def sweep_alpha(scheme, detuning, s_values, params=None, n_a=DEFAULT_PHASE_POINTS,
-                n_b=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS, workers=1):
-    """Per-saturation components over a sorted positive sweep.
-
-    Raises on the first failing point, naming its saturation; use
-    :func:`sweep_alpha_collect` to gather per-point errors instead.
-    """
-    rows = sweep_alpha_collect(scheme, detuning, s_values, params=params,
-                               n_a=n_a, n_b=n_b, n_p=n_p, workers=workers)
-    out = []
-    for s, comp, err in rows:
-        if err is not None:
-            raise DomainError(f"sweep failed at s={s:g}: {err}")
-        out.append((s, comp))
-    return out
-
-
 def sweep_alpha_collect(scheme, detuning, s_values, params=None,
                         n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
-                        n_p=DEFAULT_PHASE_POINTS, workers=1, n_configs=None, seed=0):
-    """Like :func:`sweep_alpha` but returns (s, components, error) triples.
+                        n_p=DEFAULT_PHASE_POINTS, n_configs=None, seed=0):
+    """``(s, components, error)`` triples over a sorted positive sweep.
 
-    With ``n_configs`` set, every point is the isotropic orientation average
-    of :func:`cbs_components_isotropic` over that many seeded samples.
+    A failing point carries ``None`` and its error instead of stopping the
+    sweep.  With ``n_configs`` set, every point is the isotropic average of
+    :func:`cbs_components_isotropic` over that many seeded samples.
     """
     s_values = [float(s) for s in s_values]
     if any(s <= 0 for s in s_values):
@@ -415,8 +370,18 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
     if params is None:
         params = PhysicalParams()
     grid_sizes = dict(n_a=n_a, n_b=n_b, n_p=n_p)
-    tasks = [(scheme, params, s, detuning, grid_sizes, n_configs, seed) for s in s_values]
-    return _pmap(_sweep_point, tasks, workers=workers)
+    rows = []
+    for s in s_values:
+        try:
+            if n_configs is None:
+                comp = cbs_components(scheme, params, s=s, detuning=detuning, **grid_sizes)
+            else:
+                comp = cbs_components_isotropic(scheme, params, s=s, detuning=detuning,
+                                                n_configs=n_configs, seed=seed, **grid_sizes)
+            rows.append((s, comp, None))
+        except (CbsimError, np.linalg.LinAlgError) as exc:
+            rows.append((s, None, f"{type(exc).__name__}: {exc}"))
+    return rows
 
 
 # -- frequency-resolved backscattering spectrum -----------------------------
@@ -433,7 +398,7 @@ class CbsSpectrumResult:
 
 def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
                  n_b=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
-                 normalize=True, workers=1):
+                 normalize=True):
     """Frequency-resolved background and interference spectra.
 
     Applies the same phase-harmonic extraction as the total intensities to
@@ -446,7 +411,7 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
         omega_grid = spectra.default_omega_grid(params.rabi, params.detuning, params.gamma)
     omega_grid = np.asarray(omega_grid, dtype=float)
     grid_total, grid_elastic, (ladder_density, crossed_density) = _phase_samples(
-        scheme, params, n_a, n_b, n_p, True, workers, omega_grid=omega_grid)
+        scheme, params, n_a, n_b, n_p, True, omega_grid=omega_grid)
     h_total = harmonic_extract(grid_total)
     h_elastic = harmonic_extract(grid_elastic)
     scale = exchange_scale(params) if normalize else 1.0

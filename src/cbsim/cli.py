@@ -12,23 +12,22 @@ Subcommands
 ``check``
     Runs a fast invariant battery and reports PASS/FAIL per item.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.  The
-environment variable ``CBSIM_WORKERS`` sets the worker-process count for
-sweep points and phase points; ``--seed`` overrides the config seed.  CSV
+Exit codes: 0 success, 1 configuration error, 2 numerical failure.  Every
+point is solved serially in this process.  ``--seed`` overrides the config
+seed.  The output directory is checked before any point is solved.  CSV
 artifacts carry a ``#``-prefixed metadata block (command, version, seed,
 config echo), use LF line endings, and print floats with 17 significant
 digits, so identical config and seed reproduce identical bytes.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, atoms, cbs, config, dressed, liouvillian, solver, spectra
-from .errors import CbsimError, CoverageError, ParseError
+from .errors import CbsimError, ConfigurationError, CoverageError, ParseError
 
 ALPHA_HEADER = "s,omega_rabi,l2_el,l2_inel,c2_el,c2_inel,alpha,error"
 SPECTRUM_HEADER = "omega_over_gamma,background_density,interference_density"
@@ -69,12 +68,13 @@ def read_csv(path):
     return metadata, header, rows
 
 
-def _workers_from_env():
-    raw = os.environ.get("CBSIM_WORKERS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
+def _artifact_path(cfg, path, name):
+    """``path``, or ``name`` in ``cfg.output_dir``; raises unless its directory exists."""
+    path = Path(cfg.output_dir) / name if path is None else Path(path)
+    if not path.parent.is_dir():
+        raise ParseError(f"output directory {str(path.parent)!r} does not exist",
+                         key="output_dir")
+    return path
 
 
 def run_alpha_sweep(cfg, output_path=None, workers=1):
@@ -83,15 +83,17 @@ def run_alpha_sweep(cfg, output_path=None, workers=1):
     Returns ``(path, n_failures)``; failing points carry their error in the
     last column and leave the numeric columns empty.
     """
+    if workers != 1:
+        raise ConfigurationError(f"workers = {workers!r}; cbsim runs serially")
     if cfg.sweep_s is None:
         raise ParseError("alpha-sweep requires a 'sweep_s' entry", key="sweep_s")
+    output_path = _artifact_path(cfg, output_path, "alpha_sweep.csv")
     scheme = atoms.build_scheme(cfg.scheme)
     params = cfg.params(rabi=0.0)
     n_configs = cfg.n_configs if cfg.orientation_mode == config.ISOTROPIC else None
     results = cbs.sweep_alpha_collect(
         scheme, cfg.detuning, cfg.sweep_s, params=params, n_a=cfg.n_phase_a,
-        n_b=cfg.n_phase_b, n_p=cfg.n_phase_p, workers=workers,
-        n_configs=n_configs, seed=cfg.seed)
+        n_b=cfg.n_phase_b, n_p=cfg.n_phase_p, n_configs=n_configs, seed=cfg.seed)
 
     rows = []
     failures = 0
@@ -106,10 +108,8 @@ def run_alpha_sweep(cfg, output_path=None, workers=1):
             failures += 1
             rows.append(",".join([_fmt(s), _fmt(rabi), "", "", "", "", "",
                                   err.replace(",", ";")]))
-    if output_path is None:
-        output_path = Path(cfg.output_dir) / "alpha_sweep.csv"
     write_csv(output_path, "alpha-sweep", cfg, ALPHA_HEADER, rows)
-    return Path(output_path), failures
+    return output_path, failures
 
 
 def _spectrum_grid(cfg):
@@ -121,8 +121,12 @@ def _spectrum_grid(cfg):
 def run_spectrum(cfg, output_path=None, report_path=None, workers=1,
                  peak_tolerance=0.5):
     """Compute the backscattering spectrum and its peak-validation report."""
+    if workers != 1:
+        raise ConfigurationError(f"workers = {workers!r}; cbsim runs serially")
     if cfg.rabi is None:
         raise ParseError("spectrum mode requires a 'rabi' entry", key="rabi")
+    output_path = _artifact_path(cfg, output_path, "spectrum.csv")
+    report_path = _artifact_path(cfg, report_path, "spectrum_peaks.txt")
     peaks = dressed.peak_positions(cfg.rabi, cfg.detuning)
     outermost = 2.0 * dressed.generalized_rabi(cfg.rabi, cfg.detuning)
     if cfg.omega_span is not None and cfg.omega_span < outermost:
@@ -134,23 +138,19 @@ def run_spectrum(cfg, output_path=None, report_path=None, workers=1,
     scheme = atoms.build_scheme(cfg.scheme)
     result = cbs.cbs_spectrum(scheme, cfg.params(), omega_grid=omega_grid,
                               n_a=cfg.n_phase_a, n_b=cfg.n_phase_b,
-                              n_p=cfg.n_phase_p, workers=workers)
+                              n_p=cfg.n_phase_p)
     rows = [
         ",".join([_fmt(w), _fmt(bg), _fmt(inter)])
         for w, bg, inter in zip(result.background.omega,
                                 result.background.density,
                                 result.interference.density)
     ]
-    if output_path is None:
-        output_path = Path(cfg.output_dir) / "spectrum.csv"
     write_csv(output_path, "spectrum", cfg, SPECTRUM_HEADER, rows)
 
     report = _peak_report_text(cfg, result, peaks, peak_tolerance)
-    if report_path is None:
-        report_path = Path(cfg.output_dir) / "spectrum_peaks.txt"
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report)
-    return Path(output_path), Path(report_path), result
+    return output_path, report_path, result
 
 
 def _peak_report_text(cfg, result, peaks, tolerance):
@@ -314,12 +314,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    workers = _workers_from_env()
     try:
         if args.command == "alpha-sweep":
             cfg = _load_config(args.config, args.seed)
-            path, failures = run_alpha_sweep(cfg, output_path=args.output,
-                                             workers=workers)
+            path, failures = run_alpha_sweep(cfg, output_path=args.output)
             print(f"wrote {path}")
             if failures:
                 print(f"ERROR: {failures} sweep point(s) failed", file=sys.stderr)
@@ -327,8 +325,7 @@ def main(argv=None):
             return 0
         if args.command == "spectrum":
             cfg = _load_config(args.config, args.seed)
-            csv_path, report_path, _ = run_spectrum(cfg, output_path=args.output,
-                                                    workers=workers)
+            csv_path, report_path, _ = run_spectrum(cfg, output_path=args.output)
             print(f"wrote {csv_path}")
             print(f"wrote {report_path}")
             return 0

@@ -101,6 +101,10 @@ class PhysicalParams:
     coupling_mode: str = VECTOR
 
     def __post_init__(self):
+        for name in ("rabi", "detuning", "gamma", "kr",
+                     "laser_phase_a", "detect_phase_b", "prop_phase_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rabi < 0:
             raise DomainError(f"rabi frequency must be non-negative, got {self.rabi}")
         if self.gamma <= 0:

@@ -23,6 +23,13 @@ def full_scheme():
     return atoms.build_scheme(atoms.FULL_J0_J1)
 
 
+def completed_sweep(scheme, detuning, s_values):
+    """``(s, components)`` pairs of a sweep in which no point failed."""
+    rows = cbs.sweep_alpha_collect(scheme, detuning, s_values)
+    assert [err for _, _, err in rows] == [None] * len(rows)
+    return [(s, comp) for s, comp, _ in rows]
+
+
 def _timed(fn):
     start = time.perf_counter()
     value = fn()
@@ -62,11 +69,11 @@ def mollow_spectrum():
 def alpha_sweep_on_resonance(v_scheme):
     """Components over a log-spaced saturation sweep at zero detuning."""
     s_values = np.geomspace(1e-2, 1e3, 11)
-    return cbs.sweep_alpha(v_scheme, 0.0, s_values)
+    return completed_sweep(v_scheme, 0.0, s_values)
 
 
 @pytest.fixture(scope="session")
 def alpha_scan_detuned(v_scheme):
     """Components over the anti-enhancement window at detuning 20."""
     s_values = np.linspace(0.2, 1.0, 9)
-    return cbs.sweep_alpha(v_scheme, 20.0, s_values)
+    return completed_sweep(v_scheme, 20.0, s_values)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cbsim import atoms, cbs, cli, config, dressed, liouvillian as lv, solver
+from conftest import completed_sweep
 
 ALPHA_INF = 23.0 / 21.0
 
@@ -59,7 +60,7 @@ def _strong_field_diagnostics(scheme):
 
 def test_acceptance_3_linear_small_s_decrease(v_scheme):
     s_values = np.linspace(0.01, 0.1, 10)
-    rows = cbs.sweep_alpha(v_scheme, 0.0, s_values)
+    rows = completed_sweep(v_scheme, 0.0, s_values)
     alphas = np.array([comp.alpha for _, comp in rows])
     slope, intercept = np.polyfit(s_values, alphas, 1)
     fit = slope * s_values + intercept

@@ -5,6 +5,7 @@ import pytest
 
 from cbsim import atoms, cbs, dressed, liouvillian as lv, spectra
 from cbsim.errors import ConfigurationError, DomainError
+from conftest import completed_sweep
 
 
 def default_params(**kwargs):
@@ -263,48 +264,26 @@ def test_isotropic_average_is_seed_deterministic(v_scheme):
     assert other != first
 
 
-def test_isotropic_average_maps_orientations_in_one_pool(v_scheme, monkeypatch):
-    real_pmap, pooled = cbs._pmap, []
-
-    def spy(fn, items, workers=1):
-        if workers > 1:
-            pooled.append(fn)
-        return real_pmap(fn, items, workers=workers)
-
-    kwargs = dict(s=0.5, detuning=0.0, n_configs=3, seed=11)
-    serial = cbs.cbs_components_isotropic(v_scheme, default_params(), **kwargs)
-    monkeypatch.setattr(cbs, "_pmap", spy)
-    parallel = cbs.cbs_components_isotropic(v_scheme, default_params(), workers=2, **kwargs)
-    assert len(pooled) == 1
-    assert parallel == serial
-
-
 # -- sweeps ----------------------------------------------------------------------
 
 
 def test_sweep_requires_sorted_positive_saturations(v_scheme):
     with pytest.raises(DomainError):
-        cbs.sweep_alpha(v_scheme, 0.0, [0.5, 0.1])
+        cbs.sweep_alpha_collect(v_scheme, 0.0, [0.5, 0.1])
     with pytest.raises(DomainError):
-        cbs.sweep_alpha(v_scheme, 0.0, [-1.0, 0.1])
+        cbs.sweep_alpha_collect(v_scheme, 0.0, [-1.0, 0.1])
 
 
 def test_sweep_matches_pointwise_components(v_scheme):
-    rows = cbs.sweep_alpha(v_scheme, 0.0, [0.1, 1.0])
+    rows = completed_sweep(v_scheme, 0.0, [0.1, 1.0])
     for s, comp in rows:
         direct = cbs.cbs_components(v_scheme, default_params(), s=s, detuning=0.0)
         assert comp == direct
 
 
-def test_sweep_workers_value_reproducible(v_scheme):
-    serial = cbs.sweep_alpha(v_scheme, 0.0, [0.1, 0.5, 2.0], workers=1)
-    parallel = cbs.sweep_alpha(v_scheme, 0.0, [0.1, 0.5, 2.0], workers=2)
-    assert serial == parallel
-
-
 def test_small_s_alpha_linear_decrease(v_scheme):
     s_values = np.linspace(0.01, 0.1, 10)
-    rows = cbs.sweep_alpha(v_scheme, 0.0, s_values)
+    rows = completed_sweep(v_scheme, 0.0, s_values)
     alphas = np.array([comp.alpha for _, comp in rows])
     slope, intercept = np.polyfit(s_values, alphas, 1)
     predicted = slope * s_values + intercept

@@ -1,10 +1,17 @@
 """Config grammar, CSV artifacts, determinism, and CLI exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cbsim import cli, config
-from cbsim.errors import ParseError
+from cbsim.errors import ConfigurationError, ParseError
+
+SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 
 
 # -- parsing -------------------------------------------------------------------
@@ -243,36 +250,61 @@ def test_isotropic_sweep_runs_and_is_seeded(tmp_path):
     assert rows == rows2
 
 
-def test_isotropic_sweep_identical_for_any_worker_count(tmp_path, monkeypatch):
+def test_import_loads_no_process_pool():
+    code = ("import sys, cbsim; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC_DIR}).stdout
+    assert out.strip() == "[]"
+
+
+def count_steady_states(monkeypatch):
+    """Count the steady states the backscattering layer solves from now on."""
     from cbsim import cbs as cbs_module
 
-    real_pmap, sweep_workers = cbs_module._pmap, []
-
-    def spy(fn, items, workers=1):
-        if fn is cbs_module._sweep_point:
-            sweep_workers.append(workers)
-        return real_pmap(fn, items, workers=workers)
-
-    monkeypatch.setattr(cbs_module, "_pmap", spy)
-    cfg = config.parse_config(
-        "sweep_s = 0.5, 2\norientation_mode = isotropic\nn_configs = 2\nseed = 5\n")
-    rows = []
-    for workers in (1, 2):
-        path, failures = cli.run_alpha_sweep(
-            cfg, output_path=tmp_path / f"w{workers}.csv", workers=workers)
-        assert failures == 0
-        rows.append(cli.read_csv(path)[2])
-    assert sweep_workers == [1, 2]
-    assert rows[0] == rows[1]
+    calls = []
+    real = cbs_module.steady_state
+    monkeypatch.setattr(cbs_module, "steady_state",
+                        lambda liou: calls.append(1) or real(liou))
+    return calls
 
 
-def test_worker_count_from_environment(monkeypatch):
-    monkeypatch.setenv("CBSIM_WORKERS", "3")
-    assert cli._workers_from_env() == 3
-    monkeypatch.setenv("CBSIM_WORKERS", "not-a-number")
-    assert cli._workers_from_env() == 1
-    monkeypatch.delenv("CBSIM_WORKERS")
-    assert cli._workers_from_env() == 1
+#: A small run of each command: (runner, config text without ``output_dir``).
+SMALL_RUNS = {"alpha-sweep": (cli.run_alpha_sweep, "sweep_s = 0.5, 2\n"),
+              "spectrum": (cli.run_spectrum, "rabi = 8\n")}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_workers_other_than_one_rejected_before_solving(tmp_path, monkeypatch, command):
+    calls = count_steady_states(monkeypatch)
+    run, text = SMALL_RUNS[command]
+    cfg = config.parse_config(text)
+    cfg.output_dir = str(tmp_path)
+    with pytest.raises(ConfigurationError):
+        run(cfg, workers=2)
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+@pytest.mark.parametrize("missing", ["output_dir", "--output"])
+def test_missing_output_directory_rejected_before_solving(tmp_path, monkeypatch, capsys,
+                                                          command, missing):
+    calls = count_steady_states(monkeypatch)
+    absent = tmp_path / "absent"
+    cfg_path = tmp_path / "run.cfg"
+    argv = [command, str(cfg_path)]
+    text = SMALL_RUNS[command][1]
+    if missing == "output_dir":
+        cfg_path.write_text(text + f"output_dir = {absent}\n")
+    else:
+        cfg_path.write_text(text + f"output_dir = {tmp_path}\n")
+        argv += ["--output", str(absent / "out.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("ERROR:") == 1 and "output_dir" in err and str(absent) in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 # -- spectrum artifact -------------------------------------------------------------

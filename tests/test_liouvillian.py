@@ -69,6 +69,14 @@ def test_params_reject_bad_values():
         lv.PhysicalParams(orientation=(0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["rabi", "detuning", "gamma", "kr", "laser_phase_a",
+                                   "detect_phase_b", "prop_phase_p"])
+def test_params_reject_non_finite_values(field, value):
+    with pytest.raises(DomainError, match=field):
+        lv.PhysicalParams(**{field: value})
+
+
 # -- drive Hamiltonian -------------------------------------------------------
 
 
