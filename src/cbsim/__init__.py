@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 from .atoms import (FULL_J0_J1, TWO_LEVEL, V_TYPE, LevelScheme, build_scheme,
                     embed, lowering_operator, raising_operator)
-from .cbs import (CbsComponents, CbsSpectrumResult, PhaseGrid, cbs_components,
+from .cbs import (CbsComponents, CbsSpectrumResult, cbs_components,
                   cbs_components_isotropic, cbs_spectrum, detected_intensity,
-                  harmonic_extract, sweep_alpha_collect)
+                  sweep_alpha_collect)
 from .dressed import (PeakSet, dressed_energies, generalized_rabi,
                       peak_positions, validate_spectrum)
 from .liouvillian import (Liouvillian, PhysicalParams, assemble,
@@ -27,9 +27,9 @@ __all__ = [
     "__version__",
     "FULL_J0_J1", "TWO_LEVEL", "V_TYPE", "LevelScheme", "build_scheme",
     "embed", "lowering_operator", "raising_operator",
-    "CbsComponents", "CbsSpectrumResult", "PhaseGrid", "cbs_components",
+    "CbsComponents", "CbsSpectrumResult", "cbs_components",
     "cbs_components_isotropic", "cbs_spectrum", "detected_intensity",
-    "harmonic_extract", "sweep_alpha_collect",
+    "sweep_alpha_collect",
     "PeakSet", "dressed_energies", "generalized_rabi", "peak_positions",
     "validate_spectrum",
     "Liouvillian", "PhysicalParams", "assemble", "assemble_single",

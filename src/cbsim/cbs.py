@@ -9,9 +9,11 @@ intensity, while twice the real part of the exp(-i(a+b)) harmonic is the
 reversed-path interference (crossed) term that survives only at exact
 backscattering, where the detection and drive phases cancel.
 
-At leading order in the exchange coupling no harmonic above order two
-exists in any phase, so four-point grids per phase resolve the
-decomposition exactly.  Intensities are reported in units of the squared
+The b dependence is a three-term trigonometric polynomial in the 2 x 2
+dipole moment matrix, so b is averaged in closed form.  At leading order
+in the exchange coupling no harmonic above order two exists in a or p, so
+grids of at least four points per phase resolve the decomposition
+exactly.  Intensities are reported in units of the squared
 exchange amplitude (3*gamma/(2*kr))^2 unless ``normalize=False``.
 
 Without photon exchange nothing populates the upper level of the detected
@@ -79,8 +81,8 @@ class CbsComponents:
                    c2_el=float(c2_el), c2_inel=float(c2_inel), alpha=float(alpha))
 
 
-def _check_grid_sizes(n_a, n_b, n_p):
-    for name, n in (("n_a", n_a), ("n_b", n_b), ("n_p", n_p)):
+def _check_grid_sizes(n_a, n_p):
+    for name, n in (("n_a", n_a), ("n_p", n_p)):
         if n < 4:
             raise ConfigurationError(
                 f"{name} = {n} too small; at least 4 points per phase are "
@@ -88,71 +90,8 @@ def _check_grid_sizes(n_a, n_b, n_p):
             )
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseGrid:
-    """Intensity samples on the full (a, b, p) phase grid.
-
-    Samples may be complex as computed; their imaginary part is roundoff,
-    which :func:`harmonic_extract` reports as its ``residue``.
-    """
-
-    n_a: int
-    n_b: int
-    n_p: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        _check_grid_sizes(self.n_a, self.n_b, self.n_p)
-        if self.samples.shape != (self.n_a, self.n_b, self.n_p):
-            raise ConfigurationError(
-                f"samples shape {self.samples.shape} does not match grid sizes"
-            )
-
-
-@dataclass(frozen=True)
-class HarmonicComponents:
-    """Ladder and crossed harmonics of a phase grid.
-
-    ``crossed`` is twice the real part of the exp(-i(a+b)) coefficient
-    (p-averaged); ``residue`` is the violation of the conjugate-pair
-    symmetry |c(+1,+1) - conj c(-1,-1)| of the samples as computed, i.e.
-    twice the exp(-i(a+b)) harmonic of their imaginary part, and should be
-    at roundoff level.
-    """
-
-    ladder: float
-    crossed: float
-    residue: float
-
-
 def phase_values(n):
     return 2.0 * np.pi * np.arange(n) / n
-
-
-def _crossed_coefficient(samples, conjugate=False):
-    """exp(-i(a+b)) (or, ``conjugate``, exp(+i(a+b))) coefficient of (a, b, p) samples."""
-    n_a, n_b, n_p = samples.shape
-    w_ab = np.exp(1j * (phase_values(n_a)[:, None] + phase_values(n_b)[None, :]))
-    if conjugate:
-        w_ab = w_ab.conj()
-    return complex(np.einsum("ab,abp->", w_ab, samples)) / (n_a * n_b * n_p)
-
-
-def harmonic_extract(grid):
-    """Discrete Fourier analysis of a phase grid over (a, b, p).
-
-    The ladder and crossed harmonics are taken of the real part of the
-    samples; the residue of the samples themselves.
-    """
-    samples = np.asarray(grid.samples)
-    real = samples.real
-    residue = (_crossed_coefficient(samples, conjugate=True)
-               - _crossed_coefficient(samples).conjugate())
-    return HarmonicComponents(
-        ladder=float(real.mean()),
-        crossed=2.0 * _crossed_coefficient(real).real,
-        residue=abs(residue),
-    )
 
 
 # -- steady-state moments of the detected dipole ---------------------------
@@ -182,7 +121,8 @@ def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True,
     """<R_j L_k> and <R_j><L_k> for the detected transition, plus the model.
 
     ``detection`` is the :func:`_detection_operators` pair of ``scheme``,
-    built here when not given.
+    built here when not given.  Both matrices must be Hermitian to roundoff,
+    which is what makes the detected intensity real at every b.
     """
     lows, highs = detection or _detection_operators(scheme)
     liou = assemble(scheme, params, include_exchange=include_exchange,
@@ -195,95 +135,71 @@ def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True,
         for k in range(2):
             m[j, k] = np.trace(rho @ highs[j] @ lows[k])
     e = np.outer(means_high, means_low)
+    for what, mat in (("dipole moment", m), ("elastic moment", e)):
+        worst = np.abs(mat - mat.conj().T).max()
+        if worst > _REAL_RESIDUE_TOL * max(np.abs(mat).max(), 1.0):
+            raise ConditioningError(f"{what} matrix has anti-Hermitian residue {worst:.3e}")
     return m, e, liou, rho
 
 
-def _expand_b(mat, b_vals):
-    """Detection-phase dependence sum_jk exp(i(b_j - b_k)) mat[j, k]."""
-    eb = np.exp(-1j * np.asarray(b_vals, dtype=float))
-    diag = mat[0, 0] + mat[1, 1]
-    return diag + np.multiply.outer(eb, mat[0, 1]) + np.multiply.outer(eb.conj(), mat[1, 0])
-
-
-def _as_real(values, what):
-    values = np.asarray(values)
-    scale = max(np.abs(values).max(), 1e-300)
-    worst = np.abs(values.imag).max()
-    if worst > _REAL_RESIDUE_TOL * max(scale, 1.0):
-        raise ConditioningError(f"{what} has imaginary residue {worst:.3e}")
-    return values.real
+def _b_harmonics(mat):
+    """b-average and exp(-ib) coefficient of Re sum_jk exp(i(b_j - b_k)) mat[j, k]
+    (b_1 = 0, b_2 = b): the detection phase averaged in closed form."""
+    return (mat[0, 0] + mat[1, 1]).real, (mat[0, 1] + mat[1, 0].conj()) / 2
 
 
 def detected_intensity(scheme, params, include_exchange=True):
     """Normally ordered detected intensity <D+ D> at the phases in ``params``."""
     m, _, _, _ = _moment_matrices(scheme, params, include_exchange=include_exchange)
-    value = _expand_b(m, [params.detect_phase_b])[0]
-    return float(_as_real(value, "detected intensity"))
+    eb = np.exp(-1j * params.detect_phase_b)
+    return float((m[0, 0] + m[1, 1] + 2.0 * eb * m[0, 1]).real)
 
 
-def _phase_point(scheme, params, cross_damping, detection, b_vals, omega_grid):
-    """Total and elastic samples over b at one (a, p), plus (given ``omega_grid``)
-    the b-sum and the exp(+ib)-weighted b-sum of the spectral density."""
+def _phase_point(scheme, params, cross_damping, detection, omega_grid):
+    """:func:`_b_harmonics` of the total and elastic intensity at one (a, p),
+    plus (given ``omega_grid``) those of the spectral density."""
     m, e, liou, rho = _moment_matrices(scheme, params, cross_damping=cross_damping,
                                        detection=detection)
-    # Checked real, but kept complex: harmonic_extract reports the residue.
-    total = _expand_b(m, b_vals)
-    elastic = _expand_b(e, b_vals)
-    _as_real(total, "detected intensity")
-    _as_real(elastic, "elastic intensity")
-    if omega_grid is None:
-        return total, elastic, None
-    lows, highs = detection
-    seeds = [spectra.connected_initial(rho, op) for op in highs]
-    t_mat = spectra.spectral_response(liou, rho, seeds, lows, omega_grid)
-    # The density is Re(_expand_b(t_mat, b)) / pi by definition (the
-    # transform itself is complex).  On a uniform grid of n_b >= 3 points
-    # sum_b exp(+-ib) = sum_b exp(+-2ib) = 0, which leaves these closed forms.
-    n_b = len(b_vals)
-    return total, elastic, (n_b / np.pi * (t_mat[0, 0] + t_mat[1, 1]).real,
-                            n_b / (2 * np.pi) * (t_mat[0, 1] + t_mat[1, 0].conj()))
+    parts = [_b_harmonics(m), _b_harmonics(e)]
+    if omega_grid is not None:
+        lows, highs = detection
+        seeds = [spectra.connected_initial(rho, op) for op in highs]
+        t_mat = spectra.spectral_response(liou, rho, seeds, lows, omega_grid)
+        # The density is Re(sum_jk exp(i(b_j - b_k)) t[j, k]) / pi; t itself
+        # is not Hermitian, which _b_harmonics does not need.
+        parts.append(_b_harmonics(t_mat / np.pi))
+    return parts
 
 
-def _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping, omega_grid=None):
-    """Total and elastic phase grids, plus the ladder and crossed spectral
-    densities over ``omega_grid`` (or ``None``).
+def _phase_average(scheme, params, n_a, n_p, cross_damping, omega_grid=None):
+    """(ladder, crossed) pairs of the total and elastic intensity, plus (given
+    ``omega_grid``) of the spectral density over it.
 
-    One steady-state solve per (a, p) pair; the detection-phase dependence
-    is expanded analytically from the dipole moment matrix.  Densities are
-    reduced over b at each point, so no (a, b, p, omega) grid is stored.
-    Grid sizes are checked before any point is solved.
+    One steady-state solve per (a, p) pair; b is averaged exactly at each.
+    Only running sums are kept, so no per-point density is stored;
+    :func:`harmonic_extract` reduces them.  Grid sizes are checked before
+    any point is solved.
     """
-    _check_grid_sizes(n_a, n_b, n_p)
-    b_vals = phase_values(n_b)
+    _check_grid_sizes(n_a, n_p)
     detection = _detection_operators(scheme)
-    results = [
-        _phase_point(scheme, replace(params, laser_phase_a=a, prop_phase_p=p),
-                     cross_damping, detection, b_vals, omega_grid)
-        for a in phase_values(n_a) for p in phase_values(n_p)
-    ]
-
-    def grid(part):  # points run a-major; samples are indexed (a, b, p)
-        stacked = np.stack([result[part] for result in results])
-        return PhaseGrid(n_a, n_b, n_p, np.ascontiguousarray(
-            stacked.reshape(n_a, n_p, n_b).swapaxes(1, 2)))
-
-    if omega_grid is None:
-        return grid(0), grid(1), None
-    # The harmonics of harmonic_extract: the mean, and twice the real part
-    # of the exp(-i(a+b)) coefficient.  Per-point arrays stay separate and
-    # small, which keeps the heap from growing over repeated spectra.
-    count = n_a * n_b * n_p
-    e_a = np.repeat(np.exp(1j * phase_values(n_a)), n_p)  # points run a-major
-    ladder = sum(b_sum for _, _, (b_sum, _) in results) / count
-    crossed = 2.0 * np.real(sum(w * e_b_sum for w, (_, _, (_, e_b_sum))
-                                in zip(e_a, results))) / count
-    return grid(0), grid(1), (ladder, crossed)
+    sums = [[0.0, 0.0] for _ in range(2 if omega_grid is None else 3)]
+    for a in phase_values(n_a):
+        weight = np.exp(1j * a)
+        for p in phase_values(n_p):
+            point = _phase_point(scheme, replace(params, laser_phase_a=a, prop_phase_p=p),
+                                 cross_damping, detection, omega_grid)
+            for total, (mean, coef) in zip(sums, point):
+                total[0] += mean
+                total[1] += weight * coef
+    return harmonic_extract(sums, n_a * n_p)
 
 
-def intensity_grids(scheme, params, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
-                    n_p=DEFAULT_PHASE_POINTS, cross_damping=True):
-    """Total and elastic intensity on the full (a, b, p) grid."""
-    return _phase_samples(scheme, params, n_a, n_b, n_p, cross_damping)[:2]
+def harmonic_extract(sums, count):
+    """(ladder, crossed) pairs from sums over ``count`` (a, p) points of the
+    b-average and of the exp(ia)-weighted exp(-ib) coefficient: the ladder
+    part is the mean of the first, the crossed part twice the real part of
+    the mean of the second, the exp(-i(a+b)) harmonic."""
+    return [(mean / count, 2.0 * np.real(coef) / count) for mean, coef in sums]
 
 
 def exchange_scale(params):
@@ -299,17 +215,16 @@ def _resolve_drive(params, s, detuning):
     return params
 
 
-def _components_from_harmonics(h_total, h_elastic, scale):
-    l2_el = h_elastic.ladder / scale
-    l2_inel = (h_total.ladder - h_elastic.ladder) / scale
-    c2_el = h_elastic.crossed / scale
-    c2_inel = (h_total.crossed - h_elastic.crossed) / scale
-    return CbsComponents.from_intensities(l2_el, l2_inel, c2_el, c2_inel)
+def _components(total, elastic, scale):
+    """Components from the (ladder, crossed) pairs of the total and elastic intensity."""
+    (ladder, crossed), (ladder_el, crossed_el) = total, elastic
+    return CbsComponents.from_intensities(
+        ladder_el / scale, (ladder - ladder_el) / scale,
+        crossed_el / scale, (crossed - crossed_el) / scale)
 
 
 def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POINTS,
-                   n_b=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
-                   normalize=True, cross_damping=True):
+                   n_p=DEFAULT_PHASE_POINTS, normalize=True, cross_damping=True):
     """Background/interference intensities and enhancement factor.
 
     ``s`` and ``detuning``, when given, override the drive parameters (the
@@ -317,11 +232,9 @@ def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POIN
     units of the squared exchange amplitude unless ``normalize=False``.
     """
     params = _resolve_drive(params, s, detuning)
-    grid_total, grid_elastic = intensity_grids(scheme, params, n_a=n_a, n_b=n_b,
-                                               n_p=n_p, cross_damping=cross_damping)
+    total, elastic = _phase_average(scheme, params, n_a, n_p, cross_damping)
     scale = exchange_scale(params) if normalize else 1.0
-    return _components_from_harmonics(
-        harmonic_extract(grid_total), harmonic_extract(grid_elastic), scale)
+    return _components(total, elastic, scale)
 
 
 def sample_orientations(n_configs, seed):
@@ -337,14 +250,14 @@ def sample_orientations(n_configs, seed):
 
 
 def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64,
-                             seed=0, n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
-                             n_p=DEFAULT_PHASE_POINTS, normalize=True):
+                             seed=0, n_a=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
+                             normalize=True):
     """Orientation-averaged components over an isotropic interatomic axis."""
     params = _resolve_drive(params, s, detuning)
     sums = np.zeros(4)
     for orientation in sample_orientations(n_configs, seed):
         comp = cbs_components(scheme, replace(params, orientation=orientation),
-                              n_a=n_a, n_b=n_b, n_p=n_p, normalize=normalize)
+                              n_a=n_a, n_p=n_p, normalize=normalize)
         sums += (comp.l2_el, comp.l2_inel, comp.c2_el, comp.c2_inel)
     sums /= n_configs
     return CbsComponents.from_intensities(*sums)
@@ -354,8 +267,8 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64
 
 
 def sweep_alpha_collect(scheme, detuning, s_values, params=None,
-                        n_a=DEFAULT_PHASE_POINTS, n_b=DEFAULT_PHASE_POINTS,
-                        n_p=DEFAULT_PHASE_POINTS, n_configs=None, seed=0):
+                        n_a=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
+                        n_configs=None, seed=0):
     """``(s, components, error)`` triples over a sorted positive sweep.
 
     A failing point carries ``None`` and its error instead of stopping the
@@ -369,7 +282,7 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
         raise DomainError("sweep saturations must be sorted ascending")
     if params is None:
         params = PhysicalParams()
-    grid_sizes = dict(n_a=n_a, n_b=n_b, n_p=n_p)
+    grid_sizes = dict(n_a=n_a, n_p=n_p)
     rows = []
     for s in s_values:
         try:
@@ -397,11 +310,10 @@ class CbsSpectrumResult:
 
 
 def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
-                 n_b=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
-                 normalize=True):
+                 n_p=DEFAULT_PHASE_POINTS, normalize=True):
     """Frequency-resolved background and interference spectra.
 
-    Applies the same phase-harmonic extraction as the total intensities to
+    Applies the same phase average as the total intensities to
     the connected dipole spectrum at every frequency.  With ``normalize``
     the densities are scaled so the background integrates to one (areas
     then read as fractions of the inelastic background, the interference
@@ -410,12 +322,10 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
     if omega_grid is None:
         omega_grid = spectra.default_omega_grid(params.rabi, params.detuning, params.gamma)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    grid_total, grid_elastic, (ladder_density, crossed_density) = _phase_samples(
-        scheme, params, n_a, n_b, n_p, True, omega_grid=omega_grid)
-    h_total = harmonic_extract(grid_total)
-    h_elastic = harmonic_extract(grid_elastic)
+    total, elastic, (ladder_density, crossed_density) = _phase_average(
+        scheme, params, n_a, n_p, True, omega_grid=omega_grid)
     scale = exchange_scale(params) if normalize else 1.0
-    components = _components_from_harmonics(h_total, h_elastic, scale)
+    components = _components(total, elastic, scale)
 
     if normalize:
         norm = float(np.trapezoid(ladder_density, omega_grid))
@@ -425,10 +335,10 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
         norm = 1.0
     background = spectra.SpectrumSeries(
         omega=omega_grid, density=ladder_density / norm,
-        elastic_weight=h_elastic.ladder / norm, kind=spectra.BACKGROUND)
+        elastic_weight=elastic[0] / norm, kind=spectra.BACKGROUND)
     interference = spectra.SpectrumSeries(
         omega=omega_grid, density=crossed_density / norm,
-        elastic_weight=h_elastic.crossed / norm, kind=spectra.INTERFERENCE)
+        elastic_weight=elastic[1] / norm, kind=spectra.INTERFERENCE)
     return CbsSpectrumResult(background=background, interference=interference,
                              components=components)
 

@@ -93,7 +93,7 @@ def run_alpha_sweep(cfg, output_path=None, workers=1):
     n_configs = cfg.n_configs if cfg.orientation_mode == config.ISOTROPIC else None
     results = cbs.sweep_alpha_collect(
         scheme, cfg.detuning, cfg.sweep_s, params=params, n_a=cfg.n_phase_a,
-        n_b=cfg.n_phase_b, n_p=cfg.n_phase_p, n_configs=n_configs, seed=cfg.seed)
+        n_p=cfg.n_phase_p, n_configs=n_configs, seed=cfg.seed)
 
     rows = []
     failures = 0
@@ -137,8 +137,7 @@ def run_spectrum(cfg, output_path=None, report_path=None, workers=1,
 
     scheme = atoms.build_scheme(cfg.scheme)
     result = cbs.cbs_spectrum(scheme, cfg.params(), omega_grid=omega_grid,
-                              n_a=cfg.n_phase_a, n_b=cfg.n_phase_b,
-                              n_p=cfg.n_phase_p)
+                              n_a=cfg.n_phase_a, n_p=cfg.n_phase_p)
     rows = [
         ",".join([_fmt(w), _fmt(bg), _fmt(inter)])
         for w, bg, inter in zip(result.background.omega,
@@ -256,7 +255,7 @@ def _check_battery():
     coarse = cbs.cbs_components(scheme, liouvillian.PhysicalParams(), s=1.0,
                                 detuning=0.0)
     fine = cbs.cbs_components(scheme, liouvillian.PhysicalParams(), s=1.0,
-                              detuning=0.0, n_a=8, n_b=8, n_p=8)
+                              detuning=0.0, n_a=8, n_p=8)
     rel = abs(fine.alpha - coarse.alpha) / coarse.alpha
     yield "phase-grid refinement (4 vs 8)", rel <= 1e-6, f"relative shift = {rel:.2e}"
 

@@ -18,7 +18,6 @@ sweep_s               (none)                   saturation sweep: ``logspace(lo, 
                                                or a comma-separated list
 rabi                  (none)                   single Rabi frequency (spectrum mode)
 n_phase_a             4                        drive-phase grid points
-n_phase_b             4                        detection-phase grid points
 n_phase_p             4                        propagation-phase grid points
 omega_span            auto                     half-width of the frequency grid;
                                                ``auto`` = 2.5 x generalized Rabi
@@ -31,6 +30,10 @@ n_configs             64                       isotropic-average sample count
 seed                  0                        non-negative RNG seed (isotropic sampling)
 output_dir            .                        directory for emitted artifacts
 ====================  =======================  =====================================
+
+The drive phase a and the propagation phase p are sampled on grids of at
+least 4 points; the detection phase b is averaged exactly, so it has no
+grid key.
 """
 
 import math
@@ -59,7 +62,6 @@ class RunConfig:
     sweep_s: tuple = None
     rabi: float = None
     n_phase_a: int = 4
-    n_phase_b: int = 4
     n_phase_p: int = 4
     omega_span: float = None  # None means auto (2.5 x generalized Rabi)
     omega_step: float = 0.1
@@ -157,7 +159,6 @@ _PARSERS = {
     "sweep_s": lambda raw, ln: _parse_sweep(raw, ln, "sweep_s"),
     "rabi": lambda raw, ln: _parse_float(raw, ln, "rabi"),
     "n_phase_a": lambda raw, ln: _parse_int(raw, ln, "n_phase_a"),
-    "n_phase_b": lambda raw, ln: _parse_int(raw, ln, "n_phase_b"),
     "n_phase_p": lambda raw, ln: _parse_int(raw, ln, "n_phase_p"),
     "omega_span": lambda raw, ln: (
         None if raw.strip().lower() == "auto" else _parse_float(raw, ln, "omega_span")),
@@ -186,7 +187,7 @@ def _validate(cfg):
             fail("sweep_s", "sweep saturations must be positive")
         if list(cfg.sweep_s) != sorted(cfg.sweep_s):
             fail("sweep_s", "sweep saturations must be sorted ascending")
-    for key in ("n_phase_a", "n_phase_b", "n_phase_p"):
+    for key in ("n_phase_a", "n_phase_p"):
         if getattr(cfg, key) < 4:
             fail(key, "at least 4 phase points are required")
     if cfg.omega_span is not None and cfg.omega_span <= 0:

@@ -86,8 +86,10 @@ class PhysicalParams:
     ``laser_phase_a`` is the drive-phase difference between the atoms,
     ``detect_phase_b`` the detection-phase difference, and ``prop_phase_p``
     the photon-exchange propagation phase; all three are reduced to
-    [0, 2*pi).  ``orientation`` is the unit vector of the interatomic axis
-    and only enters in vector coupling mode.
+    [0, 2*pi).  ``orientation`` is the direction of the interatomic axis,
+    stored unnormalized as a float tuple (so ``replace`` never moves it) and
+    normalized by :func:`transverse_weights`; it only enters in vector
+    coupling mode.
     """
 
     rabi: float = 0.0
@@ -118,10 +120,9 @@ class PhysicalParams:
         n = np.asarray(self.orientation, dtype=float)
         if n.shape != (3,) or not np.all(np.isfinite(n)):
             raise ConfigurationError(f"orientation must be a finite 3-vector, got {self.orientation}")
-        norm = float(np.linalg.norm(n))
-        if norm == 0.0:
-            raise ConfigurationError("orientation vector must be nonzero")
-        object.__setattr__(self, "orientation", tuple(n / norm))
+        if not np.linalg.norm(n) > 0.0:
+            raise ConfigurationError("orientation vector must have a nonzero norm")
+        object.__setattr__(self, "orientation", tuple(float(x) for x in n))
         for name in ("laser_phase_a", "detect_phase_b", "prop_phase_p"):
             object.__setattr__(self, name, float(getattr(self, name)) % TWO_PI)
 
@@ -239,6 +240,7 @@ def transverse_weights(scheme, params):
     if params.coupling_mode == SCALAR:
         return np.eye(n_t, dtype=complex)
     n = np.asarray(params.orientation, dtype=float)
+    n = n / np.linalg.norm(n)
     projector = np.eye(3) - np.outer(n, n)
     weights = np.zeros((n_t, n_t), dtype=complex)
     for i, ti in enumerate(scheme.transitions):

@@ -186,7 +186,7 @@ def test_acceptance_8_property_suites(tmp_path, v_scheme, alpha_sweep_on_resonan
     # phase-grid refinement invariance
     coarse = cbs.cbs_components(v_scheme, lv.PhysicalParams(), s=1.0, detuning=0.0)
     fine = cbs.cbs_components(v_scheme, lv.PhysicalParams(), s=1.0, detuning=0.0,
-                              n_a=8, n_b=8, n_p=8)
+                              n_a=8, n_p=8)
     refine = all(
         abs(getattr(coarse, f) - getattr(fine, f))
         <= 1e-6 * max(abs(getattr(fine, f)), 1e-300)

@@ -1,10 +1,12 @@
-"""Backscattering intensities, harmonic extraction, and spectra."""
+"""Backscattering intensities, the phase average, and spectra."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cbsim import atoms, cbs, dressed, liouvillian as lv, spectra
-from cbsim.errors import ConfigurationError, DomainError
+from cbsim.errors import ConditioningError, ConfigurationError, DomainError
 from conftest import completed_sweep
 
 
@@ -12,62 +14,39 @@ def default_params(**kwargs):
     return lv.PhysicalParams(**kwargs)
 
 
-# -- harmonic extraction -------------------------------------------------------
+# -- phase average ---------------------------------------------------------------
 
 
-def planted_grid(fn, n=4, dtype=float):
-    a = cbs.phase_values(n)
-    samples = np.empty((n, n, n), dtype=dtype)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(a):
-            for k, pk in enumerate(a):
-                samples[i, j, k] = fn(ai, bj, pk)
-    return cbs.PhaseGrid(n, n, n, samples)
+def test_components_match_fourier_analysis_of_full_phase_grid(v_scheme):
+    # independent oracle: sample <D+ D> on the full (a, b, p) grid and take
+    # its harmonics here, with no use of the closed-form b average
+    n_a, n_b, n_p = 4, 8, 4
+    a, b, p = (cbs.phase_values(n) for n in (n_a, n_b, n_p))
+    base = default_params(rabi=lv.rabi_for_saturation(1.0, 3.0), detuning=3.0)
+    samples = np.array([[[cbs.detected_intensity(v_scheme, replace(
+        base, laser_phase_a=ai, detect_phase_b=bj, prop_phase_p=pk))
+        for pk in p] for bj in b] for ai in a])
+    weight = np.exp(1j * (a[:, None, None] + b[None, :, None]))
+    ladder = samples.mean()
+    crossed = 2.0 * (weight * samples).mean().real
+    comp = cbs.cbs_components(v_scheme, base, normalize=False)
+    assert abs(comp.l2_total - ladder) <= 1e-12 * abs(ladder)
+    assert abs(comp.c2_total - crossed) <= 1e-12 * abs(crossed)
 
 
-def test_harmonics_of_constant_grid():
-    h = cbs.harmonic_extract(planted_grid(lambda a, b, p: 3.5))
-    assert np.isclose(h.ladder, 3.5)
-    assert np.isclose(h.crossed, 0.0, atol=1e-14)
-
-
-def test_harmonics_of_planted_interference():
-    h = cbs.harmonic_extract(planted_grid(lambda a, b, p: 1.0 + np.cos(a + b)))
-    assert np.isclose(h.ladder, 1.0)
-    assert np.isclose(h.crossed, 1.0)
-    assert h.residue < 1e-14
-
-
-def test_harmonic_residue_reports_planted_imaginary_part():
-    # exp(-i(a+b)) has no exp(+i(a+b)) partner: the conjugate pairs break
-    h = cbs.harmonic_extract(planted_grid(lambda a, b, p: 1.0 + np.exp(-1j * (a + b)),
-                                          dtype=complex))
-    assert np.isclose(h.ladder, 1.0)
-    assert np.isclose(h.crossed, 1.0)
-    assert np.isclose(h.residue, 1.0)
-
-
-def test_harmonics_ignore_pure_propagation_phase():
-    h = cbs.harmonic_extract(planted_grid(lambda a, b, p: 2.0 + np.cos(p)))
-    assert np.isclose(h.ladder, 2.0)
-    assert np.isclose(h.crossed, 0.0, atol=1e-14)
-
-
-def test_harmonics_reject_other_phase_combinations():
-    # a - b interference does not masquerade as the reversed-path term
-    h = cbs.harmonic_extract(planted_grid(lambda a, b, p: 1.0 + np.cos(a - b)))
-    assert np.isclose(h.crossed, 0.0, atol=1e-14)
-
-
-def test_phase_grid_requires_four_points():
-    with pytest.raises(ConfigurationError):
-        cbs.PhaseGrid(2, 4, 4, np.zeros((2, 4, 4)))
+def test_planted_non_hermitian_moments_rejected(v_scheme, monkeypatch):
+    # an anti-Hermitian part of the moment matrix would make <D+ D> complex
+    original = cbs.steady_state
+    monkeypatch.setattr(cbs, "steady_state",
+                        lambda liou: original(liou) + 1e-6j * np.eye(liou.hilbert_dim))
+    with pytest.raises(ConditioningError, match="anti-Hermitian"):
+        cbs.cbs_components(v_scheme, default_params(rabi=2.0))
 
 
 @pytest.mark.parametrize("observable,sizes", [
     (cbs.cbs_components, dict(n_a=2)),
-    (cbs.cbs_spectrum, dict(n_b=3)),
-], ids=["components_n_a_2", "spectrum_n_b_3"])
+    (cbs.cbs_spectrum, dict(n_p=3)),
+], ids=["components_n_a_2", "spectrum_n_p_3"])
 def test_grid_sizes_checked_before_any_steady_state(v_scheme, monkeypatch, observable,
                                                     sizes):
     calls = []
@@ -116,12 +95,15 @@ def test_intensity_inverse_square_in_kr(v_scheme):
 
 
 def test_intensity_matches_grid_sample(v_scheme):
-    # the analytic detection-phase expansion agrees with a direct evaluation
-    p = default_params(rabi=1.3, laser_phase_a=np.pi / 2, detect_phase_b=np.pi,
+    # the closed-form detection-phase dependence agrees with <D+ D> taken
+    # directly from the steady state at a grid point
+    p = default_params(rabi=1.3, laser_phase_a=np.pi / 2, detect_phase_b=np.pi / 2,
                        prop_phase_p=3 * np.pi / 2)
-    grid_total, _ = cbs.intensity_grids(v_scheme, p)
-    direct = cbs.detected_intensity(v_scheme, p)
-    assert np.isclose(grid_total.samples[1, 2, 3], direct, rtol=1e-12)
+    _, _, _, rho = cbs._moment_matrices(v_scheme, p)
+    (low_1, low_2), _ = cbs._detection_operators(v_scheme)
+    dipole = low_1 + np.exp(-1j * p.detect_phase_b) * low_2
+    direct = np.trace(rho @ dipole.conj().T @ dipole).real
+    assert np.isclose(cbs.detected_intensity(v_scheme, p), direct, rtol=1e-12)
 
 
 def test_same_atom_terms_are_detected_level_populations(v_scheme):
@@ -133,19 +115,14 @@ def test_same_atom_terms_are_detected_level_populations(v_scheme):
         assert np.isclose(m[j, j], np.trace(rho @ pop[j]), atol=1e-14)
 
 
-def test_harmonic_residue_small_on_computed_grids(v_scheme):
-    grid_total, grid_elastic = cbs.intensity_grids(
-        v_scheme, default_params(rabi=2.0))
-    for grid in (grid_total, grid_elastic):
-        h = cbs.harmonic_extract(grid)
-        assert h.residue <= 1e-9 * max(abs(h.ladder), 1e-300)
-
-
-def test_computed_grids_keep_their_imaginary_roundoff(v_scheme):
-    # the residue is measured on the samples as computed, not on a real cast
-    grid_total, grid_elastic = cbs.intensity_grids(v_scheme, default_params(rabi=2.0))
-    for grid in (grid_total, grid_elastic):
-        assert np.iscomplexobj(grid.samples)
+def test_computed_moment_matrices_hermitian(v_scheme, full_scheme):
+    # computed moment matrices are Hermitian far inside the tolerance
+    for scheme in (v_scheme, full_scheme):
+        for a, prop in ((0.0, 0.0), (0.7, 2.1)):
+            p = default_params(rabi=2.0, detuning=1.5, laser_phase_a=a, prop_phase_p=prop)
+            m, e, _, _ = cbs._moment_matrices(scheme, p)
+            for mat in (m, e):
+                assert np.abs(mat - mat.conj().T).max() <= 1e-3 * cbs._REAL_RESIDUE_TOL
 
 
 def test_detection_operators_built_once_per_phase_grid(v_scheme, monkeypatch):
@@ -233,7 +210,7 @@ def test_inverse_square_scaling_of_components(v_scheme):
 def test_phase_grid_refinement_invariance(v_scheme):
     coarse = cbs.cbs_components(v_scheme, default_params(), s=1.0, detuning=0.0)
     fine = cbs.cbs_components(v_scheme, default_params(), s=1.0, detuning=0.0,
-                              n_a=8, n_b=8, n_p=8)
+                              n_a=8, n_p=8)
     for name in ("l2_el", "l2_inel", "c2_el", "c2_inel"):
         a, b = getattr(coarse, name), getattr(fine, name)
         assert abs(a - b) <= 1e-6 * max(abs(a), abs(b))

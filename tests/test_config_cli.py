@@ -79,6 +79,26 @@ def test_phase_grid_minimum_enforced():
         config.parse_config("n_phase_a = 2\n")
 
 
+def _expand_keys(name):
+    """``n_phase_a/p`` -> ``n_phase_a``, ``n_phase_p``; other names unchanged."""
+    stem, *tails = name.split("/")
+    head = stem[:-1] if tails else stem
+    return [stem] + [head + tail for tail in tails]
+
+
+def test_documented_config_keys_match_parser():
+    readme = (Path(SRC_DIR).parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config format", 1)[1].split("## Package layout", 1)[0]
+    readme_keys = {key for row in section.splitlines() if row.startswith("| `")
+                   for key in _expand_keys(row.split("`")[1])}
+    lines = config.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+    doc_keys = {line.split()[0] for line in lines[rules[1] + 1:rules[2]]
+                if line[:1].strip()}
+    assert readme_keys == set(config._PARSERS)
+    assert doc_keys == set(config._PARSERS)
+
+
 def test_negative_seed_rejected_with_line_and_key():
     with pytest.raises(ParseError) as info:
         config.parse_config("sweep_s = 0.5\nseed = -3\n")
@@ -305,6 +325,20 @@ def test_missing_output_directory_rejected_before_solving(tmp_path, monkeypatch,
     assert err.count("ERROR:") == 1 and "output_dir" in err and str(absent) in err
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_detection_phase_grid_key_rejected_before_solving(tmp_path, monkeypatch, capsys):
+    # b is averaged in closed form, so it has no grid-size key
+    text = f"sweep_s = 0.5\nn_phase_b = 8\noutput_dir = {tmp_path}\n"
+    with pytest.raises(ParseError) as info:
+        config.parse_config(text)
+    assert info.value.line == 2 and info.value.key == "n_phase_b"
+    calls = count_steady_states(monkeypatch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["alpha-sweep", str(cfg_path)]) == 1
+    assert "n_phase_b" in capsys.readouterr().err
+    assert calls == []
 
 
 # -- spectrum artifact -------------------------------------------------------------

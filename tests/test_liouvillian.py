@@ -1,5 +1,7 @@
 """Generator assembly: drive, decay, exchange, and their invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,9 +55,19 @@ def test_params_reduce_phases():
     assert np.isclose(p.detect_phase_b, 2.0 * np.pi - 1.0)
 
 
-def test_params_normalize_orientation():
+def test_transverse_weights_normalize_orientation(v_scheme):
     p = lv.PhysicalParams(orientation=(0.0, 2.0, 0.0))
-    assert np.allclose(p.orientation, (0.0, 1.0, 0.0))
+    assert p.orientation == (0.0, 2.0, 0.0)
+    unit = lv.PhysicalParams(orientation=(0.0, 1.0, 0.0))
+    assert np.array_equal(lv.transverse_weights(v_scheme, p),
+                          lv.transverse_weights(v_scheme, unit))
+
+
+def test_replace_keeps_orientation_bits():
+    # re-normalizing on every construction moved 14 of these in the last bit
+    for orientation in cbs.sample_orientations(2000, 5):
+        p = lv.PhysicalParams(orientation=orientation)
+        assert replace(p, rabi=1.0).orientation == orientation
 
 
 def test_params_reject_bad_values():
@@ -67,6 +79,15 @@ def test_params_reject_bad_values():
         lv.PhysicalParams(coupling_mode="tensor")
     with pytest.raises(ConfigurationError):
         lv.PhysicalParams(orientation=(0.0, 0.0, 0.0))
+    # nonzero, but its norm underflows to 0 in transverse_weights
+    with pytest.raises(ConfigurationError):
+        lv.PhysicalParams(orientation=(1e-170, 1e-170, 0.0))
+
+
+def test_params_store_orientation_as_float_tuple():
+    p = lv.PhysicalParams(orientation=np.array([0, 2, 0]))
+    assert p.orientation == (0.0, 2.0, 0.0) and type(p.orientation) is tuple
+    assert hash(p) == hash(lv.PhysicalParams(orientation=[0.0, 2.0, 0.0]))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cbsim import atoms, cli, config, liouvillian as lv, solver, spectra
+from cbsim import atoms, cbs, cli, config, liouvillian as lv, solver, spectra
 from cbsim.errors import ConditioningError, DomainError, MultiplicityError
 
 
@@ -154,6 +154,32 @@ def test_sweep_runs_no_svd(svd_calls, tmp_path):
     _, failures = cli.run_alpha_sweep(cfg)
     assert failures == 0
     assert svd_calls == []
+
+
+@pytest.fixture
+def uniqueness_checks(monkeypatch):
+    """Shapes of the generators that ``steady_state`` sends to its SVD check."""
+    calls = []
+    original = solver._check_unique
+    monkeypatch.setattr(solver, "_check_unique",
+                        lambda gen: calls.append(gen.shape) or original(gen))
+    return calls
+
+
+def test_production_workloads_never_take_the_svd_check(uniqueness_checks, tmp_path):
+    cfg = config.parse_config("detuning = 0\nsweep_s = logspace(0.01, 1000, 25)\n"
+                              f"output_dir = {tmp_path}\n")
+    assert cli.run_alpha_sweep(cfg)[1] == 0
+    cbs.cbs_spectrum(atoms.build_scheme(atoms.V_TYPE),
+                     lv.PhysicalParams(rabi=100.0, detuning=20.0))
+    assert uniqueness_checks == []
+
+
+def test_svd_check_runs_at_extreme_drive(uniqueness_checks):
+    # the spy above sees the check once the drive is strong enough
+    cbs.cbs_components(atoms.build_scheme(atoms.V_TYPE), lv.PhysicalParams(),
+                       s=1e6, detuning=0.0)
+    assert uniqueness_checks == [(81, 81)] * 16
 
 
 def test_steady_state_populations_invariant_under_global_drive_phase():
