@@ -13,8 +13,11 @@ The b dependence is a three-term trigonometric polynomial in the 2 x 2
 dipole moment matrix, so b is averaged in closed form.  At leading order
 in the exchange coupling no harmonic above order two exists in a or p, so
 grids of at least four points per phase resolve the decomposition
-exactly.  Intensities are reported in units of the squared
-exchange amplitude (3*gamma/(2*kr))^2 unless ``normalize=False``.
+exactly.  The whole (a, p) grid is assembled and solved as one
+:class:`~cbsim.liouvillian.GeneratorStack`; the moments of every point
+then come from one product of the stacked densities with the
+observables.  Intensities are reported in units of the squared exchange
+amplitude (3*gamma/(2*kr))^2 unless ``normalize=False``.
 
 Without photon exchange nothing populates the upper level of the detected
 sigma-minus transition, so the single-atom background of this
@@ -23,6 +26,7 @@ photon has been exchanged.  This is enforced as an invariant of the level
 scheme (see :func:`_detection_operators`) rather than subtracted.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,17 +85,28 @@ class CbsComponents:
                    c2_el=float(c2_el), c2_inel=float(c2_inel), alpha=float(alpha))
 
 
-def _check_grid_sizes(n_a, n_p):
-    for name, n in (("n_a", n_a), ("n_p", n_p)):
-        if n < 4:
-            raise ConfigurationError(
-                f"{name} = {n} too small; at least 4 points per phase are "
-                "needed to separate harmonics through order 2"
-            )
+def _check_sizes(n_a, n_p, n_configs=None):
+    """Raise :class:`ConfigurationError` unless the phase-grid sizes are
+    integers of at least 4 and ``n_configs``, if given, a positive integer."""
+    why = "at least 4 points per phase are needed to separate harmonics through order 2"
+    sizes = [("n_a", n_a, 4, why), ("n_p", n_p, 4, why)]
+    if n_configs is not None:
+        sizes.append(("n_configs", n_configs, 1, "at least one orientation is needed"))
+    for name, n, least, why in sizes:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {n!r}")
+        if n < least:
+            raise ConfigurationError(f"{name} = {n} too small; {why}")
 
 
 def phase_values(n):
     return 2.0 * np.pi * np.arange(n) / n
+
+
+def phase_grid(n_a, n_p):
+    """(a, p) arrays of the n_a * n_p points of the phase grid, a major."""
+    a, p = np.meshgrid(phase_values(n_a), phase_values(n_p), indexing="ij")
+    return a.reshape(-1), p.reshape(-1)
 
 
 # -- steady-state moments of the detected dipole ---------------------------
@@ -117,34 +132,45 @@ def _detection_operators(scheme):
 
 
 def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True,
-                     detection=None):
-    """<R_j L_k> and <R_j><L_k> for the detected transition, plus the model.
+                     detection=None, phases=None):
+    """<R_j L_k> and <R_j><L_k> for the detected transition, the generator
+    and the steady state.
 
     ``detection`` is the :func:`_detection_operators` pair of ``scheme``,
-    built here when not given.  Both matrices must be Hermitian to roundoff,
-    which is what makes the detected intensity real at every b.
+    built here when not given.  ``phases``, an (a, p) pair of arrays as in
+    :func:`~cbsim.liouvillian.assemble`, stacks the results over its k
+    points: (2, 2, k) moment matrices, one generator stack and (k, n, n)
+    densities.  Without it they are those of the single point ``params``.
+    Both matrices must be Hermitian to roundoff, which is what makes the
+    detected intensity real at every b.
     """
     lows, highs = detection or _detection_operators(scheme)
-    liou = assemble(scheme, params, include_exchange=include_exchange,
-                    cross_damping=cross_damping)
-    rho = steady_state(liou)
-    m = np.empty((2, 2), dtype=complex)
-    means_low = np.array([np.trace(rho @ op) for op in lows])
-    means_high = np.array([np.trace(rho @ op) for op in highs])
-    for j in range(2):
-        for k in range(2):
-            m[j, k] = np.trace(rho @ highs[j] @ lows[k])
-    e = np.outer(means_high, means_low)
+    points = phases if phases is not None else ([params.laser_phase_a], [params.prop_phase_p])
+    stack = assemble(scheme, params, include_exchange=include_exchange,
+                     cross_damping=cross_damping, phases=points)
+    rho = steady_state(stack)
+    # tr(rho O) = vec(O^T) . vec(rho) in the row-major vectorization.
+    observables = [high @ low for high in highs for low in lows] + lows + highs
+    rows = np.array([op.T.reshape(-1) for op in observables])
+    moments = rows @ rho.reshape(len(stack), -1).T
+    m = moments[:4].reshape(2, 2, -1)
+    e = moments[6:8, None] * moments[None, 4:6]
     for what, mat in (("dipole moment", m), ("elastic moment", e)):
-        worst = np.abs(mat - mat.conj().T).max()
-        if worst > _REAL_RESIDUE_TOL * max(np.abs(mat).max(), 1.0):
-            raise ConditioningError(f"{what} matrix has anti-Hermitian residue {worst:.3e}")
-    return m, e, liou, rho
+        worst = np.abs(mat - mat.conj().transpose(1, 0, 2)).max(axis=(0, 1))
+        bad = np.flatnonzero(
+            ~(worst <= _REAL_RESIDUE_TOL * np.maximum(np.abs(mat).max(axis=(0, 1)), 1.0)))
+        if bad.size:
+            raise ConditioningError(
+                f"{what} matrix has anti-Hermitian residue {worst[bad[0]]:.3e}")
+    if phases is None:
+        return m[..., 0], e[..., 0], stack.liouvillian(0), rho[0]
+    return m, e, stack, rho
 
 
 def _b_harmonics(mat):
     """b-average and exp(-ib) coefficient of Re sum_jk exp(i(b_j - b_k)) mat[j, k]
-    (b_1 = 0, b_2 = b): the detection phase averaged in closed form."""
+    (b_1 = 0, b_2 = b): the detection phase averaged in closed form.  Axes
+    after the first two are kept."""
     return (mat[0, 0] + mat[1, 1]).real, (mat[0, 1] + mat[1, 0].conj()) / 2
 
 
@@ -155,43 +181,35 @@ def detected_intensity(scheme, params, include_exchange=True):
     return float((m[0, 0] + m[1, 1] + 2.0 * eb * m[0, 1]).real)
 
 
-def _phase_point(scheme, params, cross_damping, detection, omega_grid):
-    """:func:`_b_harmonics` of the total and elastic intensity at one (a, p),
-    plus (given ``omega_grid``) those of the spectral density."""
-    m, e, liou, rho = _moment_matrices(scheme, params, cross_damping=cross_damping,
-                                       detection=detection)
-    parts = [_b_harmonics(m), _b_harmonics(e)]
-    if omega_grid is not None:
-        lows, highs = detection
-        seeds = [spectra.connected_initial(rho, op) for op in highs]
-        t_mat = spectra.spectral_response(liou, rho, seeds, lows, omega_grid)
-        # The density is Re(sum_jk exp(i(b_j - b_k)) t[j, k]) / pi; t itself
-        # is not Hermitian, which _b_harmonics does not need.
-        parts.append(_b_harmonics(t_mat / np.pi))
-    return parts
-
-
 def _phase_average(scheme, params, n_a, n_p, cross_damping, omega_grid=None):
     """(ladder, crossed) pairs of the total and elastic intensity, plus (given
     ``omega_grid``) of the spectral density over it.
 
-    One steady-state solve per (a, p) pair; b is averaged exactly at each.
-    Only running sums are kept, so no per-point density is stored;
-    :func:`harmonic_extract` reduces them.  Grid sizes are checked before
-    any point is solved.
+    The n_a * n_p (a, p) points are assembled and solved as one stack; b
+    is averaged exactly at each.  Only sums over the points are kept, so
+    no per-point spectrum is stored; :func:`harmonic_extract` reduces them.
     """
-    _check_grid_sizes(n_a, n_p)
     detection = _detection_operators(scheme)
-    sums = [[0.0, 0.0] for _ in range(2 if omega_grid is None else 3)]
-    for a in phase_values(n_a):
-        weight = np.exp(1j * a)
-        for p in phase_values(n_p):
-            point = _phase_point(scheme, replace(params, laser_phase_a=a, prop_phase_p=p),
-                                 cross_damping, detection, omega_grid)
-            for total, (mean, coef) in zip(sums, point):
-                total[0] += mean
-                total[1] += weight * coef
-    return harmonic_extract(sums, n_a * n_p)
+    a, p = phase_grid(n_a, n_p)
+    m, e, stack, rho = _moment_matrices(scheme, params, cross_damping=cross_damping,
+                                        detection=detection, phases=(a, p))
+    weight = np.exp(1j * a)
+    sums = [[mean.sum(), (weight * coef).sum()]
+            for mean, coef in (_b_harmonics(m), _b_harmonics(e))]
+    if omega_grid is not None:
+        lows, highs = detection
+        total = [0.0, 0.0]
+        for i in range(len(stack)):
+            seeds = [spectra.connected_initial(rho[i], op) for op in highs]
+            # The density is Re(sum_jk exp(i(b_j - b_k)) t[j, k]) / pi; t itself
+            # is not Hermitian, which _b_harmonics does not need.  No name holds
+            # t, so it is freed before the next point's transforms.
+            mean, coef = _b_harmonics(spectra.spectral_response(
+                stack.liouvillian(i), rho[i], seeds, lows, omega_grid) / np.pi)
+            total[0] += mean
+            total[1] += weight[i] * coef
+        sums.append(total)
+    return harmonic_extract(sums, a.size)
 
 
 def harmonic_extract(sums, count):
@@ -231,6 +249,7 @@ def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POIN
     Rabi frequency is derived from the saturation).  Intensities are in
     units of the squared exchange amplitude unless ``normalize=False``.
     """
+    _check_sizes(n_a, n_p)
     params = _resolve_drive(params, s, detuning)
     total, elastic = _phase_average(scheme, params, n_a, n_p, cross_damping)
     scale = exchange_scale(params) if normalize else 1.0
@@ -253,6 +272,7 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64
                              seed=0, n_a=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
                              normalize=True):
     """Orientation-averaged components over an isotropic interatomic axis."""
+    _check_sizes(n_a, n_p, n_configs)
     params = _resolve_drive(params, s, detuning)
     sums = np.zeros(4)
     for orientation in sample_orientations(n_configs, seed):
@@ -275,6 +295,7 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
     sweep.  With ``n_configs`` set, every point is the isotropic average of
     :func:`cbs_components_isotropic` over that many seeded samples.
     """
+    _check_sizes(n_a, n_p, n_configs)
     s_values = [float(s) for s in s_values]
     if any(s <= 0 for s in s_values):
         raise DomainError("sweep saturations must be positive")
@@ -319,6 +340,7 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
     then read as fractions of the inelastic background, the interference
     area being c2_inel / l2_inel).
     """
+    _check_sizes(n_a, n_p)
     if omega_grid is None:
         omega_grid = spectra.default_omega_grid(params.rabi, params.detuning, params.gamma)
     omega_grid = np.asarray(omega_grid, dtype=float)

@@ -37,7 +37,13 @@ read-only in a bounded cache (``BLOCK_CACHE_SIZE`` entries), so
 :func:`assemble` only combines them.  The blocks are superoperators of
 few-body operators and so are sparse (the seven together cover under 3%
 of the 256 x 256 full_j0_j1 generator); the cache keeps their values on
-the union of their supports only.
+the union of their supports only, together with the index data of that
+:class:`SparsePattern`.
+
+A whole grid of (a, p) phase points is assembled in one call: generator i
+of the :class:`GeneratorStack` is the row ``coef[i] @ values`` of the
+block values, stays sparse, and is checked for trace preservation from
+its entries.  No dense generator is built unless one is asked for.
 """
 
 import functools
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import atoms
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DimensionError, DomainError
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -141,6 +147,115 @@ class Liouvillian:
     @property
     def dim(self):
         return self.hilbert_dim**2
+
+
+def _grouped_sums(keys, weights, size):
+    """``out[i, j]``: the sum of ``weights[i, e]`` over the entries e with
+    ``keys[e] == j``, for a real or complex (k, m) ``weights``."""
+    k = weights.shape[0]
+    index = (keys + size * np.arange(k)[:, None]).reshape(-1)
+
+    def total(part):
+        sums = np.bincount(index, part.reshape(-1), minlength=k * size)
+        return sums.astype(float, copy=False).reshape(k, size)  # int64 when nothing is summed
+
+    if np.iscomplexobj(weights):
+        return total(weights.real) + 1j * total(weights.imag)
+    return total(weights)
+
+
+@dataclass(frozen=True, eq=False)
+class SparsePattern:
+    """Entry positions shared by a stack of N x N generators (N = n^2 for
+    Hilbert dimension n), with the index data every solve reuses.
+
+    ``flat`` and ``fortran`` are the offsets of the entries in a row-major
+    and in a Fortran-ordered N x N array, ``rows`` and ``cols`` their
+    indices, ``row_starts`` the first entry of each row that holds any, and
+    ``on_trace_row`` marks the entries on the rows j*n + j that the trace
+    functional vec(Id) sums.  Entries are in row-major order; all arrays
+    are read-only.
+    """
+
+    hilbert_dim: int
+    flat: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    row_starts: np.ndarray
+    fortran: np.ndarray
+    on_trace_row: np.ndarray
+
+    @classmethod
+    def from_flat(cls, hilbert_dim, flat):
+        """Pattern of the sorted, distinct row-major offsets ``flat``."""
+        dim = hilbert_dim**2
+        rows, cols = np.divmod(flat, dim)
+        arrays = dict(flat=flat, rows=rows, cols=cols,
+                      row_starts=np.flatnonzero(np.diff(rows, prepend=-1)),
+                      fortran=cols * dim + rows, on_trace_row=rows % (hilbert_dim + 1) == 0)
+        for array in arrays.values():
+            array.flags.writeable = False
+        return cls(hilbert_dim, **arrays)
+
+    @property
+    def dim(self):
+        return self.hilbert_dim**2
+
+    @property
+    def trace_columns(self):
+        """Columns j*n + j, where the trace functional vec(Id) is one."""
+        return np.arange(self.hilbert_dim) * (self.hilbert_dim + 1)
+
+    def column_sums(self, weights, entries=slice(None)):
+        """Per-generator column sums of ``weights``, the (k, m) values of the
+        ``entries`` selected from the pattern."""
+        return _grouped_sums(self.cols[entries], weights, self.dim)
+
+
+@dataclass(frozen=True, eq=False)
+class GeneratorStack:
+    """k generators on one sparse pattern: ``values[i]`` holds generator i
+    at the entries of ``pattern``.
+
+    :func:`assemble` builds one per grid of phase points, and
+    :func:`cbsim.solver.steady_state` solves all of them in one call.
+    """
+
+    pattern: SparsePattern
+    values: np.ndarray
+
+    @property
+    def hilbert_dim(self):
+        return self.pattern.hilbert_dim
+
+    def __len__(self):
+        return len(self.values)
+
+    def dense(self, i):
+        """Generator i as a dense N x N array of its own."""
+        dim = self.pattern.dim
+        generator = np.zeros((dim, dim), dtype=complex)
+        generator.reshape(-1)[self.pattern.flat] = self.values[i]
+        return generator
+
+    def liouvillian(self, i):
+        return Liouvillian(self.hilbert_dim, self.dense(i))
+
+    @classmethod
+    def from_dense(cls, liouvillians):
+        """Stack of dense generators of one Hilbert dimension on the union of
+        their supports."""
+        n = liouvillians[0].hilbert_dim
+        gens = []
+        for liou in liouvillians:
+            gen = np.asarray(liou.generator, dtype=complex)
+            if liou.hilbert_dim != n or gen.shape != (n * n, n * n):
+                raise DimensionError(
+                    f"generator of shape {gen.shape} does not act on a "
+                    f"{n}-level system")
+            gens.append(gen.reshape(-1))
+        flat = np.unique(np.concatenate([np.flatnonzero(gen) for gen in gens]))
+        return cls(SparsePattern.from_flat(n, flat), np.array([gen[flat] for gen in gens]))
 
 
 # -- superoperators (row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho))
@@ -274,9 +389,9 @@ def _dense_blocks(scheme, gamma, kr, weights):
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _affine_blocks(scheme, gamma, kr, weights):
-    """Read-only ``(support, values)`` of the affine blocks: ``values[k]``
-    holds block k at the row-major flat indices ``support`` where any block
-    is nonzero.  ``weights`` is T as a tuple of rows.
+    """Read-only ``(pattern, values)`` of the affine blocks: ``values[k]``
+    holds block k at the entries of ``pattern``, where any block is
+    nonzero.  ``weights`` is T as a tuple of rows.
 
     Only one dense block is alive at a time.
     """
@@ -288,8 +403,8 @@ def _affine_blocks(scheme, gamma, kr, weights):
     values = np.zeros((len(entries), support.size), dtype=complex)
     for row, (flat, entry) in zip(values, entries):
         row[np.searchsorted(support, flat)] = entry
-    support.flags.writeable = values.flags.writeable = False
-    return support, values
+    values.flags.writeable = False
+    return SparsePattern.from_flat(scheme.n_levels**2, support), values
 
 
 def _pair_blocks(scheme, params):
@@ -299,18 +414,16 @@ def _pair_blocks(scheme, params):
 
 def _block_sum(scheme, params, coefficients, first=0):
     """Dense sum over k of coefficients[k] times affine block first + k."""
-    support, values = _pair_blocks(scheme, params)
-    dim = scheme.n_levels**4
-    generator = np.zeros((dim, dim), dtype=complex)
-    generator.reshape(-1)[support] = np.dot(coefficients,
-                                            values[first:first + len(coefficients)])
-    return generator
+    pattern, values = _pair_blocks(scheme, params)
+    coefficients = np.asarray(coefficients, dtype=complex)
+    blocks = values[first:first + coefficients.size]
+    return GeneratorStack(pattern, coefficients[None] @ blocks).dense(0)
 
 
-def _exchange_phases(params, cross_damping):
-    """Coefficients of X_c and X_s; the cross damping is zeroed on request."""
-    p = params.prop_phase_p
-    return [math.cos(p), math.sin(p) if cross_damping else 0.0]
+def _exchange_phases(p, cross_damping):
+    """Coefficients of X_c and X_s at propagation phase(s) ``p``; the cross
+    damping is zeroed on request."""
+    return [np.cos(p), np.sin(p) if cross_damping else 0.0 * p]
 
 
 def exchange_term(scheme, params, cross_damping=True):
@@ -323,35 +436,55 @@ def exchange_term(scheme, params, cross_damping=True):
     the Hamiltonian part (diagnostic switch, not a physical regime).
     ``PhysicalParams`` guarantees ``kr >= KR_MIN``.
     """
-    return _block_sum(scheme, params, _exchange_phases(params, cross_damping), first=5)
+    return _block_sum(scheme, params, _exchange_phases(params.prop_phase_p, cross_damping),
+                      first=5)
 
 
-def _checked_liouvillian(generator, dim):
-    trace_vec = np.eye(dim, dtype=complex).reshape(-1)
-    residual = trace_vec @ generator
-    scale = max(np.abs(generator).max(), 1.0)
-    if np.abs(residual).max() > 1e-12 * scale:
+def _check_trace_preserving(stack):
+    """Raise :class:`ConfigurationError` unless every generator L of the
+    stack has tr(L x) = 0, i.e. vanishing column sums over the rows j*n + j."""
+    pattern, values = stack.pattern, stack.values
+    on_trace_row = pattern.on_trace_row
+    residual = np.abs(pattern.column_sums(values[:, on_trace_row], on_trace_row)).max(axis=1)
+    scale = np.maximum(np.abs(values).max(axis=1, initial=0.0), 1.0)
+    bad = np.flatnonzero(~(residual <= 1e-12 * scale))
+    if bad.size:
         raise ConfigurationError(
             "assembled generator is not trace preserving "
-            f"(max residual {np.abs(residual).max():.3e})"
+            f"(max residual {residual[bad[0]]:.3e})"
         )
-    return Liouvillian(hilbert_dim=dim, generator=generator)
 
 
-def assemble(scheme, params, include_exchange=True, cross_damping=True):
+def assemble(scheme, params, include_exchange=True, cross_damping=True, phases=None):
     """Full two-atom generator: drive, decay, and photon exchange, combined
-    from the cached affine blocks."""
-    drive = params.rabi * np.exp(1j * params.laser_phase_a)
-    coefficients = [1.0, params.detuning, params.rabi, drive, drive.conjugate()]
+    from the cached affine blocks.
+
+    ``phases``, when given, is an (a, p) pair of equal-length sequences of
+    drive-phase differences and propagation phases that replace those of
+    ``params``; the result is then the :class:`GeneratorStack` of one sparse
+    generator per pair.  Without it, the dense :class:`Liouvillian` at the
+    phases of ``params``.
+    """
+    points = ([params.laser_phase_a], [params.prop_phase_p]) if phases is None else phases
+    a, p = (np.asarray(x, dtype=float).reshape(-1) for x in points)
+    if a.shape != p.shape:
+        raise DimensionError(f"{a.size} drive phases for {p.size} propagation phases")
+    drive = params.rabi * np.exp(1j * a)
+    coefficients = [np.ones_like(drive), np.full_like(drive, params.detuning),
+                    np.full_like(drive, params.rabi), drive, drive.conj()]
     if include_exchange:
-        coefficients += _exchange_phases(params, cross_damping)
-    return _checked_liouvillian(_block_sum(scheme, params, coefficients),
-                                scheme.n_levels**2)
+        coefficients += _exchange_phases(p, cross_damping)
+    pattern, values = _pair_blocks(scheme, params)
+    stack = GeneratorStack(pattern, np.transpose(coefficients) @ values[:len(coefficients)])
+    _check_trace_preserving(stack)
+    return stack if phases is not None else stack.liouvillian(0)
 
 
 def assemble_single(scheme, params):
     """Generator for one driven atom (no exchange, drive phase zero)."""
     jumps = _jumps(scheme, 1)
-    gen = master_generator(drive_hamiltonian(scheme, params, n_atoms=1), jumps,
-                           2.0 * params.gamma * np.eye(len(jumps)))
-    return _checked_liouvillian(gen, scheme.n_levels)
+    liou = Liouvillian(scheme.n_levels, master_generator(
+        drive_hamiltonian(scheme, params, n_atoms=1), jumps,
+        2.0 * params.gamma * np.eye(len(jumps))))
+    _check_trace_preserving(GeneratorStack.from_dense([liou]))
+    return liou

@@ -12,7 +12,11 @@ singular exactly when the stationary manifold is degenerate, so the LU
 factorization of M doubles as the uniqueness test: the singular-value
 check that reports the nullity runs only when the LAPACK condition
 estimate of that factorization falls below a bound derived in
-:func:`steady_state`.
+:func:`steady_state`.  A whole :class:`~cbsim.liouvillian.GeneratorStack`
+is solved in one call: each sparse generator is scattered into one reused
+Fortran-ordered buffer that LAPACK factors in place, and the norms, the
+residual and the density checks act on the whole stack.  A single dense
+generator is solved as a stack of one.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import ConditioningError, DimensionError, DomainError, MultiplicityError
+from .liouvillian import GeneratorStack
 
 #: Residual bound for the steady-state solve, relative to ||L||.
 STEADY_RESIDUAL_TOL = 1e-10
@@ -53,15 +58,18 @@ def unvectorize(v):
 
 
 def validate_density(rho):
-    """Raise if ``rho`` is not Hermitian, unit trace, and positive (up to noise)."""
-    herm_err = np.abs(rho - rho.conj().T).max()
-    if herm_err > DENSITY_HERM_TOL:
+    """Raise unless ``rho``, one density matrix or a stack of them, is
+    Hermitian, unit trace, and positive (up to noise)."""
+    rho = np.asarray(rho)
+    adjoint = np.swapaxes(rho.conj(), -1, -2)
+    herm_err = np.abs(rho - adjoint).max()
+    if not herm_err <= DENSITY_HERM_TOL:
         raise ConditioningError(f"density matrix not Hermitian (max deviation {herm_err:.3e})")
-    trace_err = abs(np.trace(rho) - 1.0)
-    if trace_err > DENSITY_TRACE_TOL:
+    trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
+    if not trace_err <= DENSITY_TRACE_TOL:
         raise ConditioningError(f"density matrix trace deviates by {trace_err:.3e}")
-    min_eig = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if min_eig < DENSITY_EIG_FLOOR:
+    min_eig = np.linalg.eigvalsh(0.5 * (rho + adjoint)).min()
+    if not min_eig >= DENSITY_EIG_FLOOR:
         raise ConditioningError(f"density matrix has negative eigenvalue {min_eig:.3e}")
 
 
@@ -76,7 +84,8 @@ def _check_unique(gen):
 
 
 def steady_state(liou):
-    """Stationary density matrix of a trace-preserving generator.
+    """Stationary density matrix of a trace-preserving generator, or the
+    (k, n, n) stack of them for a :class:`~cbsim.liouvillian.GeneratorStack`.
 
     The singular linear system L x = 0 is regularized by replacing its
     first row with the trace constraint, and that bordered matrix M is
@@ -84,13 +93,57 @@ def steady_state(liou):
     raises :class:`MultiplicityError` with the estimated nullity; it is
     looked for only when M is near singular.
     """
-    gen = liou.generator
-    n = liou.hilbert_dim
-    system = np.array(gen, order="F")  # Fortran order: zgetrf factors it in place
-    system[0, :] = np.eye(n, dtype=complex).reshape(-1)
-    m_norm = np.abs(system).sum(axis=0).max()
-    lu, piv, info = lapack.zgetrf(system, overwrite_a=True)
-    rcond = lapack.zgecon(lu, m_norm)[0] if info == 0 else 0.0
+    if isinstance(liou, GeneratorStack):
+        return _steady_states(liou)
+    return _steady_states(GeneratorStack.from_dense([liou]))[0]
+
+
+def _norms(pattern, values):
+    """1-norm and Frobenius norm of each generator L of the stack, and the
+    1-norm of its bordered matrix M, whose row 0 is the trace functional."""
+    magnitudes = np.abs(values)
+    l_norms = pattern.column_sums(magnitudes).max(axis=1)
+    frobenius = np.sqrt(np.einsum("ij,ij->i", magnitudes, magnitudes))
+    magnitudes[:, pattern.rows == 0] = 0.0
+    m_sums = pattern.column_sums(magnitudes)
+    m_sums[:, pattern.trace_columns] += 1.0
+    return l_norms, frobenius, m_sums.max(axis=1)
+
+
+def _bordered_solves(stack, m_norms, triggers):
+    """Solutions x_i of M_i x_i = e_0, one LU of the bordered matrix each;
+    the singular-value check runs for the slices whose rcond is below their
+    trigger."""
+    pattern, values = stack.pattern, stack.values
+    dim = pattern.dim
+    # zgetrf factors the Fortran-ordered buffer in place; it is refilled per generator.
+    system = np.empty((dim, dim), dtype=complex, order="F")
+    entries = system.reshape(-1, order="F")
+    border_at = pattern.trace_columns * dim
+    rhs = np.zeros(dim, dtype=complex)
+    rhs[0] = 1.0
+    x = np.empty((len(stack), dim), dtype=complex)
+    for i in range(len(stack)):
+        system.fill(0.0)
+        entries[pattern.fortran] = values[i]
+        system[0] = 0.0
+        entries[border_at] = 1.0
+        lu, piv, info = lapack.zgetrf(system, overwrite_a=True)
+        rcond = lapack.zgecon(lu, m_norms[i])[0] if info == 0 else 0.0
+        if info != 0 or not rcond >= triggers[i]:
+            _check_unique(stack.dense(i))
+            if info != 0:
+                raise ConditioningError(f"bordered steady-state system is singular (info={info})")
+        x[i], info = lapack.zgetrs(lu, piv, rhs)
+        if info != 0:
+            raise ConditioningError(f"steady-state LU solve failed (info={info})")
+    return x
+
+
+def _steady_states(stack):
+    pattern, values = stack.pattern, stack.values
+    n, dim = pattern.hilbert_dim, pattern.dim
+    l_norms, frobenius, m_norms = _norms(pattern, values)
     # When the singular-value check fires, sigma_{N-1}(L) < r ||L||_2 with
     # N = n^2 and r = NULLITY_RATIO.  M is a rank-one update of L (row 0),
     # so Weyl's inequality gives sigma_min(M) <= sigma_{N-1}(L), and with
@@ -98,24 +151,18 @@ def steady_state(liou):
     #     rcond_1(M) <= sqrt(N) sigma_min(M) / ||M||_1 < N r ||L||_1 / ||M||_1.
     # zgecon bounds ||M^-1||_1 from below and so can overestimate rcond;
     # UNIQUENESS_MARGIN covers that.  NaN entries also take the check.
-    trigger = UNIQUENESS_MARGIN * n**2 * NULLITY_RATIO * np.abs(gen).sum(axis=0).max() / m_norm
-    if info != 0 or not rcond >= trigger:
-        _check_unique(gen)
-        if info != 0:
-            raise ConditioningError(f"bordered steady-state system is singular (info={info})")
+    triggers = UNIQUENESS_MARGIN * dim * NULLITY_RATIO * l_norms / m_norms
+    rho = _bordered_solves(stack, m_norms, triggers).reshape(-1, n, n)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
 
-    rhs = np.zeros(n * n, dtype=complex)
-    rhs[0] = 1.0
-    x, info = lapack.zgetrs(lu, piv, rhs)
-    if info != 0:
-        raise ConditioningError(f"steady-state LU solve failed (info={info})")
-    rho = unvectorize(x)
-    rho = 0.5 * (rho + rho.conj().T)
-
-    residual = np.linalg.norm(gen @ rho.reshape(-1))
-    if residual > STEADY_RESIDUAL_TOL * np.linalg.norm(gen):
+    # L x from the entries, which are in row-major order: one sum per row.
+    image = rho.reshape(-1, dim).T[pattern.cols]
+    image *= values.T
+    residuals = np.linalg.norm(np.add.reduceat(image, pattern.row_starts), axis=0)
+    bad = np.flatnonzero(~(residuals <= STEADY_RESIDUAL_TOL * frobenius))
+    if bad.size:
         raise ConditioningError(
-            f"steady-state residual {residual:.3e} exceeds tolerance"
+            f"steady-state residual {residuals[bad[0]]:.3e} exceeds tolerance"
         )
     validate_density(rho)
     return rho

@@ -23,6 +23,20 @@ def full_scheme():
     return atoms.build_scheme(atoms.FULL_J0_J1)
 
 
+def count_phase_points(monkeypatch):
+    """Sizes of the generator stacks whose steady states the backscattering
+    layer solves from now on: one entry per call, one count per phase point."""
+    calls = []
+    real = cbs.steady_state
+
+    def spy(stack):
+        calls.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(cbs, "steady_state", spy)
+    return calls
+
+
 def completed_sweep(scheme, detuning, s_values):
     """``(s, components)`` pairs of a sweep in which no point failed."""
     rows = cbs.sweep_alpha_collect(scheme, detuning, s_values)

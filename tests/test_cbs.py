@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbsim import atoms, cbs, dressed, liouvillian as lv, spectra
+from cbsim import atoms, cbs, dressed, liouvillian as lv, solver, spectra
 from cbsim.errors import ConditioningError, ConfigurationError, DomainError
-from conftest import completed_sweep
+from conftest import completed_sweep, count_phase_points
 
 
 def default_params(**kwargs):
@@ -36,11 +36,26 @@ def test_components_match_fourier_analysis_of_full_phase_grid(v_scheme):
 
 def test_planted_non_hermitian_moments_rejected(v_scheme, monkeypatch):
     # an anti-Hermitian part of the moment matrix would make <D+ D> complex
+    calls = []
     original = cbs.steady_state
-    monkeypatch.setattr(cbs, "steady_state",
-                        lambda liou: original(liou) + 1e-6j * np.eye(liou.hilbert_dim))
+
+    def planted(stack):
+        calls.append(len(stack))
+        return original(stack) + 1e-6j * np.eye(stack.hilbert_dim)
+
+    monkeypatch.setattr(cbs, "steady_state", planted)
     with pytest.raises(ConditioningError, match="anti-Hermitian"):
         cbs.cbs_components(v_scheme, default_params(rabi=2.0))
+    assert calls == [16]
+
+
+def test_phase_point_spy_sees_every_point(v_scheme, monkeypatch):
+    # positive control of count_phase_points: one stacked solve per phase grid
+    calls = count_phase_points(monkeypatch)
+    cbs.cbs_components(v_scheme, default_params(rabi=2.0))
+    assert calls == [16]
+    cbs.cbs_components(v_scheme, default_params(rabi=2.0), n_a=8, n_p=5)
+    assert calls == [16, 40]
 
 
 @pytest.mark.parametrize("observable,sizes", [
@@ -49,17 +64,76 @@ def test_planted_non_hermitian_moments_rejected(v_scheme, monkeypatch):
 ], ids=["components_n_a_2", "spectrum_n_p_3"])
 def test_grid_sizes_checked_before_any_steady_state(v_scheme, monkeypatch, observable,
                                                     sizes):
-    calls = []
-    original = cbs.steady_state
-
-    def spy(liou):
-        calls.append(liou.hilbert_dim)
-        return original(liou)
-
-    monkeypatch.setattr(cbs, "steady_state", spy)
+    calls = count_phase_points(monkeypatch)
     with pytest.raises(ConfigurationError):
         observable(v_scheme, default_params(rabi=2.0), **sizes)
     assert calls == []
+
+
+def _sweep(scheme, params, **sizes):
+    return cbs.sweep_alpha_collect(scheme, 0.0, [1.0], params=params, **sizes)
+
+
+@pytest.mark.parametrize("observable,sizes", [
+    (cbs.cbs_components, dict(n_a=4.5)),
+    (cbs.cbs_components, dict(n_p=4.0)),
+    (cbs.cbs_components_isotropic, dict(n_configs=0)),
+    (cbs.cbs_components_isotropic, dict(n_configs=-1)),
+    (cbs.cbs_components_isotropic, dict(n_configs=2.5)),
+    (cbs.cbs_components_isotropic, dict(n_a=4.5)),
+    (_sweep, dict(n_a=4.5)),
+    (_sweep, dict(n_configs=0)),
+    (_sweep, dict(n_configs=2.5)),
+    (cbs.cbs_spectrum, dict(n_p=4.5)),
+], ids=["components_n_a_4.5", "components_n_p_4.0", "isotropic_n_configs_0",
+        "isotropic_n_configs_-1", "isotropic_n_configs_2.5", "isotropic_n_a_4.5",
+        "sweep_n_a_4.5", "sweep_n_configs_0", "sweep_n_configs_2.5", "spectrum_n_p_4.5"])
+def test_non_integral_or_empty_sizes_rejected_before_any_steady_state(
+        v_scheme, monkeypatch, observable, sizes):
+    calls = count_phase_points(monkeypatch)
+    with pytest.raises(ConfigurationError, match=next(iter(sizes))):
+        observable(v_scheme, default_params(rabi=2.0), **sizes)
+    assert calls == []
+
+
+def test_numpy_integer_sizes_accepted(v_scheme):
+    params = default_params(rabi=2.0)
+    assert (cbs.cbs_components(v_scheme, params, n_a=np.int64(4), n_p=np.int32(4))
+            == cbs.cbs_components(v_scheme, params))
+    iso = cbs.cbs_components_isotropic(v_scheme, params, s=1.0, detuning=0.0,
+                                       n_configs=np.int64(1))
+    (_, comp, err), = _sweep(v_scheme, params, n_configs=np.int16(1))
+    assert err is None and comp == iso
+
+
+# -- stacked solve against one solve per point ------------------------------------
+
+
+@pytest.mark.parametrize("kind,options,switches,sizes", [
+    (atoms.V_TYPE, {}, {}, (4, 4)),
+    (atoms.FULL_J0_J1, dict(orientation=(0.3, -0.5, 0.8)), {}, (4, 4)),
+    (atoms.V_TYPE, dict(coupling_mode=lv.SCALAR), {}, (4, 4)),
+    (atoms.V_TYPE, {}, dict(include_exchange=False), (4, 4)),
+    (atoms.V_TYPE, {}, dict(cross_damping=False), (4, 4)),
+    (atoms.V_TYPE, {}, {}, (8, 5)),
+], ids=["v_type", "full_tilted_axis", "scalar", "no_exchange", "no_cross_damping",
+        "grid_8x5"])
+def test_stacked_densities_match_pointwise_solves(kind, options, switches, sizes):
+    scheme = atoms.build_scheme(kind)
+    params = default_params(rabi=lv.rabi_for_saturation(1.5, 2.0), detuning=2.0, **options)
+    a, p = cbs.phase_grid(*sizes)
+    assert sorted(zip(a, p)) == sorted((ai, pj) for ai in cbs.phase_values(sizes[0])
+                                       for pj in cbs.phase_values(sizes[1]))
+    m, _, stack, rho = cbs._moment_matrices(scheme, params, phases=(a, p), **switches)
+    assert len(stack) == rho.shape[0] == m.shape[2] == a.size
+    (low_1, low_2), (high_1, high_2) = cbs._detection_operators(scheme)
+    for i in range(a.size):
+        point = replace(params, laser_phase_a=a[i], prop_phase_p=p[i])
+        alone = solver.steady_state(lv.assemble(scheme, point, **switches))
+        assert np.abs(rho[i] - alone).max() <= 1e-12
+        moments = np.array([[np.trace(alone @ high @ low) for low in (low_1, low_2)]
+                            for high in (high_1, high_2)])
+        assert np.abs(m[..., i] - moments).max() <= 1e-12 * max(np.abs(moments).max(), 1e-300)
 
 
 # -- detected intensity ---------------------------------------------------------

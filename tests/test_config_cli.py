@@ -10,6 +10,7 @@ import pytest
 
 from cbsim import cli, config
 from cbsim.errors import ConfigurationError, ParseError
+from conftest import count_phase_points
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 
@@ -278,17 +279,6 @@ def test_import_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
-def count_steady_states(monkeypatch):
-    """Count the steady states the backscattering layer solves from now on."""
-    from cbsim import cbs as cbs_module
-
-    calls = []
-    real = cbs_module.steady_state
-    monkeypatch.setattr(cbs_module, "steady_state",
-                        lambda liou: calls.append(1) or real(liou))
-    return calls
-
-
 #: A small run of each command: (runner, config text without ``output_dir``).
 SMALL_RUNS = {"alpha-sweep": (cli.run_alpha_sweep, "sweep_s = 0.5, 2\n"),
               "spectrum": (cli.run_spectrum, "rabi = 8\n")}
@@ -296,7 +286,7 @@ SMALL_RUNS = {"alpha-sweep": (cli.run_alpha_sweep, "sweep_s = 0.5, 2\n"),
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
 def test_workers_other_than_one_rejected_before_solving(tmp_path, monkeypatch, command):
-    calls = count_steady_states(monkeypatch)
+    calls = count_phase_points(monkeypatch)
     run, text = SMALL_RUNS[command]
     cfg = config.parse_config(text)
     cfg.output_dir = str(tmp_path)
@@ -310,7 +300,7 @@ def test_workers_other_than_one_rejected_before_solving(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("missing", ["output_dir", "--output"])
 def test_missing_output_directory_rejected_before_solving(tmp_path, monkeypatch, capsys,
                                                           command, missing):
-    calls = count_steady_states(monkeypatch)
+    calls = count_phase_points(monkeypatch)
     absent = tmp_path / "absent"
     cfg_path = tmp_path / "run.cfg"
     argv = [command, str(cfg_path)]
@@ -333,7 +323,7 @@ def test_detection_phase_grid_key_rejected_before_solving(tmp_path, monkeypatch,
     with pytest.raises(ParseError) as info:
         config.parse_config(text)
     assert info.value.line == 2 and info.value.key == "n_phase_b"
-    calls = count_steady_states(monkeypatch)
+    calls = count_phase_points(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     assert cli.main(["alpha-sweep", str(cfg_path)]) == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbsim import atoms, cbs, liouvillian as lv, solver
-from cbsim.errors import ConfigurationError, DomainError
+from cbsim.errors import ConfigurationError, DimensionError, DomainError
 
 
 def random_hermitian(rng, n):
@@ -401,9 +401,40 @@ def test_cached_assembly_matches_reference_anywhere(kind, mode, include_exchange
     _assert_same_generator(built.generator, reference)
 
 
+def test_non_trace_preserving_slice_rejected(v_scheme):
+    params = lv.PhysicalParams(rabi=2.0, detuning=1.0)
+    stack = lv.assemble(v_scheme, params, phases=([0.0, 1.0, 2.0], [0.5, 1.5, 2.5]))
+    lv._check_trace_preserving(stack)
+    planted = stack.values.copy()
+    first_trace_entry = np.flatnonzero(stack.pattern.on_trace_row)[0]
+    planted[1, first_trace_entry] += 1e-6
+    with pytest.raises(ConfigurationError, match="not trace preserving"):
+        lv._check_trace_preserving(lv.GeneratorStack(stack.pattern, planted))
+    # the same slice alone fails too, the others pass
+    with pytest.raises(ConfigurationError, match="not trace preserving"):
+        lv._check_trace_preserving(lv.GeneratorStack(stack.pattern, planted[1:2]))
+    lv._check_trace_preserving(lv.GeneratorStack(stack.pattern, planted[::2]))
+
+
+def test_stack_slices_equal_single_point_assembly(v_scheme):
+    params = lv.PhysicalParams(rabi=1.7, detuning=-0.4, prop_phase_p=0.2)
+    a, p = [0.0, 0.9, 4.0], [3.0, 0.1, 5.5]
+    stack = lv.assemble(v_scheme, params, phases=(a, p), cross_damping=False)
+    assert len(stack) == 3
+    for i in range(3):
+        alone = lv.assemble(v_scheme, replace(params, laser_phase_a=a[i], prop_phase_p=p[i]),
+                            cross_damping=False).generator
+        assert np.abs(stack.dense(i) - alone).max() <= 1e-15 * np.abs(alone).max()
+    with pytest.raises(DimensionError):
+        lv.assemble(v_scheme, params, phases=(a, p[:2]))
+
+
 def test_cached_blocks_are_read_only(v_scheme):
     params = lv.PhysicalParams(rabi=2.0)
-    for part in lv._pair_blocks(v_scheme, params):  # support, values
+    pattern, values = lv._pair_blocks(v_scheme, params)
+    parts = [values] + [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
+    assert len(parts) == 7  # values and the pattern's six index arrays
+    for part in parts:
         assert not part.flags.writeable
         with pytest.raises(ValueError):
             part[0] = 1
@@ -421,8 +452,9 @@ def test_block_cache_bounded_over_isotropic_average(v_scheme):
 
 
 def test_two_orientation_average_reuses_blocks_across_saturations(v_scheme):
-    # an isotropic sweep loops over orientations inside every saturation
+    # an isotropic sweep loops over orientations inside every saturation;
+    # each phase grid looks its blocks up once
     lv._affine_blocks.cache_clear()
     cbs.sweep_alpha_collect(v_scheme, 0.0, [0.5, 2.0], n_configs=2, seed=3)
     info = lv._affine_blocks.cache_info()
-    assert (info.misses, info.hits) == (2, 62)
+    assert (info.misses, info.hits) == (2, 2)

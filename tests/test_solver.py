@@ -182,6 +182,62 @@ def test_svd_check_runs_at_extreme_drive(uniqueness_checks):
     assert uniqueness_checks == [(81, 81)] * 16
 
 
+# -- one generator stack, one slice at a time ---------------------------------
+
+
+def _v_type_generator(s, a, prop):
+    scheme = atoms.build_scheme(atoms.V_TYPE)
+    return lv.assemble(scheme, lv.PhysicalParams(rabi=lv.rabi_for_saturation(s, 0.0),
+                                                 laser_phase_a=a, prop_phase_p=prop))
+
+
+def test_stack_takes_the_svd_check_only_for_the_slice_that_trips_it(monkeypatch):
+    liouvillians = [_v_type_generator(1.0, 0.3, 1.1), _v_type_generator(1e6, 0.3, 1.1),
+                    _v_type_generator(10.0, 2.0, 4.0)]
+    stack = lv.GeneratorStack.from_dense(liouvillians)
+    checked = []
+    original = solver._check_unique
+    monkeypatch.setattr(solver, "_check_unique",
+                        lambda gen: checked.append(gen) or original(gen))
+    rho = solver.steady_state(stack)
+    assert len(checked) == 1
+    assert np.array_equal(checked[0], liouvillians[1].generator)
+    for slice_rho, liou in zip(rho, liouvillians):
+        assert np.abs(slice_rho - solver.steady_state(liou)).max() <= 1e-12
+
+
+def test_slow_mode_slice_reports_its_own_nullity():
+    rng = np.random.default_rng(5)
+    slow = planted_slow_mode(1e-9, rng, 9)
+    with pytest.raises(MultiplicityError) as alone:
+        solver.steady_state(slow)
+    assert alone.value.nullity > 1
+    stack = lv.GeneratorStack.from_dense([planted_slow_mode(1.0, rng, 9), slow,
+                                          planted_slow_mode(0.5, rng, 9)])
+    with pytest.raises(MultiplicityError) as stacked:
+        solver.steady_state(stack)
+    assert stacked.value.nullity == alone.value.nullity
+
+
+def test_residual_bound_applies_per_slice():
+    # the residual bound applies to each slice with that slice's own norm
+    liouvillians = [_v_type_generator(1.0, 0.0, 0.0), _v_type_generator(2.0, 1.0, 2.0)]
+    stack = lv.GeneratorStack.from_dense(liouvillians)
+    # row 0 is not in the bordered system; a decay-in rate planted there
+    # leaves the solve alone and shows only in the residual
+    pattern, planted = stack.pattern, stack.values.copy()
+    n = pattern.hilbert_dim
+    into_ground = (pattern.rows == 0) & (pattern.cols > 0) & (pattern.cols % (n + 1) == 0)
+    planted[1, into_ground] += 1e-3
+    bad = lv.GeneratorStack(pattern, planted)
+    with pytest.raises(ConditioningError, match="residual") as stacked:
+        solver.steady_state(bad)
+    with pytest.raises(ConditioningError, match="residual") as alone:
+        solver.steady_state(bad.liouvillian(1))
+    assert str(stacked.value) == str(alone.value)
+    solver.steady_state(lv.GeneratorStack(stack.pattern, planted[:1]))
+
+
 def test_steady_state_populations_invariant_under_global_drive_phase():
     scheme = atoms.build_scheme(atoms.V_TYPE)
     p = lv.PhysicalParams(rabi=2.0, detuning=1.0, laser_phase_a=0.7, prop_phase_p=1.9)
