@@ -140,7 +140,8 @@ def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True,
     built here when not given.  ``phases``, an (a, p) pair of arrays as in
     :func:`~cbsim.liouvillian.assemble`, stacks the results over its k
     points: (2, 2, k) moment matrices, one generator stack and (k, n, n)
-    densities.  Without it they are those of the single point ``params``.
+    densities.  Without it they are those of the single point ``params``,
+    with its generator as a stack of one.
     Both matrices must be Hermitian to roundoff, which is what makes the
     detected intensity real at every b.
     """
@@ -163,7 +164,7 @@ def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True,
             raise ConditioningError(
                 f"{what} matrix has anti-Hermitian residue {worst[bad[0]]:.3e}")
     if phases is None:
-        return m[..., 0], e[..., 0], stack.liouvillian(0), rho[0]
+        return m[..., 0], e[..., 0], stack, rho[0]
     return m, e, stack, rho
 
 
@@ -203,11 +204,12 @@ def _phase_average(scheme, params, n_a, n_p, cross_damping, omega_grid=None):
             seeds = [spectra.connected_initial(rho[i], op) for op in highs]
             # The density is Re(sum_jk exp(i(b_j - b_k)) t[j, k]) / pi; t itself
             # is not Hermitian, which _b_harmonics does not need.  No name holds
-            # t, so it is freed before the next point's transforms.
+            # t, so it is freed before the next point's transforms, and the
+            # 1/pi is applied to the reduced harmonics, not to a copy of t.
             mean, coef = _b_harmonics(spectra.spectral_response(
-                stack.liouvillian(i), rho[i], seeds, lows, omega_grid) / np.pi)
-            total[0] += mean
-            total[1] += weight[i] * coef
+                stack.point(i), rho[i], seeds, lows, omega_grid))
+            total[0] += mean / np.pi
+            total[1] += weight[i] / np.pi * coef
         sums.append(total)
     return harmonic_extract(sums, a.size)
 

@@ -25,30 +25,48 @@ while the amplitude is fixed by kr.
 
 The pair generator is affine in its per-point parameters,
 
-    L(rabi, delta, a, p) = D + delta H_delta + rabi H_1 + rabi e^{ia} H_2+
-                           + rabi e^{-ia} H_2- + cos(p) X_c + sin(p) X_s,
+    L(rabi, delta, a, p) = D + delta H_delta + rabi H_1 + rabi cos(a) H_2c
+                           + rabi sin(a) H_2s + cos(p) X_c + sin(p) X_s,
 
-with D the decay, H_delta, H_1 and H_2+- the commutator superoperators of
-minus the excited-level projector, of the atom-1 drive and of the sigma+
-and sigma- halves of the atom-2 drive, and X_c, X_s the coherent exchange
-and the cross damping.  Every block is built once by
-:func:`master_generator` for a given (scheme, gamma, kr, T) and kept
-read-only in a bounded cache (``BLOCK_CACHE_SIZE`` entries), so
-:func:`assemble` only combines them.  The blocks are superoperators of
-few-body operators and so are sparse (the seven together cover under 3%
-of the 256 x 256 full_j0_j1 generator); the cache keeps their values on
-the union of their supports only, together with the index data of that
-:class:`SparsePattern`.
+with D the decay, H_delta and H_1 the commutator superoperators of minus
+the excited-level projector and of the atom-1 drive, H_2c = H_2+ + H_2-
+and H_2s = i (H_2+ - H_2-) built from those of the sigma+ and sigma-
+halves of the atom-2 drive, and X_c, X_s the coherent exchange and the
+cross damping.  Every coefficient is real and every block maps Hermitian
+operators to Hermitian operators.
+
+In the orthonormal basis of Hermitian operators, with coordinates
+
+    c[j*n + j] = rho_jj,  c[j*n + k] = sqrt(2) Re rho_jk,
+    c[k*n + j] = sqrt(2) Im rho_jk  (j < k),
+
+every such generator is therefore a real matrix (:func:`hermitian_coordinates`
+maps row-major vectors to these coordinates and :func:`vectorized_operators`
+back).  The change of basis touches each index r = j*n + k and its
+transpose k*n + j only, so it is applied as an index map and no dense
+matrix of it is built.  The populations keep their indices j*n + j, so the
+trace functional is the same vector in both bases; the basis is
+orthonormal, so singular values and 2- and Frobenius norms are those of
+the standard vectorization.
+
+Every block is built once by :func:`master_generator` for a given
+(scheme, gamma, kr, T), changed to the Hermitian basis and kept read-only
+in a bounded cache (``BLOCK_CACHE_SIZE`` entries), so :func:`assemble`
+only combines them.  The blocks are superoperators of few-body operators
+and so are sparse (the seven together cover under 5% of the 256 x 256
+full_j0_j1 generator); the cache keeps their values on the union of their
+supports only, together with the index data of that :class:`SparsePattern`.
 
 A whole grid of (a, p) phase points is assembled in one call: generator i
-of the :class:`GeneratorStack` is the row ``coef[i] @ values`` of the
+of the :class:`GeneratorStack` is the real row ``coef[i] @ values`` of the
 block values, stays sparse, and is checked for trace preservation from
-its entries.  No dense generator is built unless one is asked for.
+its entries.  A single point is returned as a dense :class:`Liouvillian`
+in the standard (row-major, complex) vectorization.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +87,7 @@ TWO_PI = 2.0 * math.pi
 #: fixed-orientation sweep or spectrum uses one; an isotropic average
 #: cycles through its orientations at every saturation, so two carry a
 #: two-orientation average from one saturation to the next.  One set takes
-#: 0.07 MB (v_type) to 0.21 MB (full_j0_j1, vector mode).
+#: 0.07 MB (v_type) to 0.25 MB (full_j0_j1, vector mode).
 BLOCK_CACHE_SIZE = 2
 
 
@@ -139,29 +157,127 @@ class PhysicalParams:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Generator of the master equation on vectorized density matrices."""
+    """Generator of the master equation on vectorized density matrices.
+
+    ``source``, when set, is the one-generator :class:`GeneratorStack`
+    that ``generator`` was mapped from (:meth:`GeneratorStack.liouvillian`).
+    While ``generator`` is unchanged the solvers take that Hermitian-basis
+    form as it is: mapping ``generator`` back moves each entry by up to
+    two ulp, which moves the small detected-level moments by up to 1e-11
+    relative.
+    """
 
     hilbert_dim: int
     generator: np.ndarray
+    source: "GeneratorStack | None" = field(default=None, repr=False)
 
     @property
     def dim(self):
         return self.hilbert_dim**2
 
 
+# -- the Hermitian operator basis (module docstring)
+
+#: Largest imaginary part, relative to the largest entry, of a generator
+#: in the Hermitian basis; above it the generator does not map Hermitian
+#: operators to Hermitian operators.
+HERMITICITY_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=8)
+def _basis_map(n):
+    """Index data of the change to the Hermitian basis of n x n operators.
+
+    Coordinate r = j*n + k of a row-major vector x is
+    ``scale[r] * (own[r] * x[r] + other[r] * x[partner[r]])`` with
+    partner[r] = k*n + j.  The inverse map, which is the adjoint, has the
+    same form with the coefficients ``inverse``; all arrays have n^2 entries.
+    """
+    j, k = np.divmod(np.arange(n * n), n)
+    partner = k * n + j
+    own = np.where(j > k, 1j, 1.0 + 0j)
+    other = np.select([j < k, j > k], [1.0 + 0j, -1j], 0j)
+    scale = np.where(j == k, 1.0, math.sqrt(0.5))
+    maps = dict(partner=partner, scale=scale, forward=(own, other),
+                inverse=(own.conj(), other[partner].conj()))
+    for array in (partner, scale, own, other, *maps["inverse"]):
+        array.flags.writeable = False
+    return maps
+
+
+def _change_basis(x, direction, axis=-1, conjugate=False):
+    """Apply the ``direction`` ("forward" or "inverse") map of
+    :func:`_basis_map` along ``axis`` of ``x``, with conjugated
+    coefficients if ``conjugate``."""
+    maps = _basis_map(math.isqrt(x.shape[axis]))
+    own, other = (c.conj() if conjugate else c for c in maps[direction])
+    x = np.moveaxis(x, axis, -1)
+    out = maps["scale"] * (own * x + other * x[..., maps["partner"]])
+    return np.moveaxis(out, -1, axis)
+
+
+def hermitian_coordinates(x):
+    """Coordinates in the Hermitian basis of the row-major vectorized n x n
+    operators along the last axis of ``x``; real for Hermitian operators.
+
+    For any operators B and X, tr[B X] is the plain (unconjugated) dot
+    product of their coordinates.
+    """
+    return _change_basis(np.asarray(x, dtype=complex), "forward")
+
+
+def vectorized_operators(c):
+    """Row-major vectorized operators of the coordinates along the last axis
+    of ``c``; the operators are Hermitian by construction for real ``c``."""
+    return _change_basis(np.asarray(c), "inverse")
+
+
+def _generator_map(generator, direction):
+    """U L U+ ("forward", complex; real when L preserves Hermiticity) or
+    U+ L U ("inverse") for the change of basis U."""
+    return _change_basis(_change_basis(generator, direction, axis=0), direction,
+                         axis=1, conjugate=True)
+
+
+def _hermitian_form(source, generator):
+    """Dense ``generator`` in the Hermitian basis: the form of ``source``
+    (a one-generator :class:`GeneratorStack` or ``None``) if ``generator``
+    is still its image, else the mapped ``generator``."""
+    if source is not None:
+        form = source.dense(0)
+        if np.array_equal(generator, _generator_map(form, "inverse")):
+            return form
+    return _generator_map(generator, "forward")
+
+
+def _real_values(values):
+    """``values``, one generator or block per row in the Hermitian basis, as
+    float64.
+
+    Raises :class:`ConfigurationError` if a row has an imaginary part above
+    ``HERMITICITY_TOL`` times its largest magnitude.  NaN entries pass this
+    structural check; the rcond and residual checks of the solvers reject
+    them with :class:`~cbsim.errors.ConditioningError`.
+    """
+    values = np.asarray(values)
+    if not np.iscomplexobj(values):
+        return values.astype(float, copy=False)
+    worst = np.abs(values.imag).max(axis=-1, initial=0.0)
+    bad = np.flatnonzero(worst > HERMITICITY_TOL * np.abs(values).max(axis=-1, initial=0.0))
+    if bad.size:
+        raise ConfigurationError(
+            "generator does not preserve Hermiticity (imaginary part "
+            f"{worst.flat[bad[0]]:.3e} in the Hermitian basis)")
+    return np.ascontiguousarray(values.real)
+
+
 def _grouped_sums(keys, weights, size):
     """``out[i, j]``: the sum of ``weights[i, e]`` over the entries e with
-    ``keys[e] == j``, for a real or complex (k, m) ``weights``."""
+    ``keys[e] == j``, for a real (k, m) ``weights``."""
     k = weights.shape[0]
     index = (keys + size * np.arange(k)[:, None]).reshape(-1)
-
-    def total(part):
-        sums = np.bincount(index, part.reshape(-1), minlength=k * size)
-        return sums.astype(float, copy=False).reshape(k, size)  # int64 when nothing is summed
-
-    if np.iscomplexobj(weights):
-        return total(weights.real) + 1j * total(weights.imag)
-    return total(weights)
+    sums = np.bincount(index, weights.reshape(-1), minlength=k * size)
+    return sums.astype(float, copy=False).reshape(k, size)  # int64 when nothing is summed
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,14 +331,19 @@ class SparsePattern:
 @dataclass(frozen=True, eq=False)
 class GeneratorStack:
     """k generators on one sparse pattern: ``values[i]`` holds generator i
-    at the entries of ``pattern``.
+    in the Hermitian basis at the entries of ``pattern``.
 
+    The values are real (float64); complex ones are accepted only with an
+    imaginary part within ``HERMITICITY_TOL`` (:func:`_real_values`).
     :func:`assemble` builds one per grid of phase points, and
     :func:`cbsim.solver.steady_state` solves all of them in one call.
     """
 
     pattern: SparsePattern
     values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _real_values(self.values))
 
     @property
     def hilbert_dim(self):
@@ -232,19 +353,26 @@ class GeneratorStack:
         return len(self.values)
 
     def dense(self, i):
-        """Generator i as a dense N x N array of its own."""
+        """Generator i in the Hermitian basis as a dense real N x N array of its own."""
         dim = self.pattern.dim
-        generator = np.zeros((dim, dim), dtype=complex)
+        generator = np.zeros((dim, dim))
         generator.reshape(-1)[self.pattern.flat] = self.values[i]
         return generator
 
+    def point(self, i):
+        """Generator i as a stack of one."""
+        return GeneratorStack(self.pattern, self.values[i:i + 1])
+
     def liouvillian(self, i):
-        return Liouvillian(self.hilbert_dim, self.dense(i))
+        """Generator i in the standard vectorization."""
+        return Liouvillian(self.hilbert_dim, _generator_map(self.dense(i), "inverse"),
+                           source=self.point(i))
 
     @classmethod
     def from_dense(cls, liouvillians):
         """Stack of dense generators of one Hilbert dimension on the union of
-        their supports."""
+        their supports in the Hermitian basis; raises
+        :class:`ConfigurationError` for one that does not preserve Hermiticity."""
         n = liouvillians[0].hilbert_dim
         gens = []
         for liou in liouvillians:
@@ -253,7 +381,7 @@ class GeneratorStack:
                 raise DimensionError(
                     f"generator of shape {gen.shape} does not act on a "
                     f"{n}-level system")
-            gens.append(gen.reshape(-1))
+            gens.append(_hermitian_form(liou.source, gen).reshape(-1))
         flat = np.unique(np.concatenate([np.flatnonzero(gen) for gen in gens]))
         return cls(SparsePattern.from_flat(n, flat), np.array([gen[flat] for gen in gens]))
 
@@ -367,8 +495,9 @@ def transverse_weights(scheme, params):
 
 
 def _dense_blocks(scheme, gamma, kr, weights):
-    """The pair generator's affine blocks [D, H_delta, H_1, H_2+, H_2-, X_c,
-    X_s] (module docstring), one at a time; ``weights`` is T.
+    """The pair generator's affine blocks [D, H_delta, H_1, H_2c, H_2s, X_c,
+    X_s] (module docstring) in the standard vectorization, one at a time;
+    ``weights`` is T.
 
     ``swap (x) T`` puts T in the atom-to-atom blocks of the atom-major jumps.
     """
@@ -380,8 +509,8 @@ def _dense_blocks(scheme, gamma, kr, weights):
     yield decay_dissipator(scheme, n_atoms=2, gamma=gamma)
     yield hamiltonian_generator(atoms.embed(pull, 1) + atoms.embed(pull, 2))
     yield hamiltonian_generator(atoms.embed(half_raise + half_lower, 1))
-    yield hamiltonian_generator(atoms.embed(half_raise, 2))
-    yield hamiltonian_generator(atoms.embed(half_lower, 2))
+    yield hamiltonian_generator(atoms.embed(half_raise + half_lower, 2))
+    yield hamiltonian_generator(atoms.embed(1j * (half_raise - half_lower), 2))
     yield hamiltonian_generator(_quadratic_form(-g0 * coupling, jumps))
     yield master_generator(np.zeros(jumps.shape[1:], dtype=complex), jumps,
                            2.0 * g0 * coupling)
@@ -389,22 +518,25 @@ def _dense_blocks(scheme, gamma, kr, weights):
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _affine_blocks(scheme, gamma, kr, weights):
-    """Read-only ``(pattern, values)`` of the affine blocks: ``values[k]``
-    holds block k at the entries of ``pattern``, where any block is
-    nonzero.  ``weights`` is T as a tuple of rows.
+    """Read-only ``(pattern, values)`` of the affine blocks in the Hermitian
+    basis: ``values[k]`` holds block k, real, at the entries of ``pattern``,
+    where any block is nonzero.  ``weights`` is T as a tuple of rows.
 
     Only one dense block is alive at a time.
     """
+    n = scheme.n_levels**2
     entries = []
     for block in _dense_blocks(scheme, gamma, kr, weights):
+        block = _generator_map(block, "forward")
         flat = np.flatnonzero(block)
         entries.append((flat, block.reshape(-1)[flat]))
     support = np.unique(np.concatenate([flat for flat, _ in entries]))
     values = np.zeros((len(entries), support.size), dtype=complex)
     for row, (flat, entry) in zip(values, entries):
         row[np.searchsorted(support, flat)] = entry
+    values = _real_values(values)
     values.flags.writeable = False
-    return SparsePattern.from_flat(scheme.n_levels**2, support), values
+    return SparsePattern.from_flat(n, support), values
 
 
 def _pair_blocks(scheme, params):
@@ -413,11 +545,12 @@ def _pair_blocks(scheme, params):
 
 
 def _block_sum(scheme, params, coefficients, first=0):
-    """Dense sum over k of coefficients[k] times affine block first + k."""
+    """Dense sum over k of coefficients[k] times affine block first + k, in
+    the standard vectorization."""
     pattern, values = _pair_blocks(scheme, params)
-    coefficients = np.asarray(coefficients, dtype=complex)
+    coefficients = np.asarray(coefficients, dtype=float)
     blocks = values[first:first + coefficients.size]
-    return GeneratorStack(pattern, coefficients[None] @ blocks).dense(0)
+    return GeneratorStack(pattern, coefficients[None] @ blocks).liouvillian(0).generator
 
 
 def _exchange_phases(p, cross_damping):
@@ -442,7 +575,8 @@ def exchange_term(scheme, params, cross_damping=True):
 
 def _check_trace_preserving(stack):
     """Raise :class:`ConfigurationError` unless every generator L of the
-    stack has tr(L x) = 0, i.e. vanishing column sums over the rows j*n + j."""
+    stack has tr(L x) = 0, i.e. vanishing column sums over the rows j*n + j
+    (the populations, in the Hermitian basis as in the standard one)."""
     pattern, values = stack.pattern, stack.values
     on_trace_row = pattern.on_trace_row
     residual = np.abs(pattern.column_sums(values[:, on_trace_row], on_trace_row)).max(axis=1)
@@ -462,16 +596,16 @@ def assemble(scheme, params, include_exchange=True, cross_damping=True, phases=N
     ``phases``, when given, is an (a, p) pair of equal-length sequences of
     drive-phase differences and propagation phases that replace those of
     ``params``; the result is then the :class:`GeneratorStack` of one sparse
-    generator per pair.  Without it, the dense :class:`Liouvillian` at the
-    phases of ``params``.
+    real generator per pair.  Without it, the dense :class:`Liouvillian` at
+    the phases of ``params``, in the standard vectorization.
     """
     points = ([params.laser_phase_a], [params.prop_phase_p]) if phases is None else phases
     a, p = (np.asarray(x, dtype=float).reshape(-1) for x in points)
     if a.shape != p.shape:
         raise DimensionError(f"{a.size} drive phases for {p.size} propagation phases")
-    drive = params.rabi * np.exp(1j * a)
-    coefficients = [np.ones_like(drive), np.full_like(drive, params.detuning),
-                    np.full_like(drive, params.rabi), drive, drive.conj()]
+    coefficients = [np.ones_like(a), np.full_like(a, params.detuning),
+                    np.full_like(a, params.rabi), params.rabi * np.cos(a),
+                    params.rabi * np.sin(a)]
     if include_exchange:
         coefficients += _exchange_phases(p, cross_damping)
     pattern, values = _pair_blocks(scheme, params)

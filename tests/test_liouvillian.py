@@ -424,7 +424,8 @@ def test_stack_slices_equal_single_point_assembly(v_scheme):
     for i in range(3):
         alone = lv.assemble(v_scheme, replace(params, laser_phase_a=a[i], prop_phase_p=p[i]),
                             cross_damping=False).generator
-        assert np.abs(stack.dense(i) - alone).max() <= 1e-15 * np.abs(alone).max()
+        mapped_back = stack.liouvillian(i).generator
+        assert np.abs(mapped_back - alone).max() <= 1e-15 * np.abs(alone).max()
     with pytest.raises(DimensionError):
         lv.assemble(v_scheme, params, phases=(a, p[:2]))
 
@@ -434,6 +435,7 @@ def test_cached_blocks_are_read_only(v_scheme):
     pattern, values = lv._pair_blocks(v_scheme, params)
     parts = [values] + [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
     assert len(parts) == 7  # values and the pattern's six index arrays
+    assert values.dtype == np.float64  # real in the Hermitian basis
     for part in parts:
         assert not part.flags.writeable
         with pytest.raises(ValueError):
@@ -458,3 +460,62 @@ def test_two_orientation_average_reuses_blocks_across_saturations(v_scheme):
     cbs.sweep_alpha_collect(v_scheme, 0.0, [0.5, 2.0], n_configs=2, seed=3)
     info = lv._affine_blocks.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+# -- the Hermitian operator basis ---------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16])
+def test_hermitian_basis_is_an_orthonormal_index_map(n):
+    rng = np.random.default_rng(n)
+    maps = lv._basis_map(n)
+    # n^2 entries per array: no dense n^2 x n^2 matrix of the change of basis
+    arrays = [maps["partner"], maps["scale"], *maps["forward"], *maps["inverse"]]
+    assert all(array.shape == (n * n,) for array in arrays)
+    ops = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    coords = lv.hermitian_coordinates(ops.reshape(3, -1))
+    # orthonormal: norms kept, the inverse is the adjoint, tr[B X] = c(B) . c(X)
+    assert np.allclose(np.linalg.norm(coords, axis=1), np.linalg.norm(ops, axis=(1, 2)),
+                       rtol=1e-14)
+    assert np.allclose(lv.vectorized_operators(coords), ops.reshape(3, -1), atol=1e-14)
+    assert np.isclose(coords[0] @ coords[1], np.trace(ops[0] @ ops[1]), rtol=1e-13)
+    # Hermitian operators have real coordinates, populations keep their index
+    herm = random_hermitian(rng, n)
+    c = lv.hermitian_coordinates(herm.reshape(-1))
+    assert np.abs(c.imag).max() <= 1e-15 * np.abs(c).max()
+    assert np.array_equal(c.real[::n + 1], np.diag(herm).real)
+    assert np.array_equal(lv.vectorized_operators(c.real).reshape(n, n),
+                          lv.vectorized_operators(c.real).reshape(n, n).conj().T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from([atoms.V_TYPE, atoms.FULL_J0_J1]),
+       log_rabi=st.floats(-3.0, 3.0), detuning=st.floats(-30.0, 30.0),
+       a=st.floats(0.0, 2 * np.pi), p=st.floats(0.0, 2 * np.pi),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       log_kr=st.floats(1.0, 4.0))
+def test_real_basis_generator_and_steady_state_anywhere(kind, log_rabi, detuning, a, p,
+                                                        axis, log_kr):
+    scheme = atoms.build_scheme(kind)
+    params = lv.PhysicalParams(rabi=10.0**log_rabi, detuning=detuning, kr=10.0**log_kr,
+                               laser_phase_a=a, prop_phase_p=p, orientation=axis)
+    stack = lv.assemble(scheme, params, phases=([a], [p]))
+    assert stack.values.dtype == np.float64
+    reference = (_ref_hamiltonian(lv.drive_hamiltonian(scheme, params, n_atoms=2))
+                 + _ref_decay(scheme, 2, params.gamma)
+                 + _ref_exchange(scheme, params, True))
+    _assert_same_generator(stack.liouvillian(0).generator, reference)
+
+    rho = solver.steady_state(stack)[0]
+    n = stack.hilbert_dim
+    assert np.array_equal(rho, rho.conj().T)
+    assert abs(np.trace(rho) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(rho).min() >= solver.DENSITY_EIG_FLOOR
+    # the complex bordered system, solved here in the standard vectorization
+    bordered = reference.copy()
+    bordered[0] = np.eye(n).reshape(-1)
+    rhs = np.zeros(n * n, dtype=complex)
+    rhs[0] = 1.0
+    expected = np.linalg.solve(bordered, rhs).reshape(n, n)
+    assert np.abs(rho - expected).max() <= 1e-10 * np.abs(rho).max()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cbsim import atoms, cbs, cli, config, liouvillian as lv, solver, spectra
-from cbsim.errors import ConditioningError, DomainError, MultiplicityError
+from cbsim.errors import (ConditioningError, ConfigurationError, DomainError,
+                          MultiplicityError)
 
 
 def bloch_excited_population(rabi, detuning, gamma=1.0):
@@ -201,7 +202,8 @@ def test_stack_takes_the_svd_check_only_for_the_slice_that_trips_it(monkeypatch)
                         lambda gen: checked.append(gen) or original(gen))
     rho = solver.steady_state(stack)
     assert len(checked) == 1
-    assert np.array_equal(checked[0], liouvillians[1].generator)
+    # the check sees slice 1 in the Hermitian basis, where the stack holds it
+    assert np.array_equal(checked[0], stack.dense(1))
     for slice_rho, liou in zip(rho, liouvillians):
         assert np.abs(slice_rho - solver.steady_state(liou)).max() <= 1e-12
 
@@ -236,6 +238,61 @@ def test_residual_bound_applies_per_slice():
         solver.steady_state(bad.liouvillian(1))
     assert str(stacked.value) == str(alone.value)
     solver.steady_state(lv.GeneratorStack(stack.pattern, planted[:1]))
+
+
+def hermiticity_breaking(liou, strength=1e-6):
+    """``liou`` plus ``strength`` [P, .] for the projector P on level 1: still
+    trace preserving, but it maps Hermitian operators to non-Hermitian ones."""
+    n = liou.hilbert_dim
+    projector = np.zeros((n, n))
+    projector[1, 1] = 1.0
+    commutator = np.kron(projector, np.eye(n)) - np.kron(np.eye(n), projector.T)
+    return lv.Liouvillian(n, liou.generator + strength * commutator)
+
+
+class LapackSpy:
+    """Stands in for ``scipy.linalg.lapack`` and records every routine looked up."""
+
+    def __init__(self, lapack):
+        self.lapack, self.calls = lapack, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.lapack, name)
+
+
+@pytest.mark.parametrize("kind", [atoms.TWO_LEVEL, atoms.V_TYPE])
+def test_non_hermiticity_preserving_generator_rejected_before_any_factorization(
+        kind, monkeypatch, svd_calls):
+    if kind == atoms.TWO_LEVEL:
+        liou = single_two_level(1.3, 0.4)
+    else:
+        liou = _v_type_generator(2.0, 0.3, 1.1)
+    bad = hermiticity_breaking(liou)
+    n = liou.hilbert_dim
+    assert np.abs(np.eye(n).reshape(-1) @ bad.generator).max() <= 1e-15  # trace preserving
+    spy = LapackSpy(solver.lapack)
+    monkeypatch.setattr(solver, "lapack", spy)
+    with pytest.raises(ConfigurationError, match="Hermiticity"):
+        solver.steady_state(bad)
+    with pytest.raises(ConfigurationError, match="Hermiticity"):
+        lv.GeneratorStack.from_dense([liou, bad])
+    assert spy.calls == [] and svd_calls == []
+    # the spy sees the real LU of the generator that does preserve Hermiticity
+    solver.steady_state(liou)
+    assert spy.calls == ["dgetrf", "dgecon", "dgetrs"]
+
+
+def nan_two_level():
+    """Two-level generator with entry (1, 2) set to NaN."""
+    gen = single_two_level(1.0).generator.copy()
+    gen[1, 2] = np.nan
+    return lv.Liouvillian(2, gen)
+
+
+def test_resolvent_rejects_nan_generator():
+    with pytest.raises(ConditioningError):
+        solver.resolvent_solve(nan_two_level(), np.array([0.3, 1.0, -1.0j, -0.3]), 0.5)
 
 
 def test_steady_state_populations_invariant_under_global_drive_phase():

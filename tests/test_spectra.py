@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbsim import atoms, dressed, liouvillian as lv, solver, spectra
+from cbsim.errors import ConditioningError
 
 from test_solver import bloch_coherent_fraction, bloch_excited_population
 
@@ -133,6 +134,18 @@ def test_near_defective_generator_takes_lu_fallback(monkeypatch):
     for i, w in enumerate(omegas):
         ref = spectra.correlation(liou, rho, high, low, w, connected=True)
         assert abs(response[0, 0, i] - ref) <= 1e-9 * abs(ref)
+
+
+def test_nan_generator_raises_through_the_lu_fallback(monkeypatch):
+    liou, rho, low, high = driven_atom(1.0)
+    gen = liou.generator.copy()
+    gen[1, 2] = np.nan
+    calls = spy_factor(monkeypatch)
+    with pytest.raises(ConditioningError):
+        spectra.spectral_response(lv.Liouvillian(2, gen), rho,
+                                  [spectra.connected_initial(rho, high)], [low],
+                                  np.linspace(-2.0, 2.0, 9))
+    assert calls == [2.0]  # the eigen route gave up; the first LU solve raised
 
 
 @settings(max_examples=12, deadline=None)
