@@ -131,24 +131,21 @@ def _detection_operators(scheme):
     return lows, highs
 
 
-def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True,
-                     detection=None, phases=None):
-    """<R_j L_k> and <R_j><L_k> for the detected transition, the generator
-    and the steady state.
+def _moment_matrices(scheme, params, phases, include_exchange=True, cross_damping=True,
+                     detection=None):
+    """<R_j L_k> and <R_j><L_k> for the detected transition at the k points
+    of ``phases``, an (a, p) pair of arrays as in
+    :func:`~cbsim.liouvillian.assemble`: (2, 2, k) moment matrices, with
+    the generator stack and the (k, n, n) densities they come from.
 
     ``detection`` is the :func:`_detection_operators` pair of ``scheme``,
-    built here when not given.  ``phases``, an (a, p) pair of arrays as in
-    :func:`~cbsim.liouvillian.assemble`, stacks the results over its k
-    points: (2, 2, k) moment matrices, one generator stack and (k, n, n)
-    densities.  Without it they are those of the single point ``params``,
-    with its generator as a stack of one.
+    built here when not given.
     Both matrices must be Hermitian to roundoff, which is what makes the
     detected intensity real at every b.
     """
     lows, highs = detection or _detection_operators(scheme)
-    points = phases if phases is not None else ([params.laser_phase_a], [params.prop_phase_p])
     stack = assemble(scheme, params, include_exchange=include_exchange,
-                     cross_damping=cross_damping, phases=points)
+                     cross_damping=cross_damping, phases=phases)
     rho = steady_state(stack)
     # tr(rho O) = vec(O^T) . vec(rho) in the row-major vectorization.
     observables = [high @ low for high in highs for low in lows] + lows + highs
@@ -163,8 +160,6 @@ def _moment_matrices(scheme, params, include_exchange=True, cross_damping=True,
         if bad.size:
             raise ConditioningError(
                 f"{what} matrix has anti-Hermitian residue {worst[bad[0]]:.3e}")
-    if phases is None:
-        return m[..., 0], e[..., 0], stack, rho[0]
     return m, e, stack, rho
 
 
@@ -177,9 +172,10 @@ def _b_harmonics(mat):
 
 def detected_intensity(scheme, params, include_exchange=True):
     """Normally ordered detected intensity <D+ D> at the phases in ``params``."""
-    m, _, _, _ = _moment_matrices(scheme, params, include_exchange=include_exchange)
+    m, _, _, _ = _moment_matrices(scheme, params, ([params.laser_phase_a], [params.prop_phase_p]),
+                                  include_exchange=include_exchange)
     eb = np.exp(-1j * params.detect_phase_b)
-    return float((m[0, 0] + m[1, 1] + 2.0 * eb * m[0, 1]).real)
+    return float((m[0, 0, 0] + m[1, 1, 0] + 2.0 * eb * m[0, 1, 0]).real)
 
 
 def _phase_average(scheme, params, n_a, n_p, cross_damping, omega_grid=None):
@@ -192,8 +188,8 @@ def _phase_average(scheme, params, n_a, n_p, cross_damping, omega_grid=None):
     """
     detection = _detection_operators(scheme)
     a, p = phase_grid(n_a, n_p)
-    m, e, stack, rho = _moment_matrices(scheme, params, cross_damping=cross_damping,
-                                        detection=detection, phases=(a, p))
+    m, e, stack, rho = _moment_matrices(scheme, params, (a, p), cross_damping=cross_damping,
+                                        detection=detection)
     weight = np.exp(1j * a)
     sums = [[mean.sum(), (weight * coef).sum()]
             for mean, coef in (_b_harmonics(m), _b_harmonics(e))]

@@ -329,6 +329,12 @@ def main(argv=None):
             print(f"wrote {report_path}")
             return 0
         if args.command == "peaks":
+            # The rules of the config keys rabi and detuning, checked before printing.
+            for key in ("rabi", "detuning"):
+                if not np.isfinite(getattr(args, key)):
+                    raise ParseError(f"--{key} must be finite, got {getattr(args, key)}")
+            if args.rabi < 0:
+                raise ParseError(f"--rabi must be non-negative, got {args.rabi}")
             peaks = dressed.peak_positions(args.rabi, args.detuning)
             for label in dressed.PEAK_LABELS:
                 print(f"{label:<20} {getattr(peaks, label):+.10g}")

@@ -202,8 +202,8 @@ def _validate(cfg):
         fail("n_configs", "n_configs must be at least 1")
     if cfg.seed < 0:
         fail("seed", f"seed must be non-negative, got {cfg.seed}")
-    if all(abs(c) < 1e-12 for c in cfg.orientation):
-        fail("orientation", "orientation vector must be nonzero")
+    if not np.linalg.norm(cfg.orientation) > 0.0:  # the rule of PhysicalParams
+        fail("orientation", "orientation vector must have a nonzero norm")
     return cfg
 
 

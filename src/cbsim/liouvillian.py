@@ -54,19 +54,23 @@ Every block is built once by :func:`master_generator` for a given
 in a bounded cache (``BLOCK_CACHE_SIZE`` entries), so :func:`assemble`
 only combines them.  The blocks are superoperators of few-body operators
 and so are sparse (the seven together cover under 5% of the 256 x 256
-full_j0_j1 generator); the cache keeps their values on the union of their
-supports only, together with the index data of that :class:`SparsePattern`.
+full_j0_j1 generator); the cache keeps them as one :class:`GeneratorStack`
+of seven rows on the union of their supports.
 
-A whole grid of (a, p) phase points is assembled in one call: generator i
-of the :class:`GeneratorStack` is the real row ``coef[i] @ values`` of the
-block values, stays sparse, and is checked for trace preservation from
-its entries.  A single point is returned as a dense :class:`Liouvillian`
-in the standard (row-major, complex) vectorization.
+A :class:`GeneratorStack` is the one sparse form of a generator: it holds
+the row and the column of every entry (``rows``, ``cols``, read-only, in
+row-major order) and one row of real values per generator.  A whole grid
+of (a, p) phase points is assembled in one call: generator i of its stack
+is the row ``coef[i] @ values`` of the block values, shares the index
+arrays of the cached blocks, stays sparse, and is checked for trace
+preservation from its entries.  Offsets into dense arrays are computed
+where they are used.  A single point is returned as a dense
+:class:`Liouvillian` in the standard (row-major, complex) vectorization.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,19 +161,10 @@ class PhysicalParams:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Generator of the master equation on vectorized density matrices.
-
-    ``source``, when set, is the one-generator :class:`GeneratorStack`
-    that ``generator`` was mapped from (:meth:`GeneratorStack.liouvillian`).
-    While ``generator`` is unchanged the solvers take that Hermitian-basis
-    form as it is: mapping ``generator`` back moves each entry by up to
-    two ulp, which moves the small detected-level moments by up to 1e-11
-    relative.
-    """
+    """Generator of the master equation on vectorized density matrices."""
 
     hilbert_dim: int
     generator: np.ndarray
-    source: "GeneratorStack | None" = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -239,17 +234,6 @@ def _generator_map(generator, direction):
                          axis=1, conjugate=True)
 
 
-def _hermitian_form(source, generator):
-    """Dense ``generator`` in the Hermitian basis: the form of ``source``
-    (a one-generator :class:`GeneratorStack` or ``None``) if ``generator``
-    is still its image, else the mapped ``generator``."""
-    if source is not None:
-        form = source.dense(0)
-        if np.array_equal(generator, _generator_map(form, "inverse")):
-            return form
-    return _generator_map(generator, "forward")
-
-
 def _real_values(values):
     """``values``, one generator or block per row in the Hermitian basis, as
     float64.
@@ -281,37 +265,27 @@ def _grouped_sums(keys, weights, size):
 
 
 @dataclass(frozen=True, eq=False)
-class SparsePattern:
-    """Entry positions shared by a stack of N x N generators (N = n^2 for
-    Hilbert dimension n), with the index data every solve reuses.
+class GeneratorStack:
+    """k generators of N x N entries (N = n^2 for Hilbert dimension n) on
+    shared sparse entries: ``values[i, e]`` is entry (``rows[e]``,
+    ``cols[e]``) of generator i in the Hermitian basis.
 
-    ``flat`` and ``fortran`` are the offsets of the entries in a row-major
-    and in a Fortran-ordered N x N array, ``rows`` and ``cols`` their
-    indices, ``row_starts`` the first entry of each row that holds any, and
-    ``on_trace_row`` marks the entries on the rows j*n + j that the trace
-    functional vec(Id) sums.  Entries are in row-major order; all arrays
-    are read-only.
+    The entries are in row-major order.  ``rows`` and ``cols`` are made
+    read-only, so every stack built from one block set shares them.  The
+    values are real (float64); complex ones are accepted only with an
+    imaginary part within ``HERMITICITY_TOL`` (:func:`_real_values`).
+    :func:`assemble` builds one per grid of phase points, and
+    :func:`cbsim.solver.steady_state` solves all of them in one call.
     """
 
     hilbert_dim: int
-    flat: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    row_starts: np.ndarray
-    fortran: np.ndarray
-    on_trace_row: np.ndarray
+    values: np.ndarray
 
-    @classmethod
-    def from_flat(cls, hilbert_dim, flat):
-        """Pattern of the sorted, distinct row-major offsets ``flat``."""
-        dim = hilbert_dim**2
-        rows, cols = np.divmod(flat, dim)
-        arrays = dict(flat=flat, rows=rows, cols=cols,
-                      row_starts=np.flatnonzero(np.diff(rows, prepend=-1)),
-                      fortran=cols * dim + rows, on_trace_row=rows % (hilbert_dim + 1) == 0)
-        for array in arrays.values():
-            array.flags.writeable = False
-        return cls(hilbert_dim, **arrays)
+    def __post_init__(self):
+        self.rows.flags.writeable = self.cols.flags.writeable = False
+        object.__setattr__(self, "values", _real_values(self.values))
 
     @property
     def dim(self):
@@ -322,51 +296,32 @@ class SparsePattern:
         """Columns j*n + j, where the trace functional vec(Id) is one."""
         return np.arange(self.hilbert_dim) * (self.hilbert_dim + 1)
 
-    def column_sums(self, weights, entries=slice(None)):
-        """Per-generator column sums of ``weights``, the (k, m) values of the
-        ``entries`` selected from the pattern."""
-        return _grouped_sums(self.cols[entries], weights, self.dim)
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratorStack:
-    """k generators on one sparse pattern: ``values[i]`` holds generator i
-    in the Hermitian basis at the entries of ``pattern``.
-
-    The values are real (float64); complex ones are accepted only with an
-    imaginary part within ``HERMITICITY_TOL`` (:func:`_real_values`).
-    :func:`assemble` builds one per grid of phase points, and
-    :func:`cbsim.solver.steady_state` solves all of them in one call.
-    """
-
-    pattern: SparsePattern
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _real_values(self.values))
-
-    @property
-    def hilbert_dim(self):
-        return self.pattern.hilbert_dim
-
     def __len__(self):
         return len(self.values)
 
+    def column_sums(self, weights):
+        """(k, N) sums of the real (k, m) ``weights`` of the entries, per
+        generator and column."""
+        return _grouped_sums(self.cols, weights, self.dim)
+
+    def row_sums(self, weights):
+        """(k, N) sums of the real (k, m) ``weights`` of the entries, per
+        generator and row."""
+        return _grouped_sums(self.rows, weights, self.dim)
+
     def dense(self, i):
         """Generator i in the Hermitian basis as a dense real N x N array of its own."""
-        dim = self.pattern.dim
-        generator = np.zeros((dim, dim))
-        generator.reshape(-1)[self.pattern.flat] = self.values[i]
+        generator = np.zeros((self.dim, self.dim))
+        generator[self.rows, self.cols] = self.values[i]
         return generator
 
     def point(self, i):
         """Generator i as a stack of one."""
-        return GeneratorStack(self.pattern, self.values[i:i + 1])
+        return replace(self, values=self.values[i:i + 1])
 
     def liouvillian(self, i):
         """Generator i in the standard vectorization."""
-        return Liouvillian(self.hilbert_dim, _generator_map(self.dense(i), "inverse"),
-                           source=self.point(i))
+        return Liouvillian(self.hilbert_dim, _generator_map(self.dense(i), "inverse"))
 
     @classmethod
     def from_dense(cls, liouvillians):
@@ -381,9 +336,10 @@ class GeneratorStack:
                 raise DimensionError(
                     f"generator of shape {gen.shape} does not act on a "
                     f"{n}-level system")
-            gens.append(_hermitian_form(liou.source, gen).reshape(-1))
-        flat = np.unique(np.concatenate([np.flatnonzero(gen) for gen in gens]))
-        return cls(SparsePattern.from_flat(n, flat), np.array([gen[flat] for gen in gens]))
+            gens.append(_generator_map(gen, "forward"))
+        gens = np.array(gens)
+        rows, cols = np.nonzero(gens.any(axis=0))
+        return cls(n, rows, cols, gens[:, rows, cols])
 
 
 # -- superoperators (row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho))
@@ -518,9 +474,9 @@ def _dense_blocks(scheme, gamma, kr, weights):
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _affine_blocks(scheme, gamma, kr, weights):
-    """Read-only ``(pattern, values)`` of the affine blocks in the Hermitian
-    basis: ``values[k]`` holds block k, real, at the entries of ``pattern``,
-    where any block is nonzero.  ``weights`` is T as a tuple of rows.
+    """Read-only :class:`GeneratorStack` of the affine blocks in the
+    Hermitian basis: its generator k is block k, real, on the entries where
+    any block is nonzero.  ``weights`` is T as a tuple of rows.
 
     Only one dense block is alive at a time.
     """
@@ -534,23 +490,14 @@ def _affine_blocks(scheme, gamma, kr, weights):
     values = np.zeros((len(entries), support.size), dtype=complex)
     for row, (flat, entry) in zip(values, entries):
         row[np.searchsorted(support, flat)] = entry
-    values = _real_values(values)
-    values.flags.writeable = False
-    return SparsePattern.from_flat(n, support), values
+    blocks = GeneratorStack(n, *np.divmod(support, n * n), values)
+    blocks.values.flags.writeable = False
+    return blocks
 
 
 def _pair_blocks(scheme, params):
     weights = transverse_weights(scheme, params)
     return _affine_blocks(scheme, params.gamma, params.kr, tuple(map(tuple, weights)))
-
-
-def _block_sum(scheme, params, coefficients, first=0):
-    """Dense sum over k of coefficients[k] times affine block first + k, in
-    the standard vectorization."""
-    pattern, values = _pair_blocks(scheme, params)
-    coefficients = np.asarray(coefficients, dtype=float)
-    blocks = values[first:first + coefficients.size]
-    return GeneratorStack(pattern, coefficients[None] @ blocks).liouvillian(0).generator
 
 
 def _exchange_phases(p, cross_damping):
@@ -569,17 +516,20 @@ def exchange_term(scheme, params, cross_damping=True):
     the Hamiltonian part (diagnostic switch, not a physical regime).
     ``PhysicalParams`` guarantees ``kr >= KR_MIN``.
     """
-    return _block_sum(scheme, params, _exchange_phases(params.prop_phase_p, cross_damping),
-                      first=5)
+    blocks = _pair_blocks(scheme, params)
+    coefficients = np.array(_exchange_phases(params.prop_phase_p, cross_damping))
+    stack = replace(blocks, values=coefficients[None] @ blocks.values[5:])
+    return stack.liouvillian(0).generator
 
 
 def _check_trace_preserving(stack):
     """Raise :class:`ConfigurationError` unless every generator L of the
     stack has tr(L x) = 0, i.e. vanishing column sums over the rows j*n + j
     (the populations, in the Hermitian basis as in the standard one)."""
-    pattern, values = stack.pattern, stack.values
-    on_trace_row = pattern.on_trace_row
-    residual = np.abs(pattern.column_sums(values[:, on_trace_row], on_trace_row)).max(axis=1)
+    values = stack.values
+    on_trace_row = stack.rows % (stack.hilbert_dim + 1) == 0
+    residual = np.abs(_grouped_sums(stack.cols[on_trace_row], values[:, on_trace_row],
+                                    stack.dim)).max(axis=1)
     scale = np.maximum(np.abs(values).max(axis=1, initial=0.0), 1.0)
     bad = np.flatnonzero(~(residual <= 1e-12 * scale))
     if bad.size:
@@ -608,8 +558,8 @@ def assemble(scheme, params, include_exchange=True, cross_damping=True, phases=N
                     params.rabi * np.sin(a)]
     if include_exchange:
         coefficients += _exchange_phases(p, cross_damping)
-    pattern, values = _pair_blocks(scheme, params)
-    stack = GeneratorStack(pattern, np.transpose(coefficients) @ values[:len(coefficients)])
+    blocks = _pair_blocks(scheme, params)
+    stack = replace(blocks, values=np.transpose(coefficients) @ blocks.values[:len(coefficients)])
     _check_trace_preserving(stack)
     return stack if phases is not None else stack.liouvillian(0)
 

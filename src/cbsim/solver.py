@@ -14,9 +14,11 @@ check that reports the nullity runs only when the LAPACK condition
 estimate of that factorization falls below a bound derived in
 :func:`_steady_states`.  A whole :class:`~cbsim.liouvillian.GeneratorStack`
 is solved in one call: each sparse generator is scattered into one reused
-Fortran-ordered buffer that LAPACK factors in place, and the norms, the
-residual and the density checks act on the whole stack.  A single dense
-generator is solved as a stack of one.
+Fortran-ordered buffer that LAPACK factors in place, at offsets computed
+once per call from the stack's ``rows`` and ``cols``.  The norms and the
+residual are grouped column and row sums of the entries, and they and the
+density checks act on the whole stack.  A single dense generator is
+solved as a stack of one.
 
 Stacks hold their generators in the orthonormal Hermitian operator basis
 of :mod:`cbsim.liouvillian`, where they are real, so the steady state is a
@@ -112,15 +114,15 @@ def steady_state(liou):
     return _steady_states(GeneratorStack.from_dense([liou]))[0]
 
 
-def _norms(pattern, values):
+def _norms(stack):
     """1-norm and Frobenius norm of each generator L of the stack, and the
     1-norm of its bordered matrix M, whose row 0 is the trace functional."""
-    magnitudes = np.abs(values)
-    l_norms = pattern.column_sums(magnitudes).max(axis=1)
+    magnitudes = np.abs(stack.values)
+    l_norms = stack.column_sums(magnitudes).max(axis=1)
     frobenius = np.sqrt(np.einsum("ij,ij->i", magnitudes, magnitudes))
-    magnitudes[:, pattern.rows == 0] = 0.0
-    m_sums = pattern.column_sums(magnitudes)
-    m_sums[:, pattern.trace_columns] += 1.0
+    magnitudes[:, stack.rows == 0] = 0.0
+    m_sums = stack.column_sums(magnitudes)
+    m_sums[:, stack.trace_columns] += 1.0
     return l_norms, frobenius, m_sums.max(axis=1)
 
 
@@ -128,18 +130,19 @@ def _bordered_solves(stack, m_norms, triggers):
     """Real coordinates x_i solving M_i x_i = e_0, one LU of the bordered
     matrix each; the singular-value check runs for the slices whose rcond
     is below their trigger."""
-    pattern, values = stack.pattern, stack.values
-    dim = pattern.dim
+    dim = stack.dim
     # dgetrf factors the Fortran-ordered buffer in place; it is refilled per generator.
     system = np.empty((dim, dim), order="F")
     entries = system.reshape(-1, order="F")
-    border_at = pattern.trace_columns * dim
+    # Where the stack's entries and the border row go in that buffer.
+    entry_at = stack.cols * dim + stack.rows
+    border_at = stack.trace_columns * dim
     rhs = np.zeros(dim)
     rhs[0] = 1.0
     x = np.empty((len(stack), dim))
     for i in range(len(stack)):
         system.fill(0.0)
-        entries[pattern.fortran] = values[i]
+        entries[entry_at] = stack.values[i]
         system[0] = 0.0
         entries[border_at] = 1.0
         lu, piv, info = lapack.dgetrf(system, overwrite_a=True)
@@ -155,9 +158,8 @@ def _bordered_solves(stack, m_norms, triggers):
 
 
 def _steady_states(stack):
-    pattern, values = stack.pattern, stack.values
-    n, dim = pattern.hilbert_dim, pattern.dim
-    l_norms, frobenius, m_norms = _norms(pattern, values)
+    n, dim = stack.hilbert_dim, stack.dim
+    l_norms, frobenius, m_norms = _norms(stack)
     # When the singular-value check fires, sigma_{N-1}(L) < r ||L||_2 with
     # N = n^2 and r = NULLITY_RATIO.  M is a rank-one update of L (row 0),
     # so Weyl's inequality gives sigma_min(M) <= sigma_{N-1}(L), and with
@@ -173,10 +175,8 @@ def _steady_states(stack):
     triggers = UNIQUENESS_MARGIN * dim * NULLITY_RATIO * l_norms / m_norms
     x = _bordered_solves(stack, m_norms, triggers)
 
-    # L x from the entries, which are in row-major order: one sum per row.
-    image = x.T[pattern.cols]
-    image *= values.T
-    residuals = np.linalg.norm(np.add.reduceat(image, pattern.row_starts), axis=0)
+    # L x from the entries: each entry times its column's coordinate, summed per row.
+    residuals = np.linalg.norm(stack.row_sums(stack.values * x[:, stack.cols]), axis=1)
     bad = np.flatnonzero(~(residuals <= STEADY_RESIDUAL_TOL * frobenius))
     if bad.size:
         raise ConditioningError(

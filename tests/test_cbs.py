@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbsim import atoms, cbs, dressed, liouvillian as lv, solver, spectra
 from cbsim.errors import ConditioningError, ConfigurationError, DomainError
@@ -12,6 +13,14 @@ from conftest import completed_sweep, count_phase_points
 
 def default_params(**kwargs):
     return lv.PhysicalParams(**kwargs)
+
+
+def at_point(scheme, params):
+    """``_moment_matrices`` at the phases of ``params`` alone: the moment
+    matrices, elastic moments and density of that one point."""
+    m, e, _, rho = cbs._moment_matrices(
+        scheme, params, ([params.laser_phase_a], [params.prop_phase_p]))
+    return m[..., 0], e[..., 0], rho[0]
 
 
 # -- phase average ---------------------------------------------------------------
@@ -133,7 +142,9 @@ def test_stacked_densities_match_pointwise_solves(kind, options, switches, sizes
         assert np.abs(rho[i] - alone).max() <= 1e-12
         moments = np.array([[np.trace(alone @ high @ low) for low in (low_1, low_2)]
                             for high in (high_1, high_2)])
-        assert np.abs(m[..., i] - moments).max() <= 1e-12 * max(np.abs(moments).max(), 1e-300)
+        # The floor, about 5 ulp of ||rho|| <= 1, covers the moments that vanish in
+        # exact arithmetic (scalar, no_exchange) and are pure roundoff.
+        assert np.abs(m[..., i] - moments).max() <= 1e-12 * np.abs(moments).max() + 1e-15
 
 
 # -- detected intensity ---------------------------------------------------------
@@ -173,7 +184,7 @@ def test_intensity_matches_grid_sample(v_scheme):
     # directly from the steady state at a grid point
     p = default_params(rabi=1.3, laser_phase_a=np.pi / 2, detect_phase_b=np.pi / 2,
                        prop_phase_p=3 * np.pi / 2)
-    _, _, _, rho = cbs._moment_matrices(v_scheme, p)
+    _, _, rho = at_point(v_scheme, p)
     (low_1, low_2), _ = cbs._detection_operators(v_scheme)
     dipole = low_1 + np.exp(-1j * p.detect_phase_b) * low_2
     direct = np.trace(rho @ dipole.conj().T @ dipole).real
@@ -183,7 +194,7 @@ def test_intensity_matches_grid_sample(v_scheme):
 def test_same_atom_terms_are_detected_level_populations(v_scheme):
     # diagonal dipole moments <R_j L_j> reduce to the |2> populations
     p = default_params(rabi=2.0, laser_phase_a=0.4, prop_phase_p=1.2)
-    m, _, _, rho = cbs._moment_matrices(v_scheme, p)
+    m, _, rho = at_point(v_scheme, p)
     pop = [atoms.embed(atoms.level_projector(v_scheme, 1), atom) for atom in (1, 2)]
     for j in range(2):
         assert np.isclose(m[j, j], np.trace(rho @ pop[j]), atol=1e-14)
@@ -194,7 +205,7 @@ def test_computed_moment_matrices_hermitian(v_scheme, full_scheme):
     for scheme in (v_scheme, full_scheme):
         for a, prop in ((0.0, 0.0), (0.7, 2.1)):
             p = default_params(rabi=2.0, detuning=1.5, laser_phase_a=a, prop_phase_p=prop)
-            m, e, _, _ = cbs._moment_matrices(scheme, p)
+            m, e, _ = at_point(scheme, p)
             for mat in (m, e):
                 assert np.abs(mat - mat.conj().T).max() <= 1e-3 * cbs._REAL_RESIDUE_TOL
 
@@ -303,6 +314,58 @@ def test_full_scheme_matches_v_type_for_perpendicular_axis(v_scheme, full_scheme
     for name in ("l2_el", "l2_inel", "c2_el", "c2_inel", "alpha"):
         a, b = getattr(comp_v, name), getattr(comp_f, name)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1e-300)
+
+
+# full_j0_j1 at s >= 100 takes the SVD check of steady_state (up to 0.7 s a
+# call), so the two properties below run fewer examples than the others.
+@settings(max_examples=6, deadline=None)
+@given(log_s=st.floats(-2.0, 3.0), detuning=st.floats(-30.0, 30.0),
+       phi=st.floats(0.0, 2 * np.pi), kr=st.floats(100.0, 1000.0))
+def test_full_scheme_matches_v_type_for_any_axis_perpendicular_to_z(log_s, detuning, phi,
+                                                                     kr):
+    # With the axis in the xy plane the pi transition has no transverse weight
+    # to sigma+ or sigma-, so the J = 0 -> 1 atom acts as the V atom.
+    params = default_params(kr=kr, orientation=(np.cos(phi), np.sin(phi), 0.0))
+    full, v = (cbs.cbs_components(atoms.build_scheme(kind), params, s=10.0**log_s,
+                                  detuning=detuning, normalize=False)
+               for kind in (atoms.FULL_J0_J1, atoms.V_TYPE))
+    # The floor, about 5 ulp of ||rho|| <= 1, covers the roundoff of the raw
+    # intensities, which are moments of the steady state: the two schemes
+    # solve systems of different size, and at some points they differ by up
+    # to 3e-17 (5e-9 of a small c2_inel).
+    for name in ("l2_el", "l2_inel", "c2_el", "c2_inel"):
+        got, want = getattr(full, name), getattr(v, name)
+        assert abs(got - want) <= 1e-12 * abs(want) + 1e-15
+    assert abs(full.alpha - v.alpha) <= 1e-12 * v.alpha + 4e-15 / v.l2_total
+
+
+def test_full_scheme_differs_from_v_type_for_a_tilted_axis(v_scheme, full_scheme):
+    # positive control of the property above: off the xy plane the pi
+    # transition takes part
+    params = default_params(orientation=(0.3, -0.5, 0.8))
+    alpha_v = cbs.cbs_components(v_scheme, params, s=1.0, detuning=0.0).alpha
+    alpha_f = cbs.cbs_components(full_scheme, params, s=1.0, detuning=0.0).alpha
+    assert abs(alpha_v - 1.75949) <= 5e-6 and abs(alpha_f - 1.75966) <= 5e-6
+
+
+@settings(max_examples=6, deadline=None)
+@given(kind=st.sampled_from([atoms.V_TYPE, atoms.FULL_J0_J1]),
+       log_s=st.floats(-2.0, 3.0), detuning=st.floats(-30.0, 30.0),
+       kr=st.floats(100.0, 1000.0),
+       # along z no exchanged light reaches the detected channel (l2 = 0)
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.hypot(v[0], v[1]) > 0.1))
+def test_elastic_reciprocity_defect_falls_like_inverse_square_kr(kind, log_s, detuning, kr,
+                                                                 axis):
+    # c2_el = l2_el up to O(kr^-2): ten times the distance, a hundredth of the defect
+    scheme = atoms.build_scheme(kind)
+
+    def defect(distance):
+        comp = cbs.cbs_components(scheme, default_params(kr=distance, orientation=axis),
+                                  s=10.0**log_s, detuning=detuning)
+        return abs(comp.c2_el - comp.l2_el) / comp.l2_el
+
+    assert abs(defect(kr) / defect(10.0 * kr) / 100.0 - 1.0) <= 0.01
 
 
 def test_isotropic_average_is_seed_deterministic(v_scheme):

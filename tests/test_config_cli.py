@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbsim import cli, config
+from cbsim import cli, config, liouvillian as lv
 from cbsim.errors import ConfigurationError, ParseError
 from conftest import count_phase_points
 
@@ -113,6 +113,18 @@ def test_negative_seed_override_rejected(tmp_path, capsys):
     assert cli.main(["alpha-sweep", str(cfg_path), "--seed", "-3"]) == 1
     assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "alpha_sweep.csv").exists()
+
+
+def test_orientation_rule_is_the_library_rule():
+    # any vector with a nonzero norm, as PhysicalParams accepts
+    cfg = config.parse_config("orientation = 1e-13, 0, 0\n")
+    assert cfg.params(rabi=1.0).orientation == (1e-13, 0.0, 0.0)
+    # a norm that underflows to 0 is rejected, naming line and key
+    with pytest.raises(ParseError, match="nonzero norm") as exc:
+        config.parse_config("kr = 150\norientation = 1e-170, 1e-170, 0\n")
+    assert (exc.value.line, exc.value.key) == (2, "orientation")
+    with pytest.raises(ConfigurationError, match="nonzero norm"):
+        lv.PhysicalParams(orientation=(1e-170, 1e-170, 0.0))
 
 
 def test_orientation_vector_parses():
@@ -376,6 +388,18 @@ def test_cli_peaks_output(capsys):
     assert "autler_townes_plus" in out
     assert "+40.99019514" in out
     assert "-60.99019514" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--rabi", "-5"), ("--rabi", "nan"), ("--rabi", "inf"),
+                                        ("--detuning", "nan"), ("--detuning", "inf")])
+def test_cli_peaks_rejects_bad_drive(flag, value, capsys):
+    # the rules of the config keys: rabi finite and >= 0, detuning finite
+    argv = ["peaks", "--rabi", "100", "--detuning", "20"]
+    argv[argv.index(flag) + 1] = value
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ERROR:") and err.count("\n") == 1 and flag in err
 
 
 def test_cli_check_passes(capsys):

@@ -1,5 +1,7 @@
 """Steady states, propagation, and resolvent solves against closed-form oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -227,17 +229,16 @@ def test_residual_bound_applies_per_slice():
     stack = lv.GeneratorStack.from_dense(liouvillians)
     # row 0 is not in the bordered system; a decay-in rate planted there
     # leaves the solve alone and shows only in the residual
-    pattern, planted = stack.pattern, stack.values.copy()
-    n = pattern.hilbert_dim
-    into_ground = (pattern.rows == 0) & (pattern.cols > 0) & (pattern.cols % (n + 1) == 0)
+    planted, n = stack.values.copy(), stack.hilbert_dim
+    into_ground = (stack.rows == 0) & (stack.cols > 0) & (stack.cols % (n + 1) == 0)
     planted[1, into_ground] += 1e-3
-    bad = lv.GeneratorStack(pattern, planted)
+    bad = replace(stack, values=planted)
     with pytest.raises(ConditioningError, match="residual") as stacked:
         solver.steady_state(bad)
     with pytest.raises(ConditioningError, match="residual") as alone:
         solver.steady_state(bad.liouvillian(1))
     assert str(stacked.value) == str(alone.value)
-    solver.steady_state(lv.GeneratorStack(stack.pattern, planted[:1]))
+    solver.steady_state(replace(stack, values=planted[:1]))
 
 
 def hermiticity_breaking(liou, strength=1e-6):
