@@ -292,8 +292,15 @@ def _load_config(path, seed_override):
     return cfg
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises :class:`ParseError` (exit 1) where argparse would exit 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="cbsim", description=__doc__.split("\n")[0])
+    parser = _ArgumentParser(prog="cbsim", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("alpha-sweep", "spectrum"):
@@ -312,8 +319,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "alpha-sweep":
             cfg = _load_config(args.config, args.seed)
             path, failures = run_alpha_sweep(cfg, output_path=args.output)

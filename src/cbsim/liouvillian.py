@@ -25,15 +25,17 @@ while the amplitude is fixed by kr.
 
 The pair generator is affine in its per-point parameters,
 
-    L(rabi, delta, a, p) = D + delta H_delta + rabi H_1 + rabi cos(a) H_2c
-                           + rabi sin(a) H_2s + cos(p) X_c + sin(p) X_s,
+    L = gamma D + delta H_delta + rabi (H_1 + cos(a) H_2c + sin(a) H_2s)
+        + g0 sum_E c_E (cos(p) X_c^E + sin(p) X_s^E),
 
-with D the decay, H_delta and H_1 the commutator superoperators of minus
-the excited-level projector and of the atom-1 drive, H_2c = H_2+ + H_2-
-and H_2s = i (H_2+ - H_2-) built from those of the sigma+ and sigma-
-halves of the atom-2 drive, and X_c, X_s the coherent exchange and the
-cross damping.  Every coefficient is real and every block maps Hermitian
-operators to Hermitian operators.
+with D the decay at gamma = 1, H_delta and H_1 the commutator
+superoperators of minus the excited-level projector and of the atom-1
+drive, H_2c = H_2+ + H_2- and H_2s = i (H_2+ - H_2-) built from those of
+the sigma+ and sigma- halves of the atom-2 drive, and X_c^E, X_s^E the
+coherent exchange and the cross damping for T = E at g0 = 1.  The E are
+the n_t^2 Hermitian basis matrices (below) of n_t x n_t weights and c_E
+the real coordinates of T, T = sum_E c_E E.  Every coefficient is real
+and every block maps Hermitian operators to Hermitian operators.
 
 In the orthonormal basis of Hermitian operators, with coordinates
 
@@ -49,13 +51,11 @@ trace functional is the same vector in both bases; the basis is
 orthonormal, so singular values and 2- and Frobenius norms are those of
 the standard vectorization.
 
-Every block is built once by :func:`master_generator` for a given
-(scheme, gamma, kr, T), changed to the Hermitian basis and kept read-only
-in a bounded cache (``BLOCK_CACHE_SIZE`` entries), so :func:`assemble`
-only combines them.  The blocks are superoperators of few-body operators
-and so are sparse (the seven together cover under 5% of the 256 x 256
-full_j0_j1 generator); the cache keeps them as one :class:`GeneratorStack`
-of seven rows on the union of their supports.
+The blocks are built once per scheme by :func:`master_generator` (13 for
+v_type, 23 for full_j0_j1) and kept read-only in the Hermitian basis as
+one sparse :class:`GeneratorStack` on the union of their supports (about
+4% of the 256 x 256 full_j0_j1 generator); :func:`assemble` folds gamma,
+g0 and the c_E into seven rows and combines them.
 
 A :class:`GeneratorStack` is the one sparse form of a generator: it holds
 the row and the column of every entry (``rows``, ``cols``, read-only, in
@@ -86,13 +86,6 @@ COUPLING_MODES = (SCALAR, VECTOR)
 KR_MIN = 10.0
 
 TWO_PI = 2.0 * math.pi
-
-#: Block sets kept by :func:`assemble`, one per (scheme, gamma, kr, T).  A
-#: fixed-orientation sweep or spectrum uses one; an isotropic average
-#: cycles through its orientations at every saturation, so two carry a
-#: two-orientation average from one saturation to the next.  One set takes
-#: 0.07 MB (v_type) to 0.25 MB (full_j0_j1, vector mode).
-BLOCK_CACHE_SIZE = 2
 
 
 def saturation(rabi, detuning, gamma=1.0):
@@ -450,39 +443,35 @@ def transverse_weights(scheme, params):
     return weights
 
 
-def _dense_blocks(scheme, gamma, kr, weights):
-    """The pair generator's affine blocks [D, H_delta, H_1, H_2c, H_2s, X_c,
-    X_s] (module docstring) in the standard vectorization, one at a time;
-    ``weights`` is T.
-
-    ``swap (x) T`` puts T in the atom-to-atom blocks of the atom-major jumps.
-    """
+def _dense_blocks(scheme):
+    """The pair generator's affine blocks [D, H_delta, H_1, H_2c, H_2s],
+    every X_c^E, then every X_s^E (module docstring), in the standard
+    vectorization, one at a time; ``swap (x) E`` puts E in the atom-to-atom
+    blocks of the atom-major jumps."""
     jumps = _jumps(scheme, 2)
     pull, half_raise = _drive_parts(scheme)
     half_lower = half_raise.conj().T
-    g0 = 1.5 * gamma / kr
-    coupling = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array(weights))
-    yield decay_dissipator(scheme, n_atoms=2, gamma=gamma)
+    n_t = len(scheme.transitions)
+    couplings = [np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), e.reshape(n_t, n_t))
+                 for e in vectorized_operators(np.eye(n_t**2))]
+    yield decay_dissipator(scheme, n_atoms=2)
     yield hamiltonian_generator(atoms.embed(pull, 1) + atoms.embed(pull, 2))
     yield hamiltonian_generator(atoms.embed(half_raise + half_lower, 1))
     yield hamiltonian_generator(atoms.embed(half_raise + half_lower, 2))
     yield hamiltonian_generator(atoms.embed(1j * (half_raise - half_lower), 2))
-    yield hamiltonian_generator(_quadratic_form(-g0 * coupling, jumps))
-    yield master_generator(np.zeros(jumps.shape[1:], dtype=complex), jumps,
-                           2.0 * g0 * coupling)
+    yield from (hamiltonian_generator(_quadratic_form(-c, jumps)) for c in couplings)
+    yield from (master_generator(np.zeros(jumps.shape[1:]), jumps, 2.0 * c) for c in couplings)
 
 
-@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _affine_blocks(scheme, gamma, kr, weights):
+@functools.cache
+def _affine_blocks(scheme):
     """Read-only :class:`GeneratorStack` of the affine blocks in the
     Hermitian basis: its generator k is block k, real, on the entries where
-    any block is nonzero.  ``weights`` is T as a tuple of rows.
-
-    Only one dense block is alive at a time.
+    any block is nonzero.  Only one dense block is alive at a time.
     """
     n = scheme.n_levels**2
     entries = []
-    for block in _dense_blocks(scheme, gamma, kr, weights):
+    for block in _dense_blocks(scheme):
         block = _generator_map(block, "forward")
         flat = np.flatnonzero(block)
         entries.append((flat, block.reshape(-1)[flat]))
@@ -495,9 +484,13 @@ def _affine_blocks(scheme, gamma, kr, weights):
     return blocks
 
 
-def _pair_blocks(scheme, params):
-    weights = transverse_weights(scheme, params)
-    return _affine_blocks(scheme, params.gamma, params.kr, tuple(map(tuple, weights)))
+def _affine_rows(scheme, params):
+    """The cached blocks and the seven rows [gamma D, H_delta, H_1, H_2c,
+    H_2s, X_c, X_s] of their values at the gamma, kr and T of ``params``."""
+    blocks = _affine_blocks(scheme)
+    c = _real_values(hermitian_coordinates(transverse_weights(scheme, params).ravel()))
+    exchange = 1.5 * params.gamma / params.kr * c @ blocks.values[5:].reshape(2, c.size, -1)
+    return blocks, np.vstack([params.gamma * blocks.values[:1], blocks.values[1:5], exchange])
 
 
 def _exchange_phases(p, cross_damping):
@@ -516,10 +509,9 @@ def exchange_term(scheme, params, cross_damping=True):
     the Hamiltonian part (diagnostic switch, not a physical regime).
     ``PhysicalParams`` guarantees ``kr >= KR_MIN``.
     """
-    blocks = _pair_blocks(scheme, params)
-    coefficients = np.array(_exchange_phases(params.prop_phase_p, cross_damping))
-    stack = replace(blocks, values=coefficients[None] @ blocks.values[5:])
-    return stack.liouvillian(0).generator
+    blocks, rows = _affine_rows(scheme, params)
+    values = np.array(_exchange_phases(params.prop_phase_p, cross_damping)) @ rows[5:]
+    return replace(blocks, values=values[None]).liouvillian(0).generator
 
 
 def _check_trace_preserving(stack):
@@ -558,8 +550,8 @@ def assemble(scheme, params, include_exchange=True, cross_damping=True, phases=N
                     params.rabi * np.sin(a)]
     if include_exchange:
         coefficients += _exchange_phases(p, cross_damping)
-    blocks = _pair_blocks(scheme, params)
-    stack = replace(blocks, values=np.transpose(coefficients) @ blocks.values[:len(coefficients)])
+    blocks, rows = _affine_rows(scheme, params)
+    stack = replace(blocks, values=np.transpose(coefficients) @ rows[:len(coefficients)])
     _check_trace_preserving(stack)
     return stack if phases is not None else stack.liouvillian(0)
 

@@ -4,8 +4,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from cbsim import atoms, cbs, liouvillian, spectra
+
+# Hypothesis's explain phase re-runs a failing property under a tracer; over
+# these numpy-heavy properties it took minutes and gigabytes of memory before
+# the failure was reported.  Generation and shrinking are unchanged.
+settings.register_profile("cbsim", phases=[p for p in Phase if p.name != "explain"])
+settings.load_profile("cbsim")
 
 
 @pytest.fixture(scope="session")

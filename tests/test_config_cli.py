@@ -402,6 +402,24 @@ def test_cli_peaks_rejects_bad_drive(flag, value, capsys):
     assert err.startswith("ERROR:") and err.count("\n") == 1 and flag in err
 
 
+@pytest.mark.parametrize("argv", [["peaks", "--rabi", "abc"],
+                                  ["alpha-sweep", "x.cfg", "--seed", "x"], []])
+def test_cli_malformed_command_line_is_a_configuration_error(argv, capsys):
+    # exit 2 is kept for numerical failures, so argparse must not exit with it
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ERROR:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["peaks", "--help"]])
+def test_cli_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 0
+    assert "usage: cbsim" in capsys.readouterr().out
+
+
 def test_cli_check_passes(capsys):
     assert cli.main(["check"]) == 0
     out = capsys.readouterr().out

@@ -385,13 +385,17 @@ def test_generator_matches_term_by_term_reference(kind, mode, include_exchange,
 @pytest.mark.parametrize("cross_damping", [True, False])
 @settings(max_examples=10, deadline=None)
 @given(log_rabi=st.floats(-3.0, 3.0), detuning=st.floats(-30.0, 30.0),
+       gamma=st.floats(0.3, 3.0), log_kr=st.floats(1.0, 4.0),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda n: np.linalg.norm(n) > 0.1),
        a=st.floats(0.0, 2 * np.pi), p=st.floats(0.0, 2 * np.pi))
 def test_cached_assembly_matches_reference_anywhere(kind, mode, include_exchange,
-                                                    cross_damping, log_rabi, detuning, a, p):
+                                                    cross_damping, log_rabi, detuning,
+                                                    gamma, log_kr, axis, a, p):
+    # one cached block set per scheme serves every gamma, kr and axis
     scheme = atoms.build_scheme(kind)
-    params = lv.PhysicalParams(rabi=10.0**log_rabi, detuning=detuning, gamma=0.8, kr=37.0,
-                               laser_phase_a=a, prop_phase_p=p,
-                               orientation=(0.3, -0.5, 0.8), coupling_mode=mode)
+    params = lv.PhysicalParams(rabi=10.0**log_rabi, detuning=detuning, gamma=gamma,
+                               kr=10.0**log_kr, laser_phase_a=a, prop_phase_p=p,
+                               orientation=axis, coupling_mode=mode)
     reference = (_ref_hamiltonian(lv.drive_hamiltonian(scheme, params, n_atoms=2))
                  + _ref_decay(scheme, 2, params.gamma))
     if include_exchange:
@@ -433,7 +437,7 @@ def test_stack_slices_equal_single_point_assembly(v_scheme):
 
 def test_cached_blocks_are_read_only(v_scheme):
     params = lv.PhysicalParams(rabi=2.0)
-    blocks = lv._pair_blocks(v_scheme, params)
+    blocks = lv._affine_blocks(v_scheme)
     parts = [v for v in vars(blocks).values() if isinstance(v, np.ndarray)]
     assert len(parts) == 3  # values and the two index arrays
     assert blocks.values.dtype == np.float64  # real in the Hermitian basis
@@ -450,20 +454,22 @@ def test_cached_blocks_are_read_only(v_scheme):
     assert first.generator[0, 0] != second.generator[0, 0]
 
 
-def test_block_cache_bounded_over_isotropic_average(v_scheme):
-    cbs.cbs_components_isotropic(v_scheme, lv.PhysicalParams(), s=1.0, n_configs=64)
-    info = lv._affine_blocks.cache_info()
-    assert info.maxsize == lv.BLOCK_CACHE_SIZE
-    assert info.currsize == lv.BLOCK_CACHE_SIZE
-
-
-def test_two_orientation_average_reuses_blocks_across_saturations(v_scheme):
+def test_one_block_set_per_scheme_serves_every_orientation_kr_and_gamma(v_scheme):
     # an isotropic sweep loops over orientations inside every saturation;
-    # each phase grid looks its blocks up once
+    # all of them, and any other kr and gamma, reuse the scheme's one set
     lv._affine_blocks.cache_clear()
     cbs.sweep_alpha_collect(v_scheme, 0.0, [0.5, 2.0], n_configs=2, seed=3)
+    lv.assemble(v_scheme, lv.PhysicalParams(rabi=1.0, gamma=2.5, kr=840.0))
     info = lv._affine_blocks.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+    assert info.misses == 1
+    assert info.currsize == 1
+
+
+def test_non_hermitian_weights_rejected(v_scheme, monkeypatch):
+    # T enters through its real coordinates in the Hermitian basis
+    monkeypatch.setattr(lv, "transverse_weights", lambda scheme, params: np.triu(np.ones((2, 2))))
+    with pytest.raises(ConfigurationError, match="Hermiticity"):
+        lv.assemble(v_scheme, lv.PhysicalParams(rabi=1.0))
 
 
 # -- the Hermitian operator basis ---------------------------------------------
