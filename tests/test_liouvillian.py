@@ -454,15 +454,22 @@ def test_cached_blocks_are_read_only(v_scheme):
     assert first.generator[0, 0] != second.generator[0, 0]
 
 
-def test_one_block_set_per_scheme_serves_every_orientation_kr_and_gamma(v_scheme):
-    # an isotropic sweep loops over orientations inside every saturation;
-    # all of them, and any other kr and gamma, reuse the scheme's one set
+def test_block_cache_bounded_over_isotropic_average(v_scheme):
+    # every orientation, and any other kr and gamma, reuse the scheme's one set
     lv._affine_blocks.cache_clear()
-    cbs.sweep_alpha_collect(v_scheme, 0.0, [0.5, 2.0], n_configs=2, seed=3)
+    cbs.cbs_components_isotropic(v_scheme, lv.PhysicalParams(), s=1.0, n_configs=64)
     lv.assemble(v_scheme, lv.PhysicalParams(rabi=1.0, gamma=2.5, kr=840.0))
     info = lv._affine_blocks.cache_info()
-    assert info.misses == 1
-    assert info.currsize == 1
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_two_orientation_average_reuses_blocks_across_saturations(v_scheme):
+    # an isotropic sweep loops over orientations inside every saturation;
+    # each phase grid looks the scheme's one set up once
+    lv._affine_blocks.cache_clear()
+    cbs.sweep_alpha_collect(v_scheme, 0.0, [0.5, 2.0], n_configs=2, seed=3)
+    info = lv._affine_blocks.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_non_hermitian_weights_rejected(v_scheme, monkeypatch):
