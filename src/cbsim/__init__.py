@@ -18,7 +18,7 @@ from .dressed import (PeakSet, dressed_energies, generalized_rabi,
                       peak_positions, validate_spectrum)
 from .liouvillian import (Liouvillian, PhysicalParams, assemble,
                           assemble_single, decay_dissipator, drive_hamiltonian,
-                          exchange_term, rabi_for_saturation, saturation)
+                          rabi_for_saturation, saturation)
 from .solver import evolve, resolvent_solve, steady_state
 from .spectra import (SpectrumSeries, correlation, default_omega_grid,
                       elastic_weight, single_atom_spectrum)
@@ -33,8 +33,7 @@ __all__ = [
     "PeakSet", "dressed_energies", "generalized_rabi", "peak_positions",
     "validate_spectrum",
     "Liouvillian", "PhysicalParams", "assemble", "assemble_single",
-    "decay_dissipator", "drive_hamiltonian", "exchange_term",
-    "rabi_for_saturation", "saturation",
+    "decay_dissipator", "drive_hamiltonian", "rabi_for_saturation", "saturation",
     "evolve", "resolvent_solve", "steady_state",
     "SpectrumSeries", "correlation", "default_omega_grid", "elastic_weight",
     "single_atom_spectrum",

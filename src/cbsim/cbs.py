@@ -17,7 +17,7 @@ exactly.  The whole (a, p) grid is assembled and solved as one
 :class:`~cbsim.liouvillian.GeneratorStack`; the moments of every point
 then come from one product of the stacked densities with the
 observables.  Intensities are reported in units of the squared exchange
-amplitude (3*gamma/(2*kr))^2 unless ``normalize=False``.
+amplitude (3/(2*kr))^2 (gamma = 1) unless ``normalize=False``.
 
 Without photon exchange nothing populates the upper level of the detected
 sigma-minus transition, so the single-atom background of this
@@ -144,8 +144,8 @@ def _moment_matrices(scheme, params, phases, include_exchange=True, cross_dampin
     detected intensity real at every b.
     """
     lows, highs = detection or _detection_operators(scheme)
-    stack = assemble(scheme, params, include_exchange=include_exchange,
-                     cross_damping=cross_damping, phases=phases)
+    stack = assemble(scheme, params, phases, include_exchange=include_exchange,
+                     cross_damping=cross_damping)
     rho = steady_state(stack)
     # tr(rho O) = vec(O^T) . vec(rho) in the row-major vectorization.
     observables = [high @ low for high in highs for low in lows] + lows + highs
@@ -170,11 +170,13 @@ def _b_harmonics(mat):
     return (mat[0, 0] + mat[1, 1]).real, (mat[0, 1] + mat[1, 0].conj()) / 2
 
 
-def detected_intensity(scheme, params, include_exchange=True):
-    """Normally ordered detected intensity <D+ D> at the phases in ``params``."""
-    m, _, _, _ = _moment_matrices(scheme, params, ([params.laser_phase_a], [params.prop_phase_p]),
-                                  include_exchange=include_exchange)
-    eb = np.exp(-1j * params.detect_phase_b)
+def detected_intensity(scheme, params, a=0.0, b=0.0, p=0.0, include_exchange=True):
+    """Normally ordered detected intensity <D+ D> at drive phase difference
+    ``a``, detection phase difference ``b`` and propagation phase ``p``."""
+    if not np.isfinite(b):
+        raise DomainError(f"detection phase must be finite, got {b}")
+    m = _moment_matrices(scheme, params, ([a], [p]), include_exchange=include_exchange)[0]
+    eb = np.exp(-1j * b)
     return float((m[0, 0, 0] + m[1, 1, 0] + 2.0 * eb * m[0, 1, 0]).real)
 
 
@@ -219,15 +221,15 @@ def harmonic_extract(sums, count):
 
 
 def exchange_scale(params):
-    """Squared exchange amplitude (3 gamma / (2 kr))^2 used for normalization."""
-    return (1.5 * params.gamma / params.kr) ** 2
+    """Squared exchange amplitude (3 / (2 kr))^2 used for normalization."""
+    return (1.5 / params.kr) ** 2
 
 
 def _resolve_drive(params, s, detuning):
     if detuning is not None:
         params = replace(params, detuning=float(detuning))
     if s is not None:
-        params = replace(params, rabi=rabi_for_saturation(s, params.detuning, params.gamma))
+        params = replace(params, rabi=rabi_for_saturation(s, params.detuning))
     return params
 
 
@@ -339,9 +341,7 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
     area being c2_inel / l2_inel).
     """
     _check_sizes(n_a, n_p)
-    if omega_grid is None:
-        omega_grid = spectra.default_omega_grid(params.rabi, params.detuning, params.gamma)
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    omega_grid = spectra.checked_grid(omega_grid, params)
     total, elastic, (ladder_density, crossed_density) = _phase_average(
         scheme, params, n_a, n_p, True, omega_grid=omega_grid)
     scale = exchange_scale(params) if normalize else 1.0

@@ -118,15 +118,19 @@ def _spectrum_grid(cfg):
         refine_step=cfg.refine_step, refine_halfwidth=cfg.refine_halfwidth)
 
 
-def run_spectrum(cfg, output_path=None, report_path=None, workers=1,
-                 peak_tolerance=0.5):
-    """Compute the backscattering spectrum and its peak-validation report."""
+#: Largest offset of a found peak from its prediction that the report passes.
+PEAK_TOLERANCE = 0.5
+
+
+def run_spectrum(cfg, output_path=None, workers=1):
+    """Compute the backscattering spectrum and its peak-validation report,
+    which goes to ``spectrum_peaks.txt`` in ``cfg.output_dir``."""
     if workers != 1:
         raise ConfigurationError(f"workers = {workers!r}; cbsim runs serially")
     if cfg.rabi is None:
         raise ParseError("spectrum mode requires a 'rabi' entry", key="rabi")
     output_path = _artifact_path(cfg, output_path, "spectrum.csv")
-    report_path = _artifact_path(cfg, report_path, "spectrum_peaks.txt")
+    report_path = _artifact_path(cfg, None, "spectrum_peaks.txt")
     peaks = dressed.peak_positions(cfg.rabi, cfg.detuning)
     outermost = 2.0 * dressed.generalized_rabi(cfg.rabi, cfg.detuning)
     if cfg.omega_span is not None and cfg.omega_span < outermost:
@@ -146,7 +150,7 @@ def run_spectrum(cfg, output_path=None, report_path=None, workers=1,
     ]
     write_csv(output_path, "spectrum", cfg, SPECTRUM_HEADER, rows)
 
-    report = _peak_report_text(cfg, result, peaks, peak_tolerance)
+    report = _peak_report_text(cfg, result, peaks, PEAK_TOLERANCE)
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report)
     return output_path, report_path, result
@@ -203,9 +207,8 @@ def _check_battery():
     """Fast self-checks; yields (name, passed, detail) triples."""
     rng = np.random.default_rng(7)
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    params = liouvillian.PhysicalParams(rabi=liouvillian.rabi_for_saturation(1.0, 0.0),
-                                        laser_phase_a=0.7, prop_phase_p=1.3)
-    liou = liouvillian.assemble(scheme, params)
+    params = liouvillian.PhysicalParams(rabi=liouvillian.rabi_for_saturation(1.0, 0.0))
+    liou = liouvillian.assemble(scheme, params, ([0.7], [1.3])).liouvillian(0)
     dim = liou.hilbert_dim
 
     worst = 0.0

@@ -75,7 +75,7 @@ class RunConfig:
     source_lines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def params(self, rabi=None):
-        """PhysicalParams for this configuration (phases at their origins)."""
+        """PhysicalParams for this configuration."""
         return liouvillian.PhysicalParams(
             rabi=self.rabi if rabi is None else rabi,
             detuning=self.detuning,

@@ -9,26 +9,27 @@ every transition of every atom (atom by atom; 2 n_t x 2 n_t for a pair),
 
 H is the drive Hamiltonian in the frame rotating at the laser frequency
 plus the coherent photon exchange.  R holds independent radiative decay
-(2*gamma on its diagonal) and the cross-atom damping in its off-diagonal
+(2 on its diagonal) and the cross-atom damping in its off-diagonal
 (atom-to-atom) blocks, which ``cross_damping=False`` zeroes.  The exchange
 carries one complex amplitude per transition pair,
 
-    G = (3*gamma/2) * exp(i*p) / kr * T[q, q'],
+    G = (3/2) * exp(i*p) / kr * T[q, q'],
 
 whose real part (cos p) enters H and whose imaginary part (sin p) enters R.
 ``T`` is the transverse projector weight between the spherical polarization
 vectors of the two transitions; in scalar mode it is the identity.
 
-All quantities are in units of gamma (half the excited-state population
-decay rate); the propagation phase p is an independent disorder variable
-while the amplitude is fixed by kr.
+All quantities are in units of gamma, half the excited-state population
+decay rate, so gamma = 1 throughout.  The drive-phase difference a and the
+propagation phase p are disorder variables, passed to :func:`assemble`
+per phase point; the exchange amplitude is fixed by kr.
 
 The pair generator is affine in its per-point parameters,
 
-    L = gamma D + delta H_delta + rabi (H_1 + cos(a) H_2c + sin(a) H_2s)
+    L = D + delta H_delta + rabi (H_1 + cos(a) H_2c + sin(a) H_2s)
         + g0 sum_E c_E (cos(p) X_c^E + sin(p) X_s^E),
 
-with D the decay at gamma = 1, H_delta and H_1 the commutator
+with D the decay, H_delta and H_1 the commutator
 superoperators of minus the excited-level projector and of the atom-1
 drive, H_2c = H_2+ + H_2- and H_2s = i (H_2+ - H_2-) built from those of
 the sigma+ and sigma- halves of the atom-2 drive, and X_c^E, X_s^E the
@@ -54,8 +55,8 @@ the standard vectorization.
 The blocks are built once per scheme by :func:`master_generator` (13 for
 v_type, 23 for full_j0_j1) and kept read-only in the Hermitian basis as
 one sparse :class:`GeneratorStack` on the union of their supports (about
-4% of the 256 x 256 full_j0_j1 generator); :func:`assemble` folds gamma,
-g0 and the c_E into seven rows and combines them.
+4% of the 256 x 256 full_j0_j1 generator); :func:`assemble` folds g0
+and the c_E into seven rows and combines them.
 
 A :class:`GeneratorStack` is the one sparse form of a generator: it holds
 the row and the column of every entry (``rows``, ``cols``, read-only, in
@@ -64,8 +65,9 @@ of (a, p) phase points is assembled in one call: generator i of its stack
 is the row ``coef[i] @ values`` of the block values, shares the index
 arrays of the cached blocks, stays sparse, and is checked for trace
 preservation from its entries.  Offsets into dense arrays are computed
-where they are used.  A single point is returned as a dense
-:class:`Liouvillian` in the standard (row-major, complex) vectorization.
+where they are used.  The dense view of generator i in the standard
+(row-major, complex) vectorization is the :class:`Liouvillian`
+``stack.liouvillian(i)``.
 """
 
 import functools
@@ -85,53 +87,42 @@ COUPLING_MODES = (SCALAR, VECTOR)
 #: weak-coupling expansion underlying the model is not trustworthy.
 KR_MIN = 10.0
 
-TWO_PI = 2.0 * math.pi
+
+def saturation(rabi, detuning):
+    """Dimensionless drive strength s = rabi^2 / (2 (1 + detuning^2))."""
+    return rabi**2 / (2.0 * (1.0 + detuning**2))
 
 
-def saturation(rabi, detuning, gamma=1.0):
-    """Dimensionless drive strength s = rabi^2 / (2 (gamma^2 + detuning^2))."""
-    return rabi**2 / (2.0 * (gamma**2 + detuning**2))
-
-
-def rabi_for_saturation(s, detuning, gamma=1.0):
+def rabi_for_saturation(s, detuning):
     """Rabi frequency that produces saturation ``s`` at the given detuning."""
     if s < 0:
         raise DomainError(f"saturation must be non-negative, got {s}")
-    return math.sqrt(2.0 * s * (gamma**2 + detuning**2))
+    return math.sqrt(2.0 * s * (1.0 + detuning**2))
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Complete physical parameter set, everything in units of gamma.
+    """The parameters a run sets, in units of gamma.
 
-    ``laser_phase_a`` is the drive-phase difference between the atoms,
-    ``detect_phase_b`` the detection-phase difference, and ``prop_phase_p``
-    the photon-exchange propagation phase; all three are reduced to
-    [0, 2*pi).  ``orientation`` is the direction of the interatomic axis,
-    stored unnormalized as a float tuple (so ``replace`` never moves it) and
+    ``orientation`` is the direction of the interatomic axis, stored
+    unnormalized as a float tuple (so ``replace`` never moves it) and
     normalized by :func:`transverse_weights`; it only enters in vector
-    coupling mode.
+    coupling mode.  The disorder phases are not parameters of a run:
+    :func:`assemble` takes them per phase point.
     """
 
     rabi: float = 0.0
     detuning: float = 0.0
-    gamma: float = 1.0
     kr: float = 100.0
-    laser_phase_a: float = 0.0
-    detect_phase_b: float = 0.0
-    prop_phase_p: float = 0.0
     orientation: tuple = (1.0, 0.0, 0.0)
     coupling_mode: str = VECTOR
 
     def __post_init__(self):
-        for name in ("rabi", "detuning", "gamma", "kr",
-                     "laser_phase_a", "detect_phase_b", "prop_phase_p"):
+        for name in ("rabi", "detuning", "kr"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rabi < 0:
             raise DomainError(f"rabi frequency must be non-negative, got {self.rabi}")
-        if self.gamma <= 0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
         if self.kr < KR_MIN:
             raise DomainError(
                 f"kr >= {KR_MIN:g} required (weak-coupling regime), got {self.kr}"
@@ -144,12 +135,10 @@ class PhysicalParams:
         if not np.linalg.norm(n) > 0.0:
             raise ConfigurationError("orientation vector must have a nonzero norm")
         object.__setattr__(self, "orientation", tuple(float(x) for x in n))
-        for name in ("laser_phase_a", "detect_phase_b", "prop_phase_p"):
-            object.__setattr__(self, name, float(getattr(self, name)) % TWO_PI)
 
     @property
     def saturation(self):
-        return saturation(self.rabi, self.detuning, self.gamma)
+        return saturation(self.rabi, self.detuning)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,11 +281,6 @@ class GeneratorStack:
     def __len__(self):
         return len(self.values)
 
-    def column_sums(self, weights):
-        """(k, N) sums of the real (k, m) ``weights`` of the entries, per
-        generator and column."""
-        return _grouped_sums(self.cols, weights, self.dim)
-
     def row_sums(self, weights):
         """(k, N) sums of the real (k, m) ``weights`` of the entries, per
         generator and row."""
@@ -387,12 +371,12 @@ def _drive_parts(scheme):
     return pull, 0.5 * atoms.raising_operator(scheme, driven)
 
 
-def drive_hamiltonian(scheme, params, n_atoms=2, global_phase=0.0):
-    """Rotating-frame drive Hamiltonian.
+def drive_hamiltonian(scheme, params, phases=(0.0, 0.0)):
+    """Rotating-frame drive Hamiltonian of ``len(phases)`` (1 or 2) atoms.
 
     Detuning pulls every excited level by ``-detuning`` and the Rabi
-    coupling acts on the sigma-plus transition only, with per-atom phases
-    (``global_phase``, ``global_phase + laser_phase_a``).
+    coupling acts on the sigma-plus transition only, with drive phase
+    ``phases[j]`` on atom j + 1.
     """
     pull, half_raise = _drive_parts(scheme)
 
@@ -400,24 +384,23 @@ def drive_hamiltonian(scheme, params, n_atoms=2, global_phase=0.0):
         coupling = params.rabi * np.exp(1j * phase) * half_raise
         return params.detuning * pull + coupling + coupling.conj().T
 
-    if n_atoms == 1:
-        return single(global_phase)
-    if n_atoms != 2:
-        raise ConfigurationError(f"n_atoms must be 1 or 2, got {n_atoms}")
-    return (atoms.embed(single(global_phase), 1)
-            + atoms.embed(single(global_phase + params.laser_phase_a), 2))
+    if len(phases) == 1:
+        return single(phases[0])
+    if len(phases) != 2:
+        raise ConfigurationError(f"one drive phase per atom (1 or 2), got {len(phases)}")
+    return atoms.embed(single(phases[0]), 1) + atoms.embed(single(phases[1]), 2)
 
 
-def decay_dissipator(scheme, n_atoms=2, gamma=1.0):
+def decay_dissipator(scheme, n_atoms=2):
     """Independent radiative decay of every transition of every atom.
 
     Each excited level decays through its single allowed transition with
-    total population rate 2*gamma.
+    total population rate 2 (twice gamma).
     """
     jumps = _jumps(scheme, n_atoms)
     dim = scheme.n_levels**n_atoms
     return master_generator(np.zeros((dim, dim), dtype=complex), jumps,
-                            2.0 * gamma * np.eye(len(jumps)))
+                            2.0 * np.eye(len(jumps)))
 
 
 def transverse_weights(scheme, params):
@@ -485,33 +468,12 @@ def _affine_blocks(scheme):
 
 
 def _affine_rows(scheme, params):
-    """The cached blocks and the seven rows [gamma D, H_delta, H_1, H_2c,
-    H_2s, X_c, X_s] of their values at the gamma, kr and T of ``params``."""
+    """The cached blocks and the seven rows [D, H_delta, H_1, H_2c, H_2s,
+    X_c, X_s] of their values at the kr and T of ``params``."""
     blocks = _affine_blocks(scheme)
     c = _real_values(hermitian_coordinates(transverse_weights(scheme, params).ravel()))
-    exchange = 1.5 * params.gamma / params.kr * c @ blocks.values[5:].reshape(2, c.size, -1)
-    return blocks, np.vstack([params.gamma * blocks.values[:1], blocks.values[1:5], exchange])
-
-
-def _exchange_phases(p, cross_damping):
-    """Coefficients of X_c and X_s at propagation phase(s) ``p``; the cross
-    damping is zeroed on request."""
-    return [np.cos(p), np.sin(p) if cross_damping else 0.0 * p]
-
-
-def exchange_term(scheme, params, cross_damping=True):
-    """Photon-exchange coupling between the two atoms.
-
-    The coherent exchange Hamiltonian has amplitude ``-g0 cos(p) T[q, q']``
-    and the cross damping rate ``2 g0 sin(p) T[q, q']`` for every ordered
-    transition pair (q raised on one atom, q' lowered on the other), where
-    ``g0 = 3 gamma / (2 kr)``.  Setting ``cross_damping=False`` keeps only
-    the Hamiltonian part (diagnostic switch, not a physical regime).
-    ``PhysicalParams`` guarantees ``kr >= KR_MIN``.
-    """
-    blocks, rows = _affine_rows(scheme, params)
-    values = np.array(_exchange_phases(params.prop_phase_p, cross_damping)) @ rows[5:]
-    return replace(blocks, values=values[None]).liouvillian(0).generator
+    exchange = 1.5 / params.kr * c @ blocks.values[5:].reshape(2, c.size, -1)
+    return blocks, np.vstack([blocks.values[:5], exchange])
 
 
 def _check_trace_preserving(stack):
@@ -531,36 +493,38 @@ def _check_trace_preserving(stack):
         )
 
 
-def assemble(scheme, params, include_exchange=True, cross_damping=True, phases=None):
-    """Full two-atom generator: drive, decay, and photon exchange, combined
+def assemble(scheme, params, phases, include_exchange=True, cross_damping=True):
+    """Two-atom generators: drive, decay, and photon exchange, combined
     from the cached affine blocks.
 
-    ``phases``, when given, is an (a, p) pair of equal-length sequences of
-    drive-phase differences and propagation phases that replace those of
-    ``params``; the result is then the :class:`GeneratorStack` of one sparse
-    real generator per pair.  Without it, the dense :class:`Liouvillian` at
-    the phases of ``params``, in the standard vectorization.
+    ``phases`` is an (a, p) pair of equal-length sequences of finite
+    drive-phase differences and propagation phases (:class:`DomainError`
+    otherwise); the result is the :class:`GeneratorStack` of one sparse
+    real generator per pair.  The exchange enters as the coherent amplitude
+    ``-g0 cos(p) T[q, q']`` and the cross damping rate ``2 g0 sin(p) T[q, q']``
+    of every ordered transition pair, with ``g0 = 3 / (2 kr)``;
+    ``cross_damping=False`` keeps only the coherent part (a diagnostic switch).
     """
-    points = ([params.laser_phase_a], [params.prop_phase_p]) if phases is None else phases
-    a, p = (np.asarray(x, dtype=float).reshape(-1) for x in points)
+    a, p = (np.asarray(x, dtype=float).reshape(-1) for x in phases)
     if a.shape != p.shape:
         raise DimensionError(f"{a.size} drive phases for {p.size} propagation phases")
+    if not (np.isfinite(a).all() and np.isfinite(p).all()):
+        raise DomainError("drive and propagation phases must be finite")
     coefficients = [np.ones_like(a), np.full_like(a, params.detuning),
                     np.full_like(a, params.rabi), params.rabi * np.cos(a),
                     params.rabi * np.sin(a)]
     if include_exchange:
-        coefficients += _exchange_phases(p, cross_damping)
+        coefficients += [np.cos(p), np.sin(p) if cross_damping else 0.0 * p]
     blocks, rows = _affine_rows(scheme, params)
     stack = replace(blocks, values=np.transpose(coefficients) @ rows[:len(coefficients)])
     _check_trace_preserving(stack)
-    return stack if phases is not None else stack.liouvillian(0)
+    return stack
 
 
 def assemble_single(scheme, params):
     """Generator for one driven atom (no exchange, drive phase zero)."""
     jumps = _jumps(scheme, 1)
     liou = Liouvillian(scheme.n_levels, master_generator(
-        drive_hamiltonian(scheme, params, n_atoms=1), jumps,
-        2.0 * params.gamma * np.eye(len(jumps))))
+        drive_hamiltonian(scheme, params, phases=(0.0,)), jumps, 2.0 * np.eye(len(jumps))))
     _check_trace_preserving(GeneratorStack.from_dense([liou]))
     return liou

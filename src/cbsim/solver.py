@@ -15,10 +15,10 @@ estimate of that factorization falls below a bound derived in
 :func:`_steady_states`.  A whole :class:`~cbsim.liouvillian.GeneratorStack`
 is solved in one call: each sparse generator is scattered into one reused
 Fortran-ordered buffer that LAPACK factors in place, at offsets computed
-once per call from the stack's ``rows`` and ``cols``.  The norms and the
-residual are grouped column and row sums of the entries, and they and the
-density checks act on the whole stack.  A single dense generator is
-solved as a stack of one.
+once per call from the stack's ``rows`` and ``cols``.  The Frobenius norms
+come from the entries and the residuals from grouped row sums of them;
+they and the density checks act on the whole stack.  A single dense
+generator is solved as a stack of one.
 
 Stacks hold their generators in the orthonormal Hermitian operator basis
 of :mod:`cbsim.liouvillian`, where they are real, so the steady state is a
@@ -48,8 +48,8 @@ DENSITY_EIG_FLOOR = -1e-8
 #: Singular values below this fraction of the largest count towards the
 #: nullity; more than one reports the stationary manifold as degenerate.
 NULLITY_RATIO = 1e-6
-#: Safety factor on the rcond trigger of the singular-value check, since
-#: LAPACK's estimate can exceed the true reciprocal condition number.
+#: Safety factor on the trigger of the singular-value check, since LAPACK's
+#: estimate of 1 / ||M^-1||_1 can exceed the true value.
 UNIQUENESS_MARGIN = 10.0
 #: Reciprocal-condition floor for resolvent solves (condition > 1e12 fails).
 RCOND_MIN = 1e-12
@@ -114,22 +114,10 @@ def steady_state(liou):
     return _steady_states(GeneratorStack.from_dense([liou]))[0]
 
 
-def _norms(stack):
-    """1-norm and Frobenius norm of each generator L of the stack, and the
-    1-norm of its bordered matrix M, whose row 0 is the trace functional."""
-    magnitudes = np.abs(stack.values)
-    l_norms = stack.column_sums(magnitudes).max(axis=1)
-    frobenius = np.sqrt(np.einsum("ij,ij->i", magnitudes, magnitudes))
-    magnitudes[:, stack.rows == 0] = 0.0
-    m_sums = stack.column_sums(magnitudes)
-    m_sums[:, stack.trace_columns] += 1.0
-    return l_norms, frobenius, m_sums.max(axis=1)
-
-
-def _bordered_solves(stack, m_norms, triggers):
+def _bordered_solves(stack, triggers):
     """Real coordinates x_i solving M_i x_i = e_0, one LU of the bordered
-    matrix each; the singular-value check runs for the slices whose rcond
-    is below their trigger."""
+    matrix each; the singular-value check runs for the slices whose
+    estimate of 1 / ||M_i^-1||_1 is below their trigger."""
     dim = stack.dim
     # dgetrf factors the Fortran-ordered buffer in place; it is refilled per generator.
     system = np.empty((dim, dim), order="F")
@@ -146,8 +134,9 @@ def _bordered_solves(stack, m_norms, triggers):
         system[0] = 0.0
         entries[border_at] = 1.0
         lu, piv, info = lapack.dgetrf(system, overwrite_a=True)
-        rcond = lapack.dgecon(lu, m_norms[i])[0] if info == 0 else 0.0
-        if info != 0 or not rcond >= triggers[i]:
+        # With anorm = 1, dgecon's rcond is its estimate of 1 / ||M^-1||_1.
+        inverse_norm = lapack.dgecon(lu, 1.0)[0] if info == 0 else 0.0
+        if info != 0 or not inverse_norm >= triggers[i]:
             _check_unique(stack.dense(i))
             if info != 0:
                 raise ConditioningError(f"bordered steady-state system is singular (info={info})")
@@ -159,21 +148,22 @@ def _bordered_solves(stack, m_norms, triggers):
 
 def _steady_states(stack):
     n, dim = stack.hilbert_dim, stack.dim
-    l_norms, frobenius, m_norms = _norms(stack)
-    # When the singular-value check fires, sigma_{N-1}(L) < r ||L||_2 with
+    frobenius = np.linalg.norm(stack.values, axis=1)
+    # When the singular-value check fires, sigma_{N-1}(L) < r sigma_1(L) with
     # N = n^2 and r = NULLITY_RATIO.  M is a rank-one update of L (row 0),
     # so Weyl's inequality gives sigma_min(M) <= sigma_{N-1}(L), and with
-    # ||M^-1||_1 >= 1 / (sqrt(N) sigma_min(M)) and ||L||_2 <= sqrt(N) ||L||_1
-    #     rcond_1(M) <= sqrt(N) sigma_min(M) / ||M||_1 < N r ||L||_1 / ||M||_1.
+    # ||M^-1||_1 >= ||M^-1||_2 / sqrt(N) = 1 / (sqrt(N) sigma_min(M)) and
+    # sigma_1(L) <= ||L||_F
+    #     1 / ||M^-1||_1 <= sqrt(N) sigma_min(M) < sqrt(N) r ||L||_F.
     # Every step holds for any matrix, so the bound holds in any orthonormal
     # basis whose coordinates j*n + j carry the trace functional, as they do
-    # in the Hermitian basis: the 1-norms are taken there, and the singular
-    # values, which the change of basis keeps, are those of the standard
-    # vectorization.  dgecon bounds ||M^-1||_1 from below and so can
-    # overestimate rcond; UNIQUENESS_MARGIN covers that.  NaN entries also
-    # take the check.
-    triggers = UNIQUENESS_MARGIN * dim * NULLITY_RATIO * l_norms / m_norms
-    x = _bordered_solves(stack, m_norms, triggers)
+    # in the Hermitian basis: the 1-norm is taken there, and the singular
+    # values and the Frobenius norm, which the change of basis keeps, are
+    # those of the standard vectorization.  dgecon bounds ||M^-1||_1 from
+    # below and so can overestimate its reciprocal; UNIQUENESS_MARGIN covers
+    # that.  NaN entries also take the check.
+    triggers = UNIQUENESS_MARGIN * math.sqrt(dim) * NULLITY_RATIO * frobenius
+    x = _bordered_solves(stack, triggers)
 
     # L x from the entries: each entry times its column's coordinate, summed per row.
     residuals = np.linalg.norm(stack.row_sums(stack.values * x[:, stack.cols]), axis=1)

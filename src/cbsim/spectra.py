@@ -201,7 +201,20 @@ def elastic_weight(rho_ss, a_op, b_op):
     return complex(np.trace(rho_ss @ a_op) * np.trace(rho_ss @ b_op))
 
 
-def default_omega_grid(rabi, detuning, gamma=1.0, span=None, base_step=BASE_STEP,
+def checked_grid(omega_grid, params):
+    """``omega_grid`` as a float array, or the default grid of ``params`` if it
+    is None; raises :class:`DomainError` unless it is one-dimensional, finite
+    and strictly increasing, with the two points a trapezoidal area needs."""
+    if omega_grid is None:
+        return default_omega_grid(params.rabi, params.detuning)
+    grid = np.asarray(omega_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not (np.isfinite(grid).all()
+                                                and (np.diff(grid) > 0).all()):
+        raise DomainError("frequency grid must be 1-D, finite, strictly increasing, 2+ points")
+    return grid
+
+
+def default_omega_grid(rabi, detuning, span=None, base_step=BASE_STEP,
                        refine_step=REFINE_STEP, refine_halfwidth=REFINE_HALFWIDTH):
     """Symmetric frequency grid resolving all predicted resonances.
 
@@ -215,7 +228,9 @@ def default_omega_grid(rabi, detuning, gamma=1.0, span=None, base_step=BASE_STEP
         raise DomainError("grid steps must satisfy base_step >= refine_step > 0")
     omega_r = dressed.generalized_rabi(rabi, detuning)
     if span is None:
-        span = SPAN_FACTOR * max(omega_r, 1.0) * gamma
+        span = SPAN_FACTOR * max(omega_r, 1.0)
+    if not (np.isfinite(span) and span > 0):
+        raise DomainError(f"grid span must be finite and positive, got {span}")
     coarse_every = max(int(round(base_step / refine_step)), 1)
     n_span = int(np.ceil(span / refine_step))
     positive = set(range(0, n_span + 1, coarse_every))
@@ -237,13 +252,11 @@ def single_atom_spectrum(params, omega_grid=None, scheme=None):
     """
     if scheme is None:
         scheme = atoms.build_scheme(atoms.TWO_LEVEL)
+    omega_grid = checked_grid(omega_grid, params)
     low = atoms.lowering_operator(scheme, scheme.driven_transition)
     high = low.conj().T
     liou = assemble_single(scheme, params)
     rho = steady_state(liou)
-    if omega_grid is None:
-        omega_grid = default_omega_grid(params.rabi, params.detuning, params.gamma)
-    omega_grid = np.asarray(omega_grid, dtype=float)
 
     seeds = [connected_initial(rho, high)]
     density = spectral_response(liou, rho, seeds, [low], omega_grid)[0, 0].real / np.pi

@@ -44,6 +44,12 @@ def count_phase_points(monkeypatch):
     return calls
 
 
+def generator_at(scheme, params, a=0.0, p=0.0, **switches):
+    """Dense two-atom generator at the one phase point (a, p): the single-point
+    view of ``liouvillian.assemble``, in the standard vectorization."""
+    return liouvillian.assemble(scheme, params, ([a], [p]), **switches).liouvillian(0)
+
+
 def completed_sweep(scheme, detuning, s_values):
     """``(s, components)`` pairs of a sweep in which no point failed."""
     rows = cbs.sweep_alpha_collect(scheme, detuning, s_values)

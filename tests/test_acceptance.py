@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cbsim import atoms, cbs, cli, config, dressed, liouvillian as lv, solver
-from conftest import completed_sweep
+from conftest import completed_sweep, generator_at
 
 ALPHA_INF = 23.0 / 21.0
 
@@ -155,9 +155,8 @@ def test_acceptance_8_property_suites(tmp_path, v_scheme, alpha_sweep_on_resonan
     # steady-state invariants at representative points (validated on every
     # solve; re-asserted here explicitly)
     for s, detuning in ((1e-3, 0.0), (1.0, 0.0), (1e3, 0.0), (0.5, 20.0)):
-        p = lv.PhysicalParams(rabi=lv.rabi_for_saturation(s, detuning),
-                              detuning=detuning, laser_phase_a=1.0, prop_phase_p=2.0)
-        rho = solver.steady_state(lv.assemble(v_scheme, p))
+        p = lv.PhysicalParams(rabi=lv.rabi_for_saturation(s, detuning), detuning=detuning)
+        rho = solver.steady_state(generator_at(v_scheme, p, 1.0, 2.0))
         solver.validate_density(rho)
     checks.append(("steady-state invariants", True))
 

@@ -1,25 +1,22 @@
 """Backscattering intensities, the phase average, and spectra."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbsim import atoms, cbs, dressed, liouvillian as lv, solver, spectra
 from cbsim.errors import ConditioningError, ConfigurationError, DomainError
-from conftest import completed_sweep, count_phase_points
+from conftest import completed_sweep, count_phase_points, generator_at
 
 
 def default_params(**kwargs):
     return lv.PhysicalParams(**kwargs)
 
 
-def at_point(scheme, params):
-    """``_moment_matrices`` at the phases of ``params`` alone: the moment
+def at_point(scheme, params, a, p):
+    """``_moment_matrices`` at the phase point (a, p) alone: the moment
     matrices, elastic moments and density of that one point."""
-    m, e, _, rho = cbs._moment_matrices(
-        scheme, params, ([params.laser_phase_a], [params.prop_phase_p]))
+    m, e, _, rho = cbs._moment_matrices(scheme, params, ([a], [p]))
     return m[..., 0], e[..., 0], rho[0]
 
 
@@ -32,9 +29,8 @@ def test_components_match_fourier_analysis_of_full_phase_grid(v_scheme):
     n_a, n_b, n_p = 4, 8, 4
     a, b, p = (cbs.phase_values(n) for n in (n_a, n_b, n_p))
     base = default_params(rabi=lv.rabi_for_saturation(1.0, 3.0), detuning=3.0)
-    samples = np.array([[[cbs.detected_intensity(v_scheme, replace(
-        base, laser_phase_a=ai, detect_phase_b=bj, prop_phase_p=pk))
-        for pk in p] for bj in b] for ai in a])
+    samples = np.array([[[cbs.detected_intensity(v_scheme, base, ai, bj, pk)
+                          for pk in p] for bj in b] for ai in a])
     weight = np.exp(1j * (a[:, None, None] + b[None, :, None]))
     ladder = samples.mean()
     crossed = 2.0 * (weight * samples).mean().real
@@ -133,12 +129,11 @@ def test_stacked_densities_match_pointwise_solves(kind, options, switches, sizes
     a, p = cbs.phase_grid(*sizes)
     assert sorted(zip(a, p)) == sorted((ai, pj) for ai in cbs.phase_values(sizes[0])
                                        for pj in cbs.phase_values(sizes[1]))
-    m, _, stack, rho = cbs._moment_matrices(scheme, params, phases=(a, p), **switches)
+    m, _, stack, rho = cbs._moment_matrices(scheme, params, (a, p), **switches)
     assert len(stack) == rho.shape[0] == m.shape[2] == a.size
     (low_1, low_2), (high_1, high_2) = cbs._detection_operators(scheme)
     for i in range(a.size):
-        point = replace(params, laser_phase_a=a[i], prop_phase_p=p[i])
-        alone = solver.steady_state(lv.assemble(scheme, point, **switches))
+        alone = solver.steady_state(generator_at(scheme, params, a[i], p[i], **switches))
         assert np.abs(rho[i] - alone).max() <= 1e-12
         moments = np.array([[np.trace(alone @ high @ low) for low in (low_1, low_2)]
                             for high in (high_1, high_2)])
@@ -164,37 +159,32 @@ def test_intensity_real_and_nonnegative_for_phase_samples(v_scheme):
     for a in (0.0, 1.0):
         for b in (0.5, 4.0):
             for prop in (0.3, 2.0):
-                p = default_params(rabi=2.0, laser_phase_a=a, detect_phase_b=b,
-                                   prop_phase_p=prop)
-                value = cbs.detected_intensity(v_scheme, p)
+                value = cbs.detected_intensity(v_scheme, default_params(rabi=2.0), a, b, prop)
                 assert value >= -1e-18
 
 
 def test_intensity_inverse_square_in_kr(v_scheme):
     rabi = lv.rabi_for_saturation(1.0, 0.0)
-    near = cbs.detected_intensity(v_scheme, default_params(
-        rabi=rabi, kr=100.0, laser_phase_a=0.7, detect_phase_b=1.1, prop_phase_p=0.9))
-    far = cbs.detected_intensity(v_scheme, default_params(
-        rabi=rabi, kr=200.0, laser_phase_a=0.7, detect_phase_b=1.1, prop_phase_p=0.9))
+    near, far = (cbs.detected_intensity(v_scheme, default_params(rabi=rabi, kr=kr),
+                                        0.7, 1.1, 0.9) for kr in (100.0, 200.0))
     assert abs(near / far / 4.0 - 1.0) < 0.01
 
 
 def test_intensity_matches_grid_sample(v_scheme):
     # the closed-form detection-phase dependence agrees with <D+ D> taken
     # directly from the steady state at a grid point
-    p = default_params(rabi=1.3, laser_phase_a=np.pi / 2, detect_phase_b=np.pi / 2,
-                       prop_phase_p=3 * np.pi / 2)
-    _, _, rho = at_point(v_scheme, p)
+    p = default_params(rabi=1.3)
+    a, b, prop = np.pi / 2, np.pi / 2, 3 * np.pi / 2
+    _, _, rho = at_point(v_scheme, p, a, prop)
     (low_1, low_2), _ = cbs._detection_operators(v_scheme)
-    dipole = low_1 + np.exp(-1j * p.detect_phase_b) * low_2
+    dipole = low_1 + np.exp(-1j * b) * low_2
     direct = np.trace(rho @ dipole.conj().T @ dipole).real
-    assert np.isclose(cbs.detected_intensity(v_scheme, p), direct, rtol=1e-12)
+    assert np.isclose(cbs.detected_intensity(v_scheme, p, a, b, prop), direct, rtol=1e-12)
 
 
 def test_same_atom_terms_are_detected_level_populations(v_scheme):
     # diagonal dipole moments <R_j L_j> reduce to the |2> populations
-    p = default_params(rabi=2.0, laser_phase_a=0.4, prop_phase_p=1.2)
-    m, _, rho = at_point(v_scheme, p)
+    m, _, rho = at_point(v_scheme, default_params(rabi=2.0), 0.4, 1.2)
     pop = [atoms.embed(atoms.level_projector(v_scheme, 1), atom) for atom in (1, 2)]
     for j in range(2):
         assert np.isclose(m[j, j], np.trace(rho @ pop[j]), atol=1e-14)
@@ -204,8 +194,7 @@ def test_computed_moment_matrices_hermitian(v_scheme, full_scheme):
     # computed moment matrices are Hermitian far inside the tolerance
     for scheme in (v_scheme, full_scheme):
         for a, prop in ((0.0, 0.0), (0.7, 2.1)):
-            p = default_params(rabi=2.0, detuning=1.5, laser_phase_a=a, prop_phase_p=prop)
-            m, e, _ = at_point(scheme, p)
+            m, e, _ = at_point(scheme, default_params(rabi=2.0, detuning=1.5), a, prop)
             for mat in (m, e):
                 assert np.abs(mat - mat.conj().T).max() <= 1e-3 * cbs._REAL_RESIDUE_TOL
 

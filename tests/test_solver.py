@@ -8,6 +8,7 @@ import pytest
 from cbsim import atoms, cbs, cli, config, liouvillian as lv, solver, spectra
 from cbsim.errors import (ConditioningError, ConfigurationError, DomainError,
                           MultiplicityError)
+from conftest import generator_at
 
 
 def bloch_excited_population(rabi, detuning, gamma=1.0):
@@ -64,9 +65,8 @@ def test_steady_state_invariants_across_parameters():
     for s in (1e-3, 0.5, 10.0, 1e3):
         for detuning in (0.0, 20.0):
             p = lv.PhysicalParams(rabi=lv.rabi_for_saturation(s, detuning),
-                                  detuning=detuning, laser_phase_a=1.0,
-                                  prop_phase_p=0.5)
-            rho = solver.steady_state(lv.assemble(scheme, p))
+                                  detuning=detuning)
+            rho = solver.steady_state(generator_at(scheme, p, 1.0, 0.5))
             solver.validate_density(rho)  # hermitian, unit trace, positive
 
 
@@ -142,8 +142,7 @@ def test_slow_mode_reported_exactly_when_svd_criterion_fires(n_levels, svd_calls
 
 def test_svd_fallback_returns_the_same_density(monkeypatch, svd_calls):
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    liou = lv.assemble(scheme, lv.PhysicalParams(rabi=2.0, detuning=1.0,
-                                                 laser_phase_a=0.7, prop_phase_p=1.9))
+    liou = generator_at(scheme, lv.PhysicalParams(rabi=2.0, detuning=1.0), 0.7, 1.9)
     rho = solver.steady_state(liou)
     assert svd_calls == []
     monkeypatch.setattr(solver, "UNIQUENESS_MARGIN", np.inf)
@@ -185,13 +184,22 @@ def test_svd_check_runs_at_extreme_drive(uniqueness_checks):
     assert uniqueness_checks == [(81, 81)] * 16
 
 
+@pytest.mark.parametrize("drive", [dict(s=1e4, detuning=0.0),
+                                   dict(s=lv.saturation(100.0, 20.0), detuning=20.0)],
+                         ids=["s_1e4", "rabi_100_detuning_20"])
+def test_full_scheme_strong_drive_takes_no_svd_check(uniqueness_checks, drive):
+    # sigma_min(M) stays hundreds of times above r ||L||_F at every phase point
+    cbs.cbs_components(atoms.build_scheme(atoms.FULL_J0_J1), lv.PhysicalParams(), **drive)
+    assert uniqueness_checks == []
+
+
 # -- one generator stack, one slice at a time ---------------------------------
 
 
 def _v_type_generator(s, a, prop):
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    return lv.assemble(scheme, lv.PhysicalParams(rabi=lv.rabi_for_saturation(s, 0.0),
-                                                 laser_phase_a=a, prop_phase_p=prop))
+    return generator_at(scheme, lv.PhysicalParams(rabi=lv.rabi_for_saturation(s, 0.0)),
+                        a, prop)
 
 
 def test_stack_takes_the_svd_check_only_for_the_slice_that_trips_it(monkeypatch):
@@ -298,12 +306,13 @@ def test_resolvent_rejects_nan_generator():
 
 def test_steady_state_populations_invariant_under_global_drive_phase():
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    p = lv.PhysicalParams(rabi=2.0, detuning=1.0, laser_phase_a=0.7, prop_phase_p=1.9)
-    rho_ref = solver.steady_state(lv.assemble(scheme, p))
-    h = lv.drive_hamiltonian(scheme, p, n_atoms=2, global_phase=1.1)
-    gen = (lv.hamiltonian_generator(h) + lv.decay_dissipator(scheme, n_atoms=2)
-           + lv.exchange_term(scheme, p))
-    rho_shift = solver.steady_state(lv.Liouvillian(9, gen))
+    p = lv.PhysicalParams(rabi=2.0, detuning=1.0)
+    liou = generator_at(scheme, p, 0.7, 1.9)
+    rho_ref = solver.steady_state(liou)
+    # the same generator with the drive phases (0, 0.7) shifted by 1.1
+    drive, shifted = (lv.hamiltonian_generator(lv.drive_hamiltonian(scheme, p, phases))
+                      for phases in ((0.0, 0.7), (1.1, 1.8)))
+    rho_shift = solver.steady_state(lv.Liouvillian(9, liou.generator - drive + shifted))
     assert np.allclose(np.diag(rho_shift).real, np.diag(rho_ref).real, atol=1e-9)
 
 
@@ -340,8 +349,7 @@ def test_evolve_semigroup_property():
 
 def test_evolve_preserves_trace_and_hermiticity():
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    p = lv.PhysicalParams(rabi=2.0, laser_phase_a=0.2, prop_phase_p=0.4)
-    liou = lv.assemble(scheme, p)
+    liou = generator_at(scheme, lv.PhysicalParams(rabi=2.0), 0.2, 0.4)
     rho0 = np.zeros((9, 9), dtype=complex)
     rho0[0, 0] = 1.0
     rho_t = solver.evolve(liou, rho0, 3.0)

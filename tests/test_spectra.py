@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbsim import atoms, dressed, liouvillian as lv, solver, spectra
-from cbsim.errors import ConditioningError
+from cbsim import atoms, cbs, dressed, liouvillian as lv, solver, spectra
+from cbsim.errors import ConditioningError, DomainError
+from conftest import generator_at
 
 from test_solver import bloch_coherent_fraction, bloch_excited_population
 
@@ -64,9 +65,7 @@ def test_correlation_at_zero_tau_reduces_to_one_time_average():
 def detected_pair(kind, rabi, detuning, a=0.7, p=1.3):
     """Pair generator, steady state and detected-transition operators."""
     scheme = atoms.build_scheme(kind)
-    params = lv.PhysicalParams(rabi=rabi, detuning=detuning, laser_phase_a=a,
-                               prop_phase_p=p)
-    liou = lv.assemble(scheme, params)
+    liou = generator_at(scheme, lv.PhysicalParams(rabi=rabi, detuning=detuning), a, p)
     rho = solver.steady_state(liou)
     low = atoms.lowering_operator(scheme, scheme.cbs_transition)
     lows = [atoms.embed(low, 1), atoms.embed(low, 2)]
@@ -214,6 +213,36 @@ def test_default_grid_covers_detuned_peaks():
     grid = spectra.default_omega_grid(100.0, 20.0)
     for pos in dressed.peak_positions(100.0, 20.0).positions:
         assert grid.min() <= pos <= grid.max()
+
+
+@pytest.mark.parametrize("bad", [
+    lambda grid: np.random.default_rng(3).permutation(grid),
+    lambda grid: grid[::-1],
+    lambda grid: np.where(grid == 1.0, np.nan, grid),
+    lambda grid: np.concatenate([grid[:5], grid[4:]]),
+    lambda grid: grid[None, :],
+    lambda grid: np.float64(1.0),
+    lambda grid: grid[:1],
+    lambda grid: grid[:0],
+], ids=["shuffled", "descending", "nan", "repeated", "2d", "scalar", "one_point", "empty"])
+@pytest.mark.parametrize("observable", [
+    lambda grid: cbs.cbs_spectrum(atoms.build_scheme(atoms.V_TYPE), lv.PhysicalParams(rabi=2.0),
+                                  omega_grid=grid),
+    lambda grid: spectra.single_atom_spectrum(lv.PhysicalParams(rabi=2.0), omega_grid=grid),
+], ids=["cbs_spectrum", "single_atom_spectrum"])
+def test_bad_frequency_grid_rejected_before_any_steady_state(monkeypatch, bad, observable):
+    calls = []
+    for module in (cbs, spectra):
+        monkeypatch.setattr(module, "steady_state", lambda liou: calls.append(liou))
+    with pytest.raises(DomainError, match="frequency grid"):
+        observable(bad(np.linspace(-5.0, 5.0, 11)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("span", [-5.0, 0.0, np.nan, np.inf])
+def test_default_grid_rejects_bad_span(span):
+    with pytest.raises(DomainError, match="span"):
+        spectra.default_omega_grid(10.0, 0.0, span=span)
 
 
 # -- single-atom spectrum -------------------------------------------------------
