@@ -85,11 +85,13 @@ class CbsComponents:
                    c2_el=float(c2_el), c2_inel=float(c2_inel), alpha=float(alpha))
 
 
-def _check_sizes(n_a, n_p, n_configs=None):
+def _check_sizes(n_a, n_p, n_configs=None, seed=0):
     """Raise :class:`ConfigurationError` unless the phase-grid sizes are
-    integers of at least 4 and ``n_configs``, if given, a positive integer."""
+    integers of at least 4, ``n_configs``, if given, a positive integer and
+    ``seed`` a non-negative one."""
     why = "at least 4 points per phase are needed to separate harmonics through order 2"
-    sizes = [("n_a", n_a, 4, why), ("n_p", n_p, 4, why)]
+    sizes = [("n_a", n_a, 4, why), ("n_p", n_p, 4, why),
+             ("seed", seed, 0, "the orientation sampler takes non-negative seeds")]
     if n_configs is not None:
         sizes.append(("n_configs", n_configs, 1, "at least one orientation is needed"))
     for name, n, least, why in sizes:
@@ -131,8 +133,7 @@ def _detection_operators(scheme):
     return lows, highs
 
 
-def _moment_matrices(scheme, params, phases, include_exchange=True, cross_damping=True,
-                     detection=None):
+def _moment_matrices(scheme, params, phases, detection=None):
     """<R_j L_k> and <R_j><L_k> for the detected transition at the k points
     of ``phases``, an (a, p) pair of arrays as in
     :func:`~cbsim.liouvillian.assemble`: (2, 2, k) moment matrices, with
@@ -144,8 +145,7 @@ def _moment_matrices(scheme, params, phases, include_exchange=True, cross_dampin
     detected intensity real at every b.
     """
     lows, highs = detection or _detection_operators(scheme)
-    stack = assemble(scheme, params, phases, include_exchange=include_exchange,
-                     cross_damping=cross_damping)
+    stack = assemble(scheme, params, phases)
     rho = steady_state(stack)
     # tr(rho O) = vec(O^T) . vec(rho) in the row-major vectorization.
     observables = [high @ low for high in highs for low in lows] + lows + highs
@@ -170,17 +170,17 @@ def _b_harmonics(mat):
     return (mat[0, 0] + mat[1, 1]).real, (mat[0, 1] + mat[1, 0].conj()) / 2
 
 
-def detected_intensity(scheme, params, a=0.0, b=0.0, p=0.0, include_exchange=True):
+def detected_intensity(scheme, params, a=0.0, b=0.0, p=0.0):
     """Normally ordered detected intensity <D+ D> at drive phase difference
     ``a``, detection phase difference ``b`` and propagation phase ``p``."""
     if not np.isfinite(b):
         raise DomainError(f"detection phase must be finite, got {b}")
-    m = _moment_matrices(scheme, params, ([a], [p]), include_exchange=include_exchange)[0]
+    m = _moment_matrices(scheme, params, ([a], [p]))[0]
     eb = np.exp(-1j * b)
     return float((m[0, 0, 0] + m[1, 1, 0] + 2.0 * eb * m[0, 1, 0]).real)
 
 
-def _phase_average(scheme, params, n_a, n_p, cross_damping, omega_grid=None):
+def _phase_average(scheme, params, n_a, n_p, omega_grid=None):
     """(ladder, crossed) pairs of the total and elastic intensity, plus (given
     ``omega_grid``) of the spectral density over it.
 
@@ -190,8 +190,7 @@ def _phase_average(scheme, params, n_a, n_p, cross_damping, omega_grid=None):
     """
     detection = _detection_operators(scheme)
     a, p = phase_grid(n_a, n_p)
-    m, e, stack, rho = _moment_matrices(scheme, params, (a, p), cross_damping=cross_damping,
-                                        detection=detection)
+    m, e, stack, rho = _moment_matrices(scheme, params, (a, p), detection=detection)
     weight = np.exp(1j * a)
     sums = [[mean.sum(), (weight * coef).sum()]
             for mean, coef in (_b_harmonics(m), _b_harmonics(e))]
@@ -242,7 +241,7 @@ def _components(total, elastic, scale):
 
 
 def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POINTS,
-                   n_p=DEFAULT_PHASE_POINTS, normalize=True, cross_damping=True):
+                   n_p=DEFAULT_PHASE_POINTS, normalize=True):
     """Background/interference intensities and enhancement factor.
 
     ``s`` and ``detuning``, when given, override the drive parameters (the
@@ -251,7 +250,7 @@ def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POIN
     """
     _check_sizes(n_a, n_p)
     params = _resolve_drive(params, s, detuning)
-    total, elastic = _phase_average(scheme, params, n_a, n_p, cross_damping)
+    total, elastic = _phase_average(scheme, params, n_a, n_p)
     scale = exchange_scale(params) if normalize else 1.0
     return _components(total, elastic, scale)
 
@@ -272,7 +271,7 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64
                              seed=0, n_a=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
                              normalize=True):
     """Orientation-averaged components over an isotropic interatomic axis."""
-    _check_sizes(n_a, n_p, n_configs)
+    _check_sizes(n_a, n_p, n_configs, seed)
     params = _resolve_drive(params, s, detuning)
     sums = np.zeros(4)
     for orientation in sample_orientations(n_configs, seed):
@@ -293,14 +292,19 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
 
     A failing point carries ``None`` and its error instead of stopping the
     sweep.  With ``n_configs`` set, every point is the isotropic average of
-    :func:`cbs_components_isotropic` over that many seeded samples.
+    :func:`cbs_components_isotropic` over that many seeded samples.  Inputs
+    that would fail every point, a scheme without a detected channel
+    included, raise before any point is solved.
     """
-    _check_sizes(n_a, n_p, n_configs)
+    _check_sizes(n_a, n_p, n_configs, seed)
     s_values = [float(s) for s in s_values]
-    if any(s <= 0 for s in s_values):
-        raise DomainError("sweep saturations must be positive")
+    if not s_values:
+        raise ConfigurationError("a sweep needs at least one saturation")
+    if not all(0.0 < s < np.inf for s in s_values):
+        raise DomainError("sweep saturations must be finite and positive")
     if s_values != sorted(s_values):
         raise DomainError("sweep saturations must be sorted ascending")
+    _detection_operators(scheme)
     if params is None:
         params = PhysicalParams()
     grid_sizes = dict(n_a=n_a, n_p=n_p)
@@ -343,7 +347,7 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
     _check_sizes(n_a, n_p)
     omega_grid = spectra.checked_grid(omega_grid, params)
     total, elastic, (ladder_density, crossed_density) = _phase_average(
-        scheme, params, n_a, n_p, True, omega_grid=omega_grid)
+        scheme, params, n_a, n_p, omega_grid=omega_grid)
     scale = exchange_scale(params) if normalize else 1.0
     components = _components(total, elastic, scale)
 

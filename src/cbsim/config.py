@@ -10,8 +10,7 @@ Keys and defaults:
 ====================  =======================  =====================================
 key                   default                  meaning
 ====================  =======================  =====================================
-scheme                v_type                   two_level | v_type | full_j0_j1
-coupling_mode         vector                   vector | scalar exchange weights
+scheme                v_type                   v_type | full_j0_j1
 detuning              0.0                      drive detuning (units of gamma)
 kr                    100.0                    dimensionless interatomic distance
 sweep_s               (none)                   saturation sweep: ``logspace(lo, hi, n)``
@@ -42,8 +41,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParseError
-from . import atoms, liouvillian
+from .errors import ConfigurationError, DomainError, ParseError
+from . import atoms, cbs, liouvillian
 
 FIXED = "fixed"
 ISOTROPIC = "isotropic"
@@ -56,7 +55,6 @@ _LOGSPACE_RE = re.compile(
 @dataclass
 class RunConfig:
     scheme: str = atoms.V_TYPE
-    coupling_mode: str = liouvillian.VECTOR
     detuning: float = 0.0
     kr: float = 100.0
     sweep_s: tuple = None
@@ -81,7 +79,6 @@ class RunConfig:
             detuning=self.detuning,
             kr=self.kr,
             orientation=self.orientation,
-            coupling_mode=self.coupling_mode,
         )
 
     def echo_lines(self):
@@ -152,8 +149,6 @@ def _parse_vector(raw, line, key):
 
 _PARSERS = {
     "scheme": lambda raw, ln: _parse_choice(raw, atoms.SCHEME_KINDS, ln, "scheme"),
-    "coupling_mode": lambda raw, ln: _parse_choice(
-        raw, liouvillian.COUPLING_MODES, ln, "coupling_mode"),
     "detuning": lambda raw, ln: _parse_float(raw, ln, "detuning"),
     "kr": lambda raw, ln: _parse_float(raw, ln, "kr"),
     "sweep_s": lambda raw, ln: _parse_sweep(raw, ln, "sweep_s"),
@@ -178,10 +173,16 @@ def _validate(cfg):
     def fail(key, message):
         raise ParseError(message, line=cfg.source_lines.get(key), key=key)
 
-    if cfg.kr < liouvillian.KR_MIN:
-        fail("kr", f"kr >= {liouvillian.KR_MIN:g} required, got {cfg.kr:g}")
-    if cfg.rabi is not None and cfg.rabi < 0:
-        fail("rabi", "rabi frequency must be non-negative")
+    try:  # the library's rule: a detected channel fed only by exchange
+        cbs._detection_operators(atoms.build_scheme(cfg.scheme))
+    except ConfigurationError as exc:
+        fail("scheme", str(exc))
+    for key in ("kr", "rabi", "orientation"):  # the rules of PhysicalParams
+        if getattr(cfg, key) is not None:
+            try:
+                liouvillian.PhysicalParams(**{key: getattr(cfg, key)})
+            except (ConfigurationError, DomainError) as exc:
+                fail(key, str(exc))
     if cfg.sweep_s is not None:
         if any(s <= 0 for s in cfg.sweep_s):
             fail("sweep_s", "sweep saturations must be positive")
@@ -202,8 +203,6 @@ def _validate(cfg):
         fail("n_configs", "n_configs must be at least 1")
     if cfg.seed < 0:
         fail("seed", f"seed must be non-negative, got {cfg.seed}")
-    if not np.linalg.norm(cfg.orientation) > 0.0:  # the rule of PhysicalParams
-        fail("orientation", "orientation vector must have a nonzero norm")
     return cfg
 
 

@@ -10,14 +10,15 @@ every transition of every atom (atom by atom; 2 n_t x 2 n_t for a pair),
 H is the drive Hamiltonian in the frame rotating at the laser frequency
 plus the coherent photon exchange.  R holds independent radiative decay
 (2 on its diagonal) and the cross-atom damping in its off-diagonal
-(atom-to-atom) blocks, which ``cross_damping=False`` zeroes.  The exchange
-carries one complex amplitude per transition pair,
+(atom-to-atom) blocks.  The exchange carries one complex amplitude per
+transition pair,
 
     G = (3/2) * exp(i*p) / kr * T[q, q'],
 
 whose real part (cos p) enters H and whose imaginary part (sin p) enters R.
 ``T`` is the transverse projector weight between the spherical polarization
-vectors of the two transitions; in scalar mode it is the identity.
+vectors of the two transitions; it alone converts the sigma-plus drive into
+the detected sigma-minus light.
 
 All quantities are in units of gamma, half the excited-state population
 decay rate, so gamma = 1 throughout.  The drive-phase difference a and the
@@ -79,10 +80,6 @@ import numpy as np
 from . import atoms
 from .errors import ConfigurationError, DimensionError, DomainError
 
-SCALAR = "scalar"
-VECTOR = "vector"
-COUPLING_MODES = (SCALAR, VECTOR)
-
 #: Smallest admissible dimensionless interatomic distance; below this the
 #: weak-coupling expansion underlying the model is not trustworthy.
 KR_MIN = 10.0
@@ -106,8 +103,8 @@ class PhysicalParams:
 
     ``orientation`` is the direction of the interatomic axis, stored
     unnormalized as a float tuple (so ``replace`` never moves it) and
-    normalized by :func:`transverse_weights`; it only enters in vector
-    coupling mode.  The disorder phases are not parameters of a run:
+    normalized by :func:`transverse_weights`, so its norm must be finite
+    and nonzero.  The disorder phases are not parameters of a run:
     :func:`assemble` takes them per phase point.
     """
 
@@ -115,7 +112,6 @@ class PhysicalParams:
     detuning: float = 0.0
     kr: float = 100.0
     orientation: tuple = (1.0, 0.0, 0.0)
-    coupling_mode: str = VECTOR
 
     def __post_init__(self):
         for name in ("rabi", "detuning", "kr"):
@@ -127,13 +123,14 @@ class PhysicalParams:
             raise DomainError(
                 f"kr >= {KR_MIN:g} required (weak-coupling regime), got {self.kr}"
             )
-        if self.coupling_mode not in COUPLING_MODES:
-            raise ConfigurationError(f"unknown coupling mode {self.coupling_mode!r}")
         n = np.asarray(self.orientation, dtype=float)
         if n.shape != (3,) or not np.all(np.isfinite(n)):
             raise ConfigurationError(f"orientation must be a finite 3-vector, got {self.orientation}")
-        if not np.linalg.norm(n) > 0.0:
-            raise ConfigurationError("orientation vector must have a nonzero norm")
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = np.linalg.norm(n)
+        if not 0.0 < norm < math.inf:
+            raise ConfigurationError(
+                f"orientation vector must have a finite nonzero norm, got {norm:g}")
         object.__setattr__(self, "orientation", tuple(float(x) for x in n))
 
     @property
@@ -404,16 +401,12 @@ def decay_dissipator(scheme, n_atoms=2):
 
 
 def transverse_weights(scheme, params):
-    """Polarization weight matrix T[q, q'] between transition pairs.
-
-    Vector mode sandwiches the transverse projector of the interatomic axis
-    between the spherical polarization vectors, which allows sigma-plus to
-    sigma-minus conversion; scalar mode couples like polarizations with unit
-    weight.
+    """Polarization weight matrix T[q, q'] between transition pairs: the
+    transverse projector of the interatomic axis sandwiched between the
+    spherical polarization vectors, which allows sigma-plus to sigma-minus
+    conversion.
     """
     n_t = len(scheme.transitions)
-    if params.coupling_mode == SCALAR:
-        return np.eye(n_t, dtype=complex)
     n = np.asarray(params.orientation, dtype=float)
     n = n / np.linalg.norm(n)
     projector = np.eye(3) - np.outer(n, n)
@@ -493,7 +486,7 @@ def _check_trace_preserving(stack):
         )
 
 
-def assemble(scheme, params, phases, include_exchange=True, cross_damping=True):
+def assemble(scheme, params, phases):
     """Two-atom generators: drive, decay, and photon exchange, combined
     from the cached affine blocks.
 
@@ -502,8 +495,7 @@ def assemble(scheme, params, phases, include_exchange=True, cross_damping=True):
     otherwise); the result is the :class:`GeneratorStack` of one sparse
     real generator per pair.  The exchange enters as the coherent amplitude
     ``-g0 cos(p) T[q, q']`` and the cross damping rate ``2 g0 sin(p) T[q, q']``
-    of every ordered transition pair, with ``g0 = 3 / (2 kr)``;
-    ``cross_damping=False`` keeps only the coherent part (a diagnostic switch).
+    of every ordered transition pair, with ``g0 = 3 / (2 kr)``.
     """
     a, p = (np.asarray(x, dtype=float).reshape(-1) for x in phases)
     if a.shape != p.shape:
@@ -512,11 +504,9 @@ def assemble(scheme, params, phases, include_exchange=True, cross_damping=True):
         raise DomainError("drive and propagation phases must be finite")
     coefficients = [np.ones_like(a), np.full_like(a, params.detuning),
                     np.full_like(a, params.rabi), params.rabi * np.cos(a),
-                    params.rabi * np.sin(a)]
-    if include_exchange:
-        coefficients += [np.cos(p), np.sin(p) if cross_damping else 0.0 * p]
+                    params.rabi * np.sin(a), np.cos(p), np.sin(p)]
     blocks, rows = _affine_rows(scheme, params)
-    stack = replace(blocks, values=np.transpose(coefficients) @ rows[:len(coefficients)])
+    stack = replace(blocks, values=np.transpose(coefficients) @ rows)
     _check_trace_preserving(stack)
     return stack
 

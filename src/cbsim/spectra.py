@@ -224,8 +224,10 @@ def default_omega_grid(rabi, detuning, span=None, base_step=BASE_STEP,
     multiples of ``refine_step`` so that a zero-detuning grid is exactly
     mirror symmetric.
     """
-    if base_step <= 0 or refine_step <= 0 or base_step < refine_step:
-        raise DomainError("grid steps must satisfy base_step >= refine_step > 0")
+    if not (np.inf > base_step >= refine_step > 0 and np.inf > refine_halfwidth > 0):
+        raise DomainError("grid steps must satisfy inf > base_step >= refine_step > 0 and "
+                          f"inf > refine_halfwidth > 0, got {base_step}, {refine_step}, "
+                          f"{refine_halfwidth}")
     omega_r = dressed.generalized_rabi(rabi, detuning)
     if span is None:
         span = SPAN_FACTOR * max(omega_r, 1.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cbsim import atoms, cbs, dressed, liouvillian as lv, solver, spectra
 from cbsim.errors import ConditioningError, ConfigurationError, DomainError
-from conftest import completed_sweep, count_phase_points, generator_at
+from conftest import completed_sweep, count_phase_points, generator_at, uncoupled_pair
 
 
 def default_params(**kwargs):
@@ -90,14 +90,33 @@ def _sweep(scheme, params, **sizes):
     (_sweep, dict(n_configs=0)),
     (_sweep, dict(n_configs=2.5)),
     (cbs.cbs_spectrum, dict(n_p=4.5)),
+    (cbs.cbs_components_isotropic, dict(seed=-1)),
+    (cbs.cbs_components_isotropic, dict(seed=1.5)),
+    (_sweep, dict(seed=-1, n_configs=1)),
+    (_sweep, dict(seed=1.5, n_configs=1)),
 ], ids=["components_n_a_4.5", "components_n_p_4.0", "isotropic_n_configs_0",
         "isotropic_n_configs_-1", "isotropic_n_configs_2.5", "isotropic_n_a_4.5",
-        "sweep_n_a_4.5", "sweep_n_configs_0", "sweep_n_configs_2.5", "spectrum_n_p_4.5"])
+        "sweep_n_a_4.5", "sweep_n_configs_0", "sweep_n_configs_2.5", "spectrum_n_p_4.5",
+        "isotropic_seed_-1", "isotropic_seed_1.5", "sweep_seed_-1", "sweep_seed_1.5"])
 def test_non_integral_or_empty_sizes_rejected_before_any_steady_state(
         v_scheme, monkeypatch, observable, sizes):
     calls = count_phase_points(monkeypatch)
     with pytest.raises(ConfigurationError, match=next(iter(sizes))):
         observable(v_scheme, default_params(rabi=2.0), **sizes)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind,s_values,error", [
+    (atoms.V_TYPE, [], ConfigurationError),
+    (atoms.V_TYPE, [0.5, np.nan], DomainError),
+    (atoms.V_TYPE, [0.5, np.inf], DomainError),
+    (atoms.TWO_LEVEL, [0.5, 2.0], ConfigurationError),
+], ids=["empty", "nan", "inf", "two_level"])
+def test_sweep_inputs_rejected_before_any_steady_state(monkeypatch, kind, s_values, error):
+    # each would otherwise fill the sweep with error rows (or return none)
+    calls = count_phase_points(monkeypatch)
+    with pytest.raises(error):
+        cbs.sweep_alpha_collect(atoms.build_scheme(kind), 0.0, s_values)
     assert calls == []
 
 
@@ -114,31 +133,29 @@ def test_numpy_integer_sizes_accepted(v_scheme):
 # -- stacked solve against one solve per point ------------------------------------
 
 
-@pytest.mark.parametrize("kind,options,switches,sizes", [
-    (atoms.V_TYPE, {}, {}, (4, 4)),
-    (atoms.FULL_J0_J1, dict(orientation=(0.3, -0.5, 0.8)), {}, (4, 4)),
-    (atoms.V_TYPE, dict(coupling_mode=lv.SCALAR), {}, (4, 4)),
-    (atoms.V_TYPE, {}, dict(include_exchange=False), (4, 4)),
-    (atoms.V_TYPE, {}, dict(cross_damping=False), (4, 4)),
-    (atoms.V_TYPE, {}, {}, (8, 5)),
-], ids=["v_type", "full_tilted_axis", "scalar", "no_exchange", "no_cross_damping",
-        "grid_8x5"])
-def test_stacked_densities_match_pointwise_solves(kind, options, switches, sizes):
+@pytest.mark.parametrize("kind,options,sizes", [
+    (atoms.V_TYPE, {}, (4, 4)),
+    (atoms.FULL_J0_J1, dict(orientation=(0.3, -0.5, 0.8)), (4, 4)),
+    (atoms.V_TYPE, dict(orientation=(0.0, 0.0, 1.0)), (4, 4)),
+    (atoms.V_TYPE, {}, (8, 5)),
+], ids=["v_type", "full_tilted_axis", "v_type_axis_z", "grid_8x5"])
+def test_stacked_densities_match_pointwise_solves(kind, options, sizes):
     scheme = atoms.build_scheme(kind)
     params = default_params(rabi=lv.rabi_for_saturation(1.5, 2.0), detuning=2.0, **options)
     a, p = cbs.phase_grid(*sizes)
     assert sorted(zip(a, p)) == sorted((ai, pj) for ai in cbs.phase_values(sizes[0])
                                        for pj in cbs.phase_values(sizes[1]))
-    m, _, stack, rho = cbs._moment_matrices(scheme, params, (a, p), **switches)
+    m, _, stack, rho = cbs._moment_matrices(scheme, params, (a, p))
     assert len(stack) == rho.shape[0] == m.shape[2] == a.size
     (low_1, low_2), (high_1, high_2) = cbs._detection_operators(scheme)
     for i in range(a.size):
-        alone = solver.steady_state(generator_at(scheme, params, a[i], p[i], **switches))
+        alone = solver.steady_state(generator_at(scheme, params, a[i], p[i]))
         assert np.abs(rho[i] - alone).max() <= 1e-12
         moments = np.array([[np.trace(alone @ high @ low) for low in (low_1, low_2)]
                             for high in (high_1, high_2)])
         # The floor, about 5 ulp of ||rho|| <= 1, covers the moments that vanish in
-        # exact arithmetic (scalar, no_exchange) and are pure roundoff.
+        # exact arithmetic and are pure roundoff: with the axis along z, T does not
+        # couple sigma-plus to sigma-minus, so nothing reaches the detected level.
         assert np.abs(m[..., i] - moments).max() <= 1e-12 * np.abs(moments).max() + 1e-15
 
 
@@ -146,13 +163,10 @@ def test_stacked_densities_match_pointwise_solves(kind, options, switches, sizes
 
 
 def test_intensity_zero_without_exchange(v_scheme):
-    p = default_params(rabi=2.0)
-    assert abs(cbs.detected_intensity(v_scheme, p, include_exchange=False)) < 1e-20
-
-
-def test_intensity_zero_in_scalar_mode(v_scheme):
-    p = default_params(rabi=2.0, coupling_mode=lv.SCALAR)
-    assert abs(cbs.detected_intensity(v_scheme, p)) < 1e-20
+    rho = solver.steady_state(uncoupled_pair(v_scheme, default_params(rabi=2.0)))
+    (low_1, low_2), _ = cbs._detection_operators(v_scheme)
+    dipole = low_1 + low_2
+    assert abs(np.trace(rho @ dipole.conj().T @ dipole)) < 1e-20
 
 
 def test_intensity_real_and_nonnegative_for_phase_samples(v_scheme):

@@ -23,7 +23,6 @@ def test_empty_config_gives_defaults():
     assert cfg.scheme == "v_type"
     assert cfg.detuning == 0.0
     assert cfg.kr == 100.0
-    assert cfg.coupling_mode == "vector"
     assert cfg.sweep_s is None and cfg.rabi is None
 
 
@@ -125,6 +124,10 @@ def test_orientation_rule_is_the_library_rule():
     assert (exc.value.line, exc.value.key) == (2, "orientation")
     with pytest.raises(ConfigurationError, match="nonzero norm"):
         lv.PhysicalParams(orientation=(1e-170, 1e-170, 0.0))
+    # so is one that overflows to inf, which would make T the identity
+    with pytest.raises(ParseError, match="finite nonzero norm") as exc:
+        config.parse_config("kr = 150\norientation = 1e200, 1e200, 0\n")
+    assert (exc.value.line, exc.value.key) == (2, "orientation")
 
 
 def test_orientation_vector_parses():
@@ -135,9 +138,8 @@ def test_orientation_vector_parses():
 
 def test_config_propagates_into_physical_params():
     cfg = config.parse_config(
-        "coupling_mode = scalar\nkr = 150\ndetuning = -3\norientation = 0, 0, 1\n")
+        "kr = 150\ndetuning = -3\norientation = 0, 0, 1\n")
     params = cfg.params(rabi=2.0)
-    assert params.coupling_mode == "scalar"
     assert params.kr == 150.0
     assert params.detuning == -3.0
     assert params.orientation == (0.0, 0.0, 1.0)
@@ -329,18 +331,40 @@ def test_missing_output_directory_rejected_before_solving(tmp_path, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
-def test_detection_phase_grid_key_rejected_before_solving(tmp_path, monkeypatch, capsys):
-    # b is averaged in closed form, so it has no grid-size key
-    text = f"sweep_s = 0.5\nn_phase_b = 8\noutput_dir = {tmp_path}\n"
-    with pytest.raises(ParseError) as info:
+def _rejected_before_solving(tmp_path, monkeypatch, capsys, line, key, match):
+    """Parsing ``sweep_s = 0.5`` with ``line`` second raises a ParseError
+    naming line 2, ``key`` and ``match``; ``cbsim alpha-sweep`` exits 1 with
+    no steady state solved and no CSV written."""
+    text = f"sweep_s = 0.5\n{line}\noutput_dir = {tmp_path}\n"
+    with pytest.raises(ParseError, match=match) as info:
         config.parse_config(text)
-    assert info.value.line == 2 and info.value.key == "n_phase_b"
+    assert info.value.line == 2 and info.value.key == key
     calls = count_phase_points(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     assert cli.main(["alpha-sweep", str(cfg_path)]) == 1
-    assert "n_phase_b" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert calls == []
+    assert not (tmp_path / "alpha_sweep.csv").exists()
+
+
+def test_detection_phase_grid_key_rejected_before_solving(tmp_path, monkeypatch, capsys):
+    # b is averaged in closed form, so it has no grid-size key
+    _rejected_before_solving(tmp_path, monkeypatch, capsys, "n_phase_b = 8", "n_phase_b",
+                             "unknown key")
+
+
+def test_coupling_mode_key_rejected_before_solving(tmp_path, monkeypatch, capsys):
+    # the model has one coupling: the vector exchange feeds the detected channel
+    _rejected_before_solving(tmp_path, monkeypatch, capsys, "coupling_mode = scalar",
+                             "coupling_mode", "unknown key")
+
+
+def test_scheme_without_detected_channel_rejected_before_solving(tmp_path, monkeypatch,
+                                                                 capsys):
+    # two_level has no sigma-minus transition, so every point would fail
+    _rejected_before_solving(tmp_path, monkeypatch, capsys, "scheme = two_level", "scheme",
+                             "no sigma_minus transition")
 
 
 # -- spectrum artifact -------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cbsim import atoms, cbs, liouvillian as lv, solver
 from cbsim.errors import ConfigurationError, DimensionError, DomainError
-from conftest import generator_at
+from conftest import generator_at, uncoupled_pair
 
 
 def random_hermitian(rng, n):
@@ -51,7 +51,7 @@ def test_negative_saturation_rejected():
 def test_params_hold_only_what_a_run_sets():
     # gamma is the unit; the disorder phases are arguments of assemble
     assert [f.name for f in fields(lv.PhysicalParams)] == [
-        "rabi", "detuning", "kr", "orientation", "coupling_mode"]
+        "rabi", "detuning", "kr", "orientation"]
 
 
 def test_transverse_weights_normalize_orientation(v_scheme):
@@ -75,12 +75,12 @@ def test_params_reject_bad_values():
     with pytest.raises(DomainError):
         lv.PhysicalParams(kr=5.0)
     with pytest.raises(ConfigurationError):
-        lv.PhysicalParams(coupling_mode="tensor")
-    with pytest.raises(ConfigurationError):
         lv.PhysicalParams(orientation=(0.0, 0.0, 0.0))
-    # nonzero, but its norm underflows to 0 in transverse_weights
-    with pytest.raises(ConfigurationError):
-        lv.PhysicalParams(orientation=(1e-170, 1e-170, 0.0))
+    # finite and nonzero, but the norm transverse_weights divides by
+    # underflows to 0 or overflows to inf (which would make T the identity)
+    for orientation in ((1e-170, 1e-170, 0.0), (1e200, 1e200, 0.0)):
+        with pytest.raises(ConfigurationError, match="finite nonzero norm"):
+            lv.PhysicalParams(orientation=orientation)
 
 
 def test_params_store_orientation_as_float_tuple():
@@ -203,23 +203,18 @@ def test_transverse_weights_hermitian_any_axis():
         assert eigs.min() > -1e-12 and eigs.max() < 1.0 + 1e-12
 
 
-def test_scalar_weights_are_identity():
-    scheme = atoms.build_scheme(atoms.V_TYPE)
-    p = lv.PhysicalParams(coupling_mode=lv.SCALAR)
-    assert np.array_equal(lv.transverse_weights(scheme, p), np.eye(2))
-
-
 def exchange(scheme, params, p):
     """The exchange part of the generator at propagation phase ``p``."""
     return (generator_at(scheme, params, p=p).generator
-            - generator_at(scheme, params, p=p, include_exchange=False).generator)
+            - uncoupled_pair(scheme, params).generator)
 
 
 def test_exchange_scales_exactly_as_inverse_kr():
+    # L(kr) - L(2 kr) is half the exchange at kr, all from the cached blocks
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    ex1 = exchange(scheme, lv.PhysicalParams(kr=100.0), 0.8)
-    ex2 = exchange(scheme, lv.PhysicalParams(kr=200.0), 0.8)
-    assert np.allclose(ex1, 2.0 * ex2, rtol=1e-13, atol=1e-16)
+    l100, l200, l400 = (generator_at(scheme, lv.PhysicalParams(kr=kr), p=0.8).generator
+                        for kr in (100.0, 200.0, 400.0))
+    assert np.allclose(l100 - l200, 2.0 * (l200 - l400), rtol=1e-13, atol=1e-16)
 
 
 def test_exchange_vanishes_at_large_separation():
@@ -230,17 +225,9 @@ def test_exchange_vanishes_at_large_separation():
     assert np.abs(far).max() < 2e-9  # absolute decoupling scale
 
 
-def test_scalar_mode_never_populates_detected_level():
-    scheme = atoms.build_scheme(atoms.V_TYPE)
-    p = lv.PhysicalParams(rabi=2.0, coupling_mode=lv.SCALAR)
-    rho = solver.steady_state(generator_at(scheme, p, 0.4, 1.0))
-    pop2 = atoms.embed(atoms.level_projector(scheme, 1), 1)
-    assert abs(np.trace(rho @ pop2)) < 1e-14
-
-
 def test_assemble_pure_decay_steady_state_is_double_ground():
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    liou = generator_at(scheme, lv.PhysicalParams(rabi=0.0), include_exchange=False)
+    liou = uncoupled_pair(scheme, lv.PhysicalParams(rabi=0.0))
     rho = solver.steady_state(liou)
     expected = np.zeros((9, 9), dtype=complex)
     expected[0, 0] = 1.0
@@ -290,7 +277,7 @@ def test_hermiticity_preservation():
 def test_uncoupled_pair_factorizes():
     scheme = atoms.build_scheme(atoms.V_TYPE)
     p = lv.PhysicalParams(rabi=2.0, detuning=1.0)
-    pair = generator_at(scheme, p, a=0.8, include_exchange=False)
+    pair = uncoupled_pair(scheme, p, a=0.8)
 
     # action on a product operator equals the sum of single-atom actions
     single_0 = lv.assemble_single(scheme, p)
@@ -338,7 +325,7 @@ def _ref_decay(scheme, n_atoms):
     return out
 
 
-def _ref_exchange(scheme, params, p, cross_damping):
+def _ref_exchange(scheme, params, p):
     g0 = 1.5 / params.kr
     weights = lv.transverse_weights(scheme, params)
     dim = scheme.n_levels**2
@@ -351,9 +338,8 @@ def _ref_exchange(scheme, params, p, cross_damping):
             for qp in range(n_t):
                 lower_kqp = atoms.embed(atoms.lowering_operator(scheme, qp), k)
                 h += -g0 * np.cos(p) * weights[q, qp] * (raise_jq @ lower_kqp)
-                if cross_damping:
-                    rate = 2.0 * g0 * np.sin(p) * weights[q, qp]
-                    damping += _ref_dissipator(lower_kqp, raise_jq.conj().T, rate)
+                rate = 2.0 * g0 * np.sin(p) * weights[q, qp]
+                damping += _ref_dissipator(lower_kqp, raise_jq.conj().T, rate)
     return _ref_hamiltonian(h) + damping
 
 
@@ -363,23 +349,15 @@ def _assert_same_generator(built, reference):
 
 
 @pytest.mark.parametrize("kind", atoms.SCHEME_KINDS)
-@pytest.mark.parametrize("mode", [lv.VECTOR, lv.SCALAR])
-@pytest.mark.parametrize("include_exchange", [True, False])
-@pytest.mark.parametrize("cross_damping", [True, False])
-def test_generator_matches_term_by_term_reference(kind, mode, include_exchange,
-                                                   cross_damping):
+def test_generator_matches_term_by_term_reference(kind):
     rng = np.random.default_rng(11)
     scheme = atoms.build_scheme(kind)
     params = lv.PhysicalParams(rabi=2.7, detuning=-1.3, kr=37.0,
-                               orientation=tuple(rng.standard_normal(3)), coupling_mode=mode)
+                               orientation=tuple(rng.standard_normal(3)))
     a, p = 0.9, 2.2
     pair = lv.drive_hamiltonian(scheme, params, (0.0, a))
-    reference = _ref_hamiltonian(pair) + _ref_decay(scheme, 2)
-    if include_exchange:
-        reference = reference + _ref_exchange(scheme, params, p, cross_damping)
-    built = generator_at(scheme, params, a, p, include_exchange=include_exchange,
-                         cross_damping=cross_damping)
-    _assert_same_generator(built.generator, reference)
+    reference = _ref_hamiltonian(pair) + _ref_decay(scheme, 2) + _ref_exchange(scheme, params, p)
+    _assert_same_generator(generator_at(scheme, params, a, p).generator, reference)
     for n_atoms in (1, 2):
         _assert_same_generator(lv.decay_dissipator(scheme, n_atoms=n_atoms),
                                _ref_decay(scheme, n_atoms))
@@ -389,28 +367,20 @@ def test_generator_matches_term_by_term_reference(kind, mode, include_exchange,
 
 
 @pytest.mark.parametrize("kind", atoms.SCHEME_KINDS)
-@pytest.mark.parametrize("mode", [lv.VECTOR, lv.SCALAR])
-@pytest.mark.parametrize("include_exchange", [True, False])
-@pytest.mark.parametrize("cross_damping", [True, False])
 @settings(max_examples=10, deadline=None)
 @given(log_rabi=st.floats(-3.0, 3.0), detuning=st.floats(-30.0, 30.0),
        log_kr=st.floats(1.0, 4.0),
        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda n: np.linalg.norm(n) > 0.1),
        a=st.floats(0.0, 2 * np.pi), p=st.floats(0.0, 2 * np.pi))
-def test_cached_assembly_matches_reference_anywhere(kind, mode, include_exchange,
-                                                    cross_damping, log_rabi, detuning,
-                                                    log_kr, axis, a, p):
+def test_cached_assembly_matches_reference_anywhere(kind, log_rabi, detuning, log_kr,
+                                                    axis, a, p):
     # one cached block set per scheme serves every kr and axis
     scheme = atoms.build_scheme(kind)
     params = lv.PhysicalParams(rabi=10.0**log_rabi, detuning=detuning, kr=10.0**log_kr,
-                               orientation=axis, coupling_mode=mode)
+                               orientation=axis)
     reference = (_ref_hamiltonian(lv.drive_hamiltonian(scheme, params, (0.0, a)))
-                 + _ref_decay(scheme, 2))
-    if include_exchange:
-        reference = reference + _ref_exchange(scheme, params, p, cross_damping)
-    built = generator_at(scheme, params, a, p, include_exchange=include_exchange,
-                         cross_damping=cross_damping)
-    _assert_same_generator(built.generator, reference)
+                 + _ref_decay(scheme, 2) + _ref_exchange(scheme, params, p))
+    _assert_same_generator(generator_at(scheme, params, a, p).generator, reference)
 
 
 def test_non_trace_preserving_slice_rejected(v_scheme):
@@ -432,10 +402,10 @@ def test_non_trace_preserving_slice_rejected(v_scheme):
 def test_stack_slices_equal_single_point_assembly(v_scheme):
     params = lv.PhysicalParams(rabi=1.7, detuning=-0.4)
     a, p = [0.0, 0.9, 4.0], [3.0, 0.1, 5.5]
-    stack = lv.assemble(v_scheme, params, (a, p), cross_damping=False)
+    stack = lv.assemble(v_scheme, params, (a, p))
     assert len(stack) == 3
     for i in range(3):
-        alone = generator_at(v_scheme, params, a[i], p[i], cross_damping=False).generator
+        alone = generator_at(v_scheme, params, a[i], p[i]).generator
         mapped_back = stack.liouvillian(i).generator
         assert np.abs(mapped_back - alone).max() <= 1e-15 * np.abs(alone).max()
     with pytest.raises(DimensionError):
@@ -528,7 +498,7 @@ def test_real_basis_generator_and_steady_state_anywhere(kind, log_rabi, detuning
     assert stack.values.dtype == np.float64
     reference = (_ref_hamiltonian(lv.drive_hamiltonian(scheme, params, (0.0, a)))
                  + _ref_decay(scheme, 2)
-                 + _ref_exchange(scheme, params, p, True))
+                 + _ref_exchange(scheme, params, p))
     _assert_same_generator(stack.liouvillian(0).generator, reference)
 
     rho = solver.steady_state(stack)[0]

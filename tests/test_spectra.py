@@ -245,6 +245,18 @@ def test_default_grid_rejects_bad_span(span):
         spectra.default_omega_grid(10.0, 0.0, span=span)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("refine_halfwidth", 0.0), ("refine_halfwidth", -1.0), ("refine_halfwidth", np.nan),
+    ("refine_halfwidth", np.inf), ("base_step", np.nan), ("base_step", np.inf),
+    ("base_step", 0.01), ("refine_step", np.nan), ("refine_step", 0.0),
+])
+def test_default_grid_rejects_bad_steps(key, value):
+    # a zero or negative half-width used to drop every refined window silently
+    assert spectra.default_omega_grid(10.0, 0.0).size == 2501
+    with pytest.raises(DomainError, match="grid steps"):
+        spectra.default_omega_grid(10.0, 0.0, **{key: value})
+
+
 # -- single-atom spectrum -------------------------------------------------------
 
 
