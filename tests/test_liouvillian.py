@@ -325,22 +325,55 @@ def _ref_decay(scheme, n_atoms):
     return out
 
 
-def _ref_exchange(scheme, params, p):
+def _ref_exchange(scheme, params, p, cross_damping=True, mode="vector"):
+    """Photon exchange term by term; ``mode="scalar"`` takes T = 1 for every
+    transition pair, and ``cross_damping=False`` keeps only the coherent part."""
     g0 = 1.5 / params.kr
-    weights = lv.transverse_weights(scheme, params)
+    n_t = len(scheme.transitions)
+    weights = np.eye(n_t) if mode == "scalar" else lv.transverse_weights(scheme, params)
     dim = scheme.n_levels**2
     h = np.zeros((dim, dim), dtype=complex)
     damping = np.zeros((dim**2, dim**2), dtype=complex)
-    n_t = len(scheme.transitions)
     for j, k in ((1, 2), (2, 1)):
         for q in range(n_t):
             raise_jq = atoms.embed(atoms.raising_operator(scheme, q), j)
             for qp in range(n_t):
                 lower_kqp = atoms.embed(atoms.lowering_operator(scheme, qp), k)
                 h += -g0 * np.cos(p) * weights[q, qp] * (raise_jq @ lower_kqp)
-                rate = 2.0 * g0 * np.sin(p) * weights[q, qp]
-                damping += _ref_dissipator(lower_kqp, raise_jq.conj().T, rate)
+                if cross_damping:
+                    rate = 2.0 * g0 * np.sin(p) * weights[q, qp]
+                    damping += _ref_dissipator(lower_kqp, raise_jq.conj().T, rate)
     return _ref_hamiltonian(h) + damping
+
+
+def _model_part(scheme, params, a, p, mode, include_exchange, cross_damping):
+    """One part of the pair generator, combined from cached assemblies only.
+
+    L is affine in (cos p, sin p) and linear in T: L(p) + L(p + pi) cancels
+    the exchange, L(p) + L(-p) its sin p part (the cross damping), and the
+    weights of the three coordinate axes sum to 2 (T = 1, the scalar weights).
+    """
+    def full(phase, at=params):
+        return generator_at(scheme, at, a, phase).generator
+
+    def exchanged(at):
+        return full(p, at) if cross_damping else 0.5 * (full(p, at) + full(-p, at))
+
+    uncoupled = 0.5 * (full(p) + full(p + np.pi))
+    if not include_exchange:
+        return uncoupled
+    if mode == "vector":
+        return exchanged(params)
+    on_axes = sum(exchanged(replace(params, orientation=tuple(n))) for n in np.eye(3))
+    return 0.5 * (on_axes - uncoupled)
+
+
+def _reference(scheme, params, a, p, mode, include_exchange, cross_damping):
+    reference = (_ref_hamiltonian(lv.drive_hamiltonian(scheme, params, (0.0, a)))
+                 + _ref_decay(scheme, 2))
+    if include_exchange:
+        reference = reference + _ref_exchange(scheme, params, p, cross_damping, mode)
+    return reference
 
 
 def _assert_same_generator(built, reference):
@@ -349,15 +382,19 @@ def _assert_same_generator(built, reference):
 
 
 @pytest.mark.parametrize("kind", atoms.SCHEME_KINDS)
-def test_generator_matches_term_by_term_reference(kind):
+@pytest.mark.parametrize("mode", ["vector", "scalar"])
+@pytest.mark.parametrize("include_exchange", [True, False])
+@pytest.mark.parametrize("cross_damping", [True, False])
+def test_generator_matches_term_by_term_reference(kind, mode, include_exchange,
+                                                   cross_damping):
     rng = np.random.default_rng(11)
     scheme = atoms.build_scheme(kind)
     params = lv.PhysicalParams(rabi=2.7, detuning=-1.3, kr=37.0,
                                orientation=tuple(rng.standard_normal(3)))
     a, p = 0.9, 2.2
-    pair = lv.drive_hamiltonian(scheme, params, (0.0, a))
-    reference = _ref_hamiltonian(pair) + _ref_decay(scheme, 2) + _ref_exchange(scheme, params, p)
-    _assert_same_generator(generator_at(scheme, params, a, p).generator, reference)
+    case = (mode, include_exchange, cross_damping)
+    _assert_same_generator(_model_part(scheme, params, a, p, *case),
+                           _reference(scheme, params, a, p, *case))
     for n_atoms in (1, 2):
         _assert_same_generator(lv.decay_dissipator(scheme, n_atoms=n_atoms),
                                _ref_decay(scheme, n_atoms))
@@ -367,20 +404,24 @@ def test_generator_matches_term_by_term_reference(kind):
 
 
 @pytest.mark.parametrize("kind", atoms.SCHEME_KINDS)
+@pytest.mark.parametrize("mode", ["vector", "scalar"])
+@pytest.mark.parametrize("include_exchange", [True, False])
+@pytest.mark.parametrize("cross_damping", [True, False])
 @settings(max_examples=10, deadline=None)
 @given(log_rabi=st.floats(-3.0, 3.0), detuning=st.floats(-30.0, 30.0),
        log_kr=st.floats(1.0, 4.0),
        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda n: np.linalg.norm(n) > 0.1),
        a=st.floats(0.0, 2 * np.pi), p=st.floats(0.0, 2 * np.pi))
-def test_cached_assembly_matches_reference_anywhere(kind, log_rabi, detuning, log_kr,
-                                                    axis, a, p):
+def test_cached_assembly_matches_reference_anywhere(kind, mode, include_exchange,
+                                                    cross_damping, log_rabi, detuning,
+                                                    log_kr, axis, a, p):
     # one cached block set per scheme serves every kr and axis
     scheme = atoms.build_scheme(kind)
     params = lv.PhysicalParams(rabi=10.0**log_rabi, detuning=detuning, kr=10.0**log_kr,
                                orientation=axis)
-    reference = (_ref_hamiltonian(lv.drive_hamiltonian(scheme, params, (0.0, a)))
-                 + _ref_decay(scheme, 2) + _ref_exchange(scheme, params, p))
-    _assert_same_generator(generator_at(scheme, params, a, p).generator, reference)
+    case = (mode, include_exchange, cross_damping)
+    _assert_same_generator(_model_part(scheme, params, a, p, *case),
+                           _reference(scheme, params, a, p, *case))
 
 
 def test_non_trace_preserving_slice_rejected(v_scheme):
