@@ -132,7 +132,8 @@ def build_scheme(kind):
                 Transition(0, 2, PI),
             ),
         )
-    raise ConfigurationError(f"unknown scheme kind {kind!r}")
+    raise ConfigurationError(
+        f"unknown scheme kind {kind!r}; expected one of {', '.join(SCHEME_KINDS)}")
 
 
 def lowering_operator(scheme, transition):

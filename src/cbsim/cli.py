@@ -14,7 +14,10 @@ Subcommands
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.  Every
 point is solved serially in this process.  ``--seed`` overrides the config
-seed.  The output directory is checked before any point is solved.  CSV
+seed; it and the ``peaks`` flags pass the rules of their config keys
+(:func:`cbsim.config.check`).  The output directory, and a spectrum's
+frequency grid (its size and its coverage of the predicted peaks), are
+checked before any point is solved.  CSV
 artifacts carry a ``#``-prefixed metadata block (command, version, seed,
 config echo), use LF line endings, and print floats with 17 significant
 digits, so identical config and seed reproduce identical bytes.
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, atoms, cbs, config, dressed, liouvillian, solver, spectra
-from .errors import CbsimError, ConfigurationError, CoverageError, ParseError
+from .errors import CbsimError, ConfigurationError, ParseError
 
 ALPHA_HEADER = "s,omega_rabi,l2_el,l2_inel,c2_el,c2_inel,alpha,error"
 SPECTRUM_HEADER = "omega_over_gamma,background_density,interference_density"
@@ -112,12 +115,6 @@ def run_alpha_sweep(cfg, output_path=None, workers=1):
     return output_path, failures
 
 
-def _spectrum_grid(cfg):
-    return spectra.default_omega_grid(
-        cfg.rabi, cfg.detuning, span=cfg.omega_span, base_step=cfg.omega_step,
-        refine_step=cfg.refine_step, refine_halfwidth=cfg.refine_halfwidth)
-
-
 #: Largest offset of a found peak from its prediction that the report passes.
 PEAK_TOLERANCE = 0.5
 
@@ -132,12 +129,8 @@ def run_spectrum(cfg, output_path=None, workers=1):
     output_path = _artifact_path(cfg, output_path, "spectrum.csv")
     report_path = _artifact_path(cfg, None, "spectrum_peaks.txt")
     peaks = dressed.peak_positions(cfg.rabi, cfg.detuning)
-    outermost = 2.0 * dressed.generalized_rabi(cfg.rabi, cfg.detuning)
-    if cfg.omega_span is not None and cfg.omega_span < outermost:
-        raise CoverageError(
-            f"omega_span = {cfg.omega_span:g} does not cover the outer doublet "
-            f"at +-{outermost:g}")
-    omega_grid = _spectrum_grid(cfg)
+    omega_grid = spectra.default_omega_grid(cfg.rabi, cfg.detuning, span=cfg.omega_span)
+    dressed.check_coverage(omega_grid, peaks)
 
     scheme = atoms.build_scheme(cfg.scheme)
     result = cbs.cbs_spectrum(scheme, cfg.params(), omega_grid=omega_grid,
@@ -288,9 +281,7 @@ def _load_config(path, seed_override):
         raise ParseError(f"cannot read config file: {exc}") from None
     cfg = config.parse_config(text)
     if seed_override is not None:
-        if seed_override < 0:
-            raise ParseError(f"--seed must be non-negative, got {seed_override}",
-                             key="seed")
+        config.check("seed", seed_override, name="--seed")
         cfg.seed = seed_override
     return cfg
 
@@ -339,12 +330,8 @@ def main(argv=None):
             print(f"wrote {report_path}")
             return 0
         if args.command == "peaks":
-            # The rules of the config keys rabi and detuning, checked before printing.
-            for key in ("rabi", "detuning"):
-                if not np.isfinite(getattr(args, key)):
-                    raise ParseError(f"--{key} must be finite, got {getattr(args, key)}")
-            if args.rabi < 0:
-                raise ParseError(f"--rabi must be non-negative, got {args.rabi}")
+            for key in ("rabi", "detuning"):  # the rules of the config keys
+                config.check(key, getattr(args, key), name=f"--{key}")
             peaks = dressed.peak_positions(args.rabi, args.detuning)
             for label in dressed.PEAK_LABELS:
                 print(f"{label:<20} {getattr(peaks, label):+.10g}")

@@ -3,7 +3,8 @@
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines are ignored.  Unknown keys, malformed values, and constraint
 violations raise :class:`ParseError` naming the offending line and key.
-All constraints are checked at parse time, before any numerical work.
+Every constraint is the rule of the library code that uses the value
+(:data:`RULES`), checked at parse time, before any numerical work.
 
 Keys and defaults:
 
@@ -16,13 +17,10 @@ kr                    100.0                    dimensionless interatomic distanc
 sweep_s               (none)                   saturation sweep: ``logspace(lo, hi, n)``
                                                or a comma-separated list
 rabi                  (none)                   single Rabi frequency (spectrum mode)
-n_phase_a             4                        drive-phase grid points
+n_phase_a             4                        drive-phase grid points (see below)
 n_phase_p             4                        propagation-phase grid points
 omega_span            auto                     half-width of the frequency grid;
                                                ``auto`` = 2.5 x generalized Rabi
-omega_step            0.1                      base frequency spacing
-refine_step           0.02                     spacing near predicted peaks
-refine_halfwidth      5.0                      half-width of refined windows
 orientation_mode      fixed                    fixed | isotropic interatomic axis
 orientation           1,0,0                    axis used in fixed mode
 n_configs             64                       isotropic-average sample count
@@ -31,8 +29,9 @@ output_dir            .                        directory for emitted artifacts
 ====================  =======================  =====================================
 
 The drive phase a and the propagation phase p are sampled on grids of at
-least 4 points; the detection phase b is averaged exactly, so it has no
-grid key.
+least 4 points, which leave an aliasing error of order kr^-4 that larger
+grids refine; the detection phase b is averaged exactly, so it has no grid
+key.  The frequency steps are those of the library's default grid.
 """
 
 import math
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ParseError
-from . import atoms, cbs, liouvillian
+from . import atoms, cbs, liouvillian, spectra
 
 FIXED = "fixed"
 ISOTROPIC = "isotropic"
@@ -62,9 +61,6 @@ class RunConfig:
     n_phase_a: int = 4
     n_phase_p: int = 4
     omega_span: float = None  # None means auto (2.5 x generalized Rabi)
-    omega_step: float = 0.1
-    refine_step: float = 0.02
-    refine_halfwidth: float = 5.0
     orientation_mode: str = FIXED
     orientation: tuple = (1.0, 0.0, 0.0)
     n_configs: int = 64
@@ -96,21 +92,13 @@ class RunConfig:
         return lines
 
 
-def _parse_float(raw, line, key):
+def _parse_number(raw, line, key, kind=float):
+    """``kind(raw)``; whether the value is allowed is the rule of ``key``."""
     try:
-        value = float(raw)
+        return kind(raw)
     except ValueError:
-        raise ParseError(f"expected a number, got {raw!r}", line=line, key=key) from None
-    if not math.isfinite(value):
-        raise ParseError(f"value must be finite, got {raw!r}", line=line, key=key)
-    return value
-
-
-def _parse_int(raw, line, key):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {raw!r}", line=line, key=key) from None
+        what = "a number" if kind is float else "an integer"
+        raise ParseError(f"expected {what}, got {raw!r}", line=line, key=key) from None
 
 
 def _parse_choice(raw, choices, line, key):
@@ -125,85 +113,61 @@ def _parse_choice(raw, choices, line, key):
 def _parse_sweep(raw, line, key):
     m = _LOGSPACE_RE.match(raw.strip())
     if m:
-        lo = _parse_float(m.group(1), line, key)
-        hi = _parse_float(m.group(2), line, key)
-        n = int(m.group(3))
-        if lo <= 0 or hi <= 0:
-            raise ParseError("logspace bounds must be positive", line=line, key=key)
-        if n < 1:
-            raise ParseError("logspace needs at least one point", line=line, key=key)
-        return tuple(np.geomspace(lo, hi, n))
-    values = tuple(_parse_float(v, line, key) for v in raw.split(",") if v.strip())
-    if not values:
-        raise ParseError(f"empty sweep specification {raw!r}", line=line, key=key)
-    return values
+        lo, hi = (_parse_number(m.group(i), line, key) for i in (1, 2))
+        if not (0 < lo < math.inf and 0 < hi < math.inf):  # as np.geomspace needs
+            raise ParseError("logspace bounds must be finite and positive",
+                             line=line, key=key)
+        return tuple(np.geomspace(lo, hi, int(m.group(3))))
+    return _parse_list(raw, line, key)
 
 
-def _parse_vector(raw, line, key):
-    parts = [p for p in raw.split(",") if p.strip()]
-    if len(parts) != 3:
-        raise ParseError(f"expected three comma-separated components, got {raw!r}",
-                         line=line, key=key)
-    return tuple(_parse_float(p, line, key) for p in parts)
+def _parse_list(raw, line, key):
+    return tuple(_parse_number(v, line, key) for v in raw.split(",") if v.strip())
 
 
 _PARSERS = {
-    "scheme": lambda raw, ln: _parse_choice(raw, atoms.SCHEME_KINDS, ln, "scheme"),
-    "detuning": lambda raw, ln: _parse_float(raw, ln, "detuning"),
-    "kr": lambda raw, ln: _parse_float(raw, ln, "kr"),
+    "scheme": lambda raw, ln: raw.strip().lower(),
+    "detuning": lambda raw, ln: _parse_number(raw, ln, "detuning"),
+    "kr": lambda raw, ln: _parse_number(raw, ln, "kr"),
     "sweep_s": lambda raw, ln: _parse_sweep(raw, ln, "sweep_s"),
-    "rabi": lambda raw, ln: _parse_float(raw, ln, "rabi"),
-    "n_phase_a": lambda raw, ln: _parse_int(raw, ln, "n_phase_a"),
-    "n_phase_p": lambda raw, ln: _parse_int(raw, ln, "n_phase_p"),
+    "rabi": lambda raw, ln: _parse_number(raw, ln, "rabi"),
+    "n_phase_a": lambda raw, ln: _parse_number(raw, ln, "n_phase_a", int),
+    "n_phase_p": lambda raw, ln: _parse_number(raw, ln, "n_phase_p", int),
     "omega_span": lambda raw, ln: (
-        None if raw.strip().lower() == "auto" else _parse_float(raw, ln, "omega_span")),
-    "omega_step": lambda raw, ln: _parse_float(raw, ln, "omega_step"),
-    "refine_step": lambda raw, ln: _parse_float(raw, ln, "refine_step"),
-    "refine_halfwidth": lambda raw, ln: _parse_float(raw, ln, "refine_halfwidth"),
+        None if raw.strip().lower() == "auto" else _parse_number(raw, ln, "omega_span")),
     "orientation_mode": lambda raw, ln: _parse_choice(
         raw, (FIXED, ISOTROPIC), ln, "orientation_mode"),
-    "orientation": lambda raw, ln: _parse_vector(raw, ln, "orientation"),
-    "n_configs": lambda raw, ln: _parse_int(raw, ln, "n_configs"),
-    "seed": lambda raw, ln: _parse_int(raw, ln, "seed"),
+    "orientation": lambda raw, ln: _parse_list(raw, ln, "orientation"),
+    "n_configs": lambda raw, ln: _parse_number(raw, ln, "n_configs", int),
+    "seed": lambda raw, ln: _parse_number(raw, ln, "seed", int),
     "output_dir": lambda raw, ln: raw.strip(),
 }
 
 
-def _validate(cfg):
-    def fail(key, message):
-        raise ParseError(message, line=cfg.source_lines.get(key), key=key)
+#: The rule of each checked key: the library call that raises
+#: :class:`ConfigurationError` or :class:`DomainError` for a bad value.
+RULES = {
+    "scheme": lambda v: cbs._detection_operators(atoms.build_scheme(v)),
+    "detuning": lambda v: liouvillian.PhysicalParams(detuning=v),
+    "kr": lambda v: liouvillian.PhysicalParams(kr=v),
+    "rabi": lambda v: liouvillian.PhysicalParams(rabi=v),
+    "orientation": lambda v: liouvillian.PhysicalParams(orientation=v),
+    "sweep_s": cbs._check_sweep,
+    "n_phase_a": lambda v: cbs._check_sizes(n_a=v),
+    "n_phase_p": lambda v: cbs._check_sizes(n_p=v),
+    "n_configs": lambda v: cbs._check_sizes(n_configs=v),
+    "seed": lambda v: cbs._check_sizes(seed=v),
+    "omega_span": spectra._lattice,
+}
 
-    try:  # the library's rule: a detected channel fed only by exchange
-        cbs._detection_operators(atoms.build_scheme(cfg.scheme))
-    except ConfigurationError as exc:
-        fail("scheme", str(exc))
-    for key in ("kr", "rabi", "orientation"):  # the rules of PhysicalParams
-        if getattr(cfg, key) is not None:
-            try:
-                liouvillian.PhysicalParams(**{key: getattr(cfg, key)})
-            except (ConfigurationError, DomainError) as exc:
-                fail(key, str(exc))
-    if cfg.sweep_s is not None:
-        if any(s <= 0 for s in cfg.sweep_s):
-            fail("sweep_s", "sweep saturations must be positive")
-        if list(cfg.sweep_s) != sorted(cfg.sweep_s):
-            fail("sweep_s", "sweep saturations must be sorted ascending")
-    for key in ("n_phase_a", "n_phase_p"):
-        if getattr(cfg, key) < 4:
-            fail(key, "at least 4 phase points are required")
-    if cfg.omega_span is not None and cfg.omega_span <= 0:
-        fail("omega_span", "omega_span must be positive (or auto)")
-    if cfg.omega_step <= 0:
-        fail("omega_step", "omega_step must be positive")
-    if cfg.refine_step <= 0 or cfg.refine_step > cfg.omega_step:
-        fail("refine_step", "refine_step must satisfy 0 < refine_step <= omega_step")
-    if cfg.refine_halfwidth <= 0:
-        fail("refine_halfwidth", "refine_halfwidth must be positive")
-    if cfg.n_configs < 1:
-        fail("n_configs", "n_configs must be at least 1")
-    if cfg.seed < 0:
-        fail("seed", f"seed must be non-negative, got {cfg.seed}")
-    return cfg
+
+def check(key, value, line=None, name=None):
+    """Apply the rule of ``key`` to ``value``; a rejection raises
+    :class:`ParseError` naming ``line`` and ``name`` (default ``key``)."""
+    try:
+        RULES[key](value)
+    except (ConfigurationError, DomainError) as exc:
+        raise ParseError(str(exc), line=line, key=name or key) from None
 
 
 def parse_config(text):
@@ -228,4 +192,7 @@ def parse_config(text):
         seen[key] = line_no
         setattr(cfg, key, _PARSERS[key](raw_value, line_no))
     cfg.source_lines = seen
-    return _validate(cfg)
+    for key in RULES:
+        if getattr(cfg, key) is not None:  # None: unset, or omega_span auto
+            check(key, getattr(cfg, key), line=seen.get(key))
+    return cfg

@@ -140,24 +140,27 @@ class PeakReport:
         return all(m.passed for m in self.matches)
 
 
+def check_coverage(grid, peaks):
+    """Raise :class:`CoverageError` unless ``grid`` spans every one of ``peaks``."""
+    lo, hi = np.min(grid), np.max(grid)
+    for label, pos in peaks.as_dict().items():
+        if not (lo <= pos <= hi):
+            raise CoverageError(f"the grid [{lo:g}, {hi:g}] does not cover the "
+                                f"predicted peak {label} at {pos:g}")
+
+
 def validate_spectrum(spectrum, peaks, tolerance):
     """Match predicted peaks against the extrema of a computed spectrum.
 
     Background-type spectra are searched for local maxima; interference-type
     spectra for extrema of either sign, since their resonances may carry
-    negative weight or be dispersive.  Every predicted position must lie
-    inside the grid, otherwise :class:`CoverageError` is raised before any
-    matching.
+    negative weight or be dispersive.  :func:`check_coverage` runs before
+    any matching.
     """
     grid = np.asarray(spectrum.omega)
     density = np.asarray(spectrum.density)
+    check_coverage(grid, peaks)
     predicted = peaks.as_dict()
-    lo, hi = grid.min(), grid.max()
-    for label, pos in predicted.items():
-        if not (lo <= pos <= hi):
-            raise CoverageError(
-                f"predicted peak {label} at {pos:g} lies outside the grid [{lo:g}, {hi:g}]"
-            )
     kind = "max" if getattr(spectrum, "kind", "background") == "background" else "both"
     idx = local_extrema(density, kind=kind, min_relative_height=1e-9)
     if idx.size == 0:

@@ -92,8 +92,8 @@ def saturation(rabi, detuning):
 
 def rabi_for_saturation(s, detuning):
     """Rabi frequency that produces saturation ``s`` at the given detuning."""
-    if s < 0:
-        raise DomainError(f"saturation must be non-negative, got {s}")
+    if not 0 <= s < math.inf:
+        raise DomainError(f"saturation must be finite and non-negative, got {s}")
     return math.sqrt(2.0 * s * (1.0 + detuning**2))
 
 

@@ -38,6 +38,8 @@ SPAN_FACTOR = 2.5
 BASE_STEP = 0.1
 REFINE_STEP = 0.02
 REFINE_HALFWIDTH = 5.0
+#: Most frequencies a grid may hold: 126 times the production grid's 7,909.
+MAX_GRID_POINTS = 10**6
 
 #: Eigen-route guard of :func:`spectral_response`: the largest eigenvector
 #: condition number trusted, and how many of the slowest-decaying poles
@@ -214,6 +216,27 @@ def checked_grid(omega_grid, params):
     return grid
 
 
+def _lattice(span, base_step=BASE_STEP, refine_step=REFINE_STEP,
+             refine_halfwidth=REFINE_HALFWIDTH):
+    """``(n_span, coarse_every)``, the half-width and coarse spacing of a grid
+    in units of ``refine_step``, once the steps, the span and the size (at
+    most ``MAX_GRID_POINTS``, counted in floating point) are checked."""
+    if not (np.inf > base_step >= refine_step > 0 and np.inf > refine_halfwidth > 0):
+        raise DomainError("grid steps must satisfy inf > base_step >= refine_step > 0 and "
+                          f"inf > refine_halfwidth > 0, got {base_step}, {refine_step}, "
+                          f"{refine_halfwidth}")
+    if not (np.isfinite(span) and span > 0):
+        raise DomainError(f"grid span must be finite and positive, got {span}")
+    # Python floats overflow to inf without a warning; 7 peaks, 2 sides each.
+    span, base_step, refine_step = float(span), float(base_step), float(refine_step)
+    n_span = span / refine_step
+    count = 2.0 * span / base_step + 14.0 * float(refine_halfwidth) / refine_step
+    if not (n_span < np.inf and count <= MAX_GRID_POINTS):
+        raise DomainError(f"a grid of span {span:g} and refine_step {refine_step:g} has "
+                          f"about {count:.3g} points, more than {MAX_GRID_POINTS:,}")
+    return int(np.ceil(n_span)), max(round(base_step / refine_step), 1)
+
+
 def default_omega_grid(rabi, detuning, span=None, base_step=BASE_STEP,
                        refine_step=REFINE_STEP, refine_halfwidth=REFINE_HALFWIDTH):
     """Symmetric frequency grid resolving all predicted resonances.
@@ -222,26 +245,19 @@ def default_omega_grid(rabi, detuning, span=None, base_step=BASE_STEP,
     ``base_step`` spacing with ``refine_step`` refinement inside
     ``+- refine_halfwidth`` of each predicted peak.  All points are integer
     multiples of ``refine_step`` so that a zero-detuning grid is exactly
-    mirror symmetric.
+    mirror symmetric; :func:`_lattice` checks the parameters and the size.
     """
-    if not (np.inf > base_step >= refine_step > 0 and np.inf > refine_halfwidth > 0):
-        raise DomainError("grid steps must satisfy inf > base_step >= refine_step > 0 and "
-                          f"inf > refine_halfwidth > 0, got {base_step}, {refine_step}, "
-                          f"{refine_halfwidth}")
-    omega_r = dressed.generalized_rabi(rabi, detuning)
     if span is None:
-        span = SPAN_FACTOR * max(omega_r, 1.0)
-    if not (np.isfinite(span) and span > 0):
-        raise DomainError(f"grid span must be finite and positive, got {span}")
-    coarse_every = max(int(round(base_step / refine_step)), 1)
-    n_span = int(np.ceil(span / refine_step))
+        span = SPAN_FACTOR * max(dressed.generalized_rabi(rabi, detuning), 1.0)
+    n_span, coarse_every = _lattice(span, base_step, refine_step, refine_halfwidth)
     positive = set(range(0, n_span + 1, coarse_every))
     positive.add(n_span)
     lattice = positive | {-k for k in positive}
     for pos in dressed.peak_positions(rabi, detuning).as_dict().values():
-        lo = int(np.floor((pos - refine_halfwidth) / refine_step))
-        hi = int(np.ceil((pos + refine_halfwidth) / refine_step))
-        lattice.update(range(max(lo, -n_span), min(hi, n_span) + 1))
+        lo = max(np.floor((pos - refine_halfwidth) / refine_step), -n_span)
+        hi = min(np.ceil((pos + refine_halfwidth) / refine_step), n_span)
+        if lo <= hi:  # skip a window outside the span: its offsets may be infinite
+            lattice.update(range(int(lo), int(hi) + 1))
     return refine_step * np.array(sorted(lattice), dtype=float)
 
 

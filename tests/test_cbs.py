@@ -120,6 +120,20 @@ def test_sweep_inputs_rejected_before_any_steady_state(monkeypatch, kind, s_valu
     assert calls == []
 
 
+@pytest.mark.parametrize("observable,s", [
+    (cbs.cbs_components, np.nan),
+    (cbs.cbs_components, np.inf),
+    (cbs.cbs_components_isotropic, np.nan),
+], ids=["components_nan", "components_inf", "isotropic_nan"])
+def test_non_finite_saturation_rejected_before_any_steady_state(v_scheme, monkeypatch,
+                                                                observable, s):
+    # named as the saturation, not as the NaN Rabi frequency it would give
+    calls = count_phase_points(monkeypatch)
+    with pytest.raises(DomainError, match="saturation must be finite"):
+        observable(v_scheme, default_params(), s=s)
+    assert calls == []
+
+
 def test_numpy_integer_sizes_accepted(v_scheme):
     params = default_params(rabi=2.0)
     assert (cbs.cbs_components(v_scheme, params, n_a=np.int64(4), n_p=np.int32(4))
@@ -303,6 +317,20 @@ def test_phase_grid_refinement_invariance(v_scheme):
         a, b = getattr(coarse, name), getattr(fine, name)
         assert abs(a - b) <= 1e-6 * max(abs(a), abs(b))
     assert abs(coarse.alpha - fine.alpha) <= 1e-6 * fine.alpha
+
+
+def test_phase_grid_aliasing_falls_like_inverse_fourth_power_of_kr(v_scheme):
+    # Four (a, p) points are exact only at leading order in 1/kr: the
+    # harmonics they alias move the components by O(kr^-4) against 8 points.
+    def shift(kr):
+        coarse, fine = (cbs.cbs_components(v_scheme, default_params(kr=kr), s=0.1,
+                                           n_a=n, n_p=n) for n in (4, 8))
+        return max(abs(getattr(coarse, name) / getattr(fine, name) - 1.0)
+                   for name in ("l2_el", "l2_inel", "c2_el", "c2_inel"))
+
+    shift_100 = shift(100.0)
+    assert shift_100 <= 1e-6
+    assert abs(shift(30.0) / shift_100 / (10.0 / 3.0) ** 4 - 1.0) <= 0.1
 
 
 def test_components_deterministic(v_scheme):

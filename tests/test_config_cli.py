@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbsim import cli, config, liouvillian as lv
-from cbsim.errors import ConfigurationError, ParseError
+from cbsim import atoms, cbs, cli, config, liouvillian as lv, spectra
+from cbsim.errors import ConfigurationError, DomainError, ParseError
 from conftest import count_phase_points
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
@@ -79,6 +79,50 @@ def test_phase_grid_minimum_enforced():
         config.parse_config("n_phase_a = 2\n")
 
 
+def _raised(call):
+    with pytest.raises((ConfigurationError, DomainError)) as info:
+        call()
+    return info.value
+
+
+_V_TYPE = atoms.build_scheme(atoms.V_TYPE)
+
+#: One bad value per ruled key, with the library call that rejects it.
+_LIBRARY_RULES = {
+    "scheme": ("two_level", lambda: cbs.sweep_alpha_collect(
+        atoms.build_scheme(atoms.TWO_LEVEL), 0.0, [0.5])),
+    "scheme-unknown": ("lambda", lambda: atoms.build_scheme("lambda")),
+    "detuning": ("nan", lambda: lv.PhysicalParams(detuning=np.nan)),
+    "kr": ("5", lambda: lv.PhysicalParams(kr=5.0)),
+    "rabi": ("-1", lambda: lv.PhysicalParams(rabi=-1.0)),
+    "orientation": ("0, 0, 0", lambda: lv.PhysicalParams(orientation=(0.0, 0.0, 0.0))),
+    "orientation-short": ("1, 0", lambda: lv.PhysicalParams(orientation=(1.0, 0.0))),
+    "sweep_s": ("logspace(1, 10, 0)", lambda: cbs.sweep_alpha_collect(_V_TYPE, 0.0, [])),
+    "sweep_s-negative": ("-1, 2", lambda: cbs.sweep_alpha_collect(_V_TYPE, 0.0, [-1, 2])),
+    "sweep_s-unsorted": ("2, 1", lambda: cbs.sweep_alpha_collect(_V_TYPE, 0.0, [2, 1])),
+    "n_phase_a": ("2", lambda: cbs.cbs_components(_V_TYPE, lv.PhysicalParams(), n_a=2)),
+    "n_phase_p": ("3", lambda: cbs.cbs_components(_V_TYPE, lv.PhysicalParams(), n_p=3)),
+    "n_configs": ("0", lambda: cbs.cbs_components_isotropic(
+        _V_TYPE, lv.PhysicalParams(), s=0.5, n_configs=0)),
+    "seed": ("-1", lambda: cbs.cbs_components_isotropic(
+        _V_TYPE, lv.PhysicalParams(), s=0.5, seed=-1)),
+    "omega_span": ("1e308", lambda: spectra.default_omega_grid(8.0, 0.0, span=1e308)),
+    "omega_span-negative": ("-1", lambda: spectra.default_omega_grid(8.0, 0.0, span=-1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIBRARY_RULES))
+def test_config_rule_is_the_library_rule(case):
+    # config and library cannot drift apart: the config error carries the
+    # library's own message for the same value
+    key = case.split("-")[0]
+    value, library_call = _LIBRARY_RULES[case]
+    with pytest.raises(ParseError) as info:
+        config.parse_config(f"output_dir = .\n{key} = {value}\n")
+    assert (info.value.line, info.value.key) == (2, key)
+    assert str(info.value).endswith(str(_raised(library_call)))
+
+
 def _expand_keys(name):
     """``n_phase_a/p`` -> ``n_phase_a``, ``n_phase_p``; other names unchanged."""
     stem, *tails = name.split("/")
@@ -110,7 +154,10 @@ def test_negative_seed_override_rejected(tmp_path, capsys):
     cfg_path.write_text("sweep_s = 0.5\norientation_mode = isotropic\nn_configs = 1\n"
                         f"output_dir = {tmp_path}\n")
     assert cli.main(["alpha-sweep", str(cfg_path), "--seed", "-3"]) == 1
-    assert "seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    library = _raised(lambda: cbs.cbs_components_isotropic(
+        _V_TYPE, lv.PhysicalParams(), s=0.5, seed=-3))
+    assert "--seed" in err and err.rstrip("\n").endswith(str(library))
     assert not (tmp_path / "alpha_sweep.csv").exists()
 
 
@@ -360,6 +407,13 @@ def test_coupling_mode_key_rejected_before_solving(tmp_path, monkeypatch, capsys
                              "coupling_mode", "unknown key")
 
 
+@pytest.mark.parametrize("key", ["omega_step", "refine_step", "refine_halfwidth"])
+def test_frequency_step_keys_rejected_before_solving(tmp_path, monkeypatch, capsys, key):
+    # the steps are the library's own, converged at the defaults
+    _rejected_before_solving(tmp_path, monkeypatch, capsys, f"{key} = 0.5", key,
+                             "unknown key")
+
+
 def test_scheme_without_detected_channel_rejected_before_solving(tmp_path, monkeypatch,
                                                                  capsys):
     # two_level has no sigma-minus transition, so every point would fail
@@ -370,8 +424,7 @@ def test_scheme_without_detected_channel_rejected_before_solving(tmp_path, monke
 # -- spectrum artifact -------------------------------------------------------------
 
 
-SPECTRUM_CONFIG = ("rabi = 8\nomega_span = 40\nomega_step = 0.5\n"
-                   "refine_step = 0.1\nrefine_halfwidth = 2\n")
+SPECTRUM_CONFIG = "rabi = 8\nomega_span = 40\n"
 
 
 def test_spectrum_csv_and_report(tmp_path):
@@ -388,12 +441,30 @@ def test_spectrum_csv_and_report(tmp_path):
     assert "alpha" in report
 
 
-def test_spectrum_coverage_validated_before_solving(tmp_path, capsys):
+def test_spectrum_coverage_validated_before_solving(tmp_path, monkeypatch, capsys):
+    calls = count_phase_points(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(f"rabi = 100\nomega_span = 150\noutput_dir = {tmp_path}\n")
+    # at rabi 1e307 the peak windows lie at offsets that overflow a float
+    for rabi in ("100", "1e307"):
+        cfg_path.write_text(f"rabi = {rabi}\nomega_span = 150\noutput_dir = {tmp_path}\n")
+        assert cli.main(["spectrum", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:") and err.count("\n") == 1 and "cover" in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_oversized_spectrum_grid_rejected_before_solving(tmp_path, monkeypatch, capsys):
+    # the auto span of rabi 1e7 is 2.5e7: a grid of about 5e8 frequencies
+    calls = count_phase_points(monkeypatch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"rabi = 1e7\noutput_dir = {tmp_path}\n")
     assert cli.main(["spectrum", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert "ERROR:" in err and "cover" in err
+    assert err.startswith("ERROR:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "points" in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_spectrum_requires_rabi(tmp_path):
@@ -424,6 +495,8 @@ def test_cli_peaks_rejects_bad_drive(flag, value, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("ERROR:") and err.count("\n") == 1 and flag in err
+    library = _raised(lambda: lv.PhysicalParams(**{flag[2:]: float(value)}))
+    assert err.rstrip("\n").endswith(str(library))
 
 
 @pytest.mark.parametrize("argv", [["peaks", "--rabi", "abc"],

@@ -257,6 +257,19 @@ def test_default_grid_rejects_bad_steps(key, value):
         spectra.default_omega_grid(10.0, 0.0, **{key: value})
 
 
+@pytest.mark.parametrize("rabi,options", [
+    (100.0, dict(span=1e308)),
+    (1e7, {}),
+    (100.0, dict(refine_step=1e-300)),
+], ids=["span_1e308", "auto_span_of_rabi_1e7", "refine_step_1e-300"])
+def test_default_grid_bounded_before_it_is_built(rabi, options):
+    # each used to overflow an integer conversion or build ~1e8+ points
+    assert spectra.default_omega_grid(100.0, 20.0).size == 7909
+    assert spectra.default_omega_grid(10.0, 0.0).size == 2501
+    with pytest.raises(DomainError, match="points, more than 1,000,000"):
+        spectra.default_omega_grid(rabi, 0.0, **options)
+
+
 # -- single-atom spectrum -------------------------------------------------------
 
 
