@@ -18,8 +18,10 @@ the harmonics they alias shift the components by about kr^-4 relative
 ``n_a`` and ``n_p`` refine away.  The whole (a, p) grid is assembled and
 solved as one :class:`~cbsim.liouvillian.GeneratorStack`; the moments of
 every point then come from one product of the stacked densities with the
-observables.  Intensities are reported in units of the squared exchange
-amplitude (3/(2*kr))^2 (gamma = 1) unless ``normalize=False``.
+observables; a spectrum reduces the pole weights of every point to a
+ladder and a crossed row and sums the poles of all points in one real pole
+sum.  Intensities are reported in units of the squared exchange amplitude
+(3/(2*kr))^2 (gamma = 1) unless ``normalize=False``.
 
 Without photon exchange nothing populates the upper level of the detected
 sigma-minus transition, so the single-atom background of this
@@ -40,6 +42,8 @@ from .solver import steady_state
 
 #: Default phase-grid size per axis: exact at leading order in 1/kr, O(kr^-4) after.
 DEFAULT_PHASE_POINTS = 4
+#: Most saturations a sweep may hold: 400 times the 25 of the README's fig2a sweep.
+MAX_SWEEP_POINTS = 10**4
 
 _REAL_RESIDUE_TOL = 1e-10
 
@@ -165,11 +169,14 @@ def _moment_matrices(scheme, params, phases, detection=None):
     return m, e, stack, rho
 
 
-def _b_harmonics(mat):
-    """b-average and exp(-ib) coefficient of Re sum_jk exp(i(b_j - b_k)) mat[j, k]
-    (b_1 = 0, b_2 = b): the detection phase averaged in closed form.  Axes
-    after the first two are kept."""
-    return (mat[0, 0] + mat[1, 1]).real, (mat[0, 1] + mat[1, 0].conj()) / 2
+def _b_harmonics(mat, weight):
+    """Rows whose real parts are the b-average of Re sum_jk exp(i(b_j - b_k))
+    mat[j, k] (b_1 = 0, b_2 = b) and twice Re exp(ia) c, c its exp(-ib)
+    coefficient, at exp(ia) = ``weight`` (Re(exp(ia) conj mat[1, 0]) =
+    Re(exp(-ia) mat[1, 0])).  Linear in ``mat``, so it reduces transforms and
+    their pole weights alike; axes after the first two are kept."""
+    return np.array([mat[0, 0] + mat[1, 1],
+                     weight * mat[0, 1] + np.conj(weight) * mat[1, 0]])
 
 
 def detected_intensity(scheme, params, a=0.0, b=0.0, p=0.0):
@@ -194,31 +201,30 @@ def _phase_average(scheme, params, n_a, n_p, omega_grid=None):
     a, p = phase_grid(n_a, n_p)
     m, e, stack, rho = _moment_matrices(scheme, params, (a, p), detection=detection)
     weight = np.exp(1j * a)
-    sums = [[mean.sum(), (weight * coef).sum()]
-            for mean, coef in (_b_harmonics(m), _b_harmonics(e))]
+    sums = [_b_harmonics(mat, weight).real.sum(axis=-1) for mat in (m, e)]
     if omega_grid is not None:
         lows, highs = detection
-        total = [0.0, 0.0]
+        poles, density = [], np.zeros((2, omega_grid.size))
         for i in range(len(stack)):
             seeds = [spectra.connected_initial(rho[i], op) for op in highs]
-            # The density is Re(sum_jk exp(i(b_j - b_k)) t[j, k]) / pi; t itself
-            # is not Hermitian, which _b_harmonics does not need.  No name holds
-            # t, so it is freed before the next point's transforms, and the
-            # 1/pi is applied to the reduced harmonics, not to a copy of t.
-            mean, coef = _b_harmonics(spectra.spectral_response(
-                stack.point(i), rho[i], seeds, lows, omega_grid))
-            total[0] += mean / np.pi
-            total[1] += weight[i] / np.pi * coef
-        sums.append(total)
+            lam, w = spectra.spectral_poles(stack.point(i), rho[i], seeds, lows, omega_grid)
+            if lam is None:  # w holds this point's LU transforms
+                density += _b_harmonics(w, weight[i]).real
+            else:
+                poles.append((lam, _b_harmonics(w, weight[i])))
+        if poles:
+            lams, rows = zip(*poles)
+            density += spectra.real_pole_sum(np.hstack(lams), np.hstack(rows), omega_grid)
+        sums.append(density / np.pi)
     return harmonic_extract(sums, a.size)
 
 
 def harmonic_extract(sums, count):
     """(ladder, crossed) pairs from sums over ``count`` (a, p) points of the
-    b-average and of the exp(ia)-weighted exp(-ib) coefficient: the ladder
-    part is the mean of the first, the crossed part twice the real part of
-    the mean of the second, the exp(-i(a+b)) harmonic."""
-    return [(mean / count, 2.0 * np.real(coef) / count) for mean, coef in sums]
+    real parts of :func:`_b_harmonics`: their means are the b-average, the
+    ladder part, and twice the real part of the exp(-i(a+b)) harmonic, the
+    crossed part."""
+    return [(ladder / count, crossed / count) for ladder, crossed in sums]
 
 
 def exchange_scale(params):
@@ -287,11 +293,18 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64
 # -- saturation sweep -------------------------------------------------------
 
 
+def _check_sweep_size(n):
+    """Raise :class:`ConfigurationError` unless 1 <= n <= ``MAX_SWEEP_POINTS``."""
+    if not 1 <= n <= MAX_SWEEP_POINTS:
+        raise ConfigurationError(f"a sweep holds 1 to {MAX_SWEEP_POINTS:,} saturations, "
+                                 f"not {n:,}")
+
+
 def _check_sweep(s_values):
-    """The sweep as floats; raises unless non-empty, ascending, finite, positive."""
+    """The sweep as floats; raises unless it holds 1 to ``MAX_SWEEP_POINTS``
+    ascending, finite, positive values."""
     s_values = [float(s) for s in s_values]
-    if not s_values:
-        raise ConfigurationError("a sweep needs at least one saturation")
+    _check_sweep_size(len(s_values))
     if not all(0.0 < s < np.inf for s in s_values):
         raise DomainError("sweep saturations must be finite and positive")
     if s_values != sorted(s_values):

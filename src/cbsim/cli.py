@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, atoms, cbs, config, dressed, liouvillian, solver, spectra
-from .errors import CbsimError, ConfigurationError, ParseError
+from .errors import CbsimError, ConfigurationError, DomainError, ParseError
 
 ALPHA_HEADER = "s,omega_rabi,l2_el,l2_inel,c2_el,c2_inel,alpha,error"
 SPECTRUM_HEADER = "omega_over_gamma,background_density,interference_density"
@@ -129,7 +129,10 @@ def run_spectrum(cfg, output_path=None, workers=1):
     output_path = _artifact_path(cfg, output_path, "spectrum.csv")
     report_path = _artifact_path(cfg, None, "spectrum_peaks.txt")
     peaks = dressed.peak_positions(cfg.rabi, cfg.detuning)
-    omega_grid = spectra.default_omega_grid(cfg.rabi, cfg.detuning, span=cfg.omega_span)
+    try:  # an auto span too wide for a grid is a configuration error, like omega_span's
+        omega_grid = spectra.default_omega_grid(cfg.rabi, cfg.detuning, span=cfg.omega_span)
+    except DomainError as exc:
+        raise ParseError(str(exc), line=cfg.source_lines.get("rabi"), key="rabi") from None
     dressed.check_coverage(omega_grid, peaks)
 
     scheme = atoms.build_scheme(cfg.scheme)

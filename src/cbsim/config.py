@@ -117,7 +117,12 @@ def _parse_sweep(raw, line, key):
         if not (0 < lo < math.inf and 0 < hi < math.inf):  # as np.geomspace needs
             raise ParseError("logspace bounds must be finite and positive",
                              line=line, key=key)
-        return tuple(np.geomspace(lo, hi, int(m.group(3))))
+        n = int(m.group(3))
+        try:  # the library's length rule, before geomspace builds n values
+            cbs._check_sweep_size(n)
+        except ConfigurationError as exc:
+            raise ParseError(str(exc), line=line, key=key) from None
+        return tuple(np.geomspace(lo, hi, n))
     return _parse_list(raw, line, key)
 
 

@@ -4,9 +4,11 @@ Stationary two-time correlations <A(t) B(t+tau)> follow from the same
 generator as one-time expectations: the operator rho_ss A is propagated and
 closed with a trace against B.  The half-line Fourier transform is obtained
 directly in the frequency domain.  Every spectrum goes through the one
-kernel :func:`spectral_response`, which diagonalizes the deflated
-generator once and evaluates the resulting pole sum on the whole frequency
-grid; it checks itself and falls back to one LU solve per frequency.  It
+kernel :func:`spectral_poles`, which diagonalizes the deflated generator
+once, checks itself and falls back to one LU solve per frequency; the
+poles are summed over the grid in real arithmetic by
+:func:`real_pole_sum`, once per spectrum: a backscattering spectrum
+concatenates the poles of all its phase points.  The kernel
 works in the Hermitian operator basis of :mod:`cbsim.liouvillian`, where
 the generator and the deflation by the (Hermitian) steady state are real,
 so the diagonalization is that of a real matrix; seeds and observables are
@@ -41,7 +43,7 @@ REFINE_HALFWIDTH = 5.0
 #: Most frequencies a grid may hold: 126 times the production grid's 7,909.
 MAX_GRID_POINTS = 10**6
 
-#: Eigen-route guard of :func:`spectral_response`: the largest eigenvector
+#: Eigen-route guard of :func:`spectral_poles`: the largest eigenvector
 #: condition number trusted, and how many of the slowest-decaying poles
 #: get a residual check at their nearest grid frequency.
 EIGVEC_COND_MAX = 1e7
@@ -49,8 +51,8 @@ CHECKED_POLES = 4
 #: Largest first-order eigenvector correction |E_ij / (lam_j - lam_i)| that
 #: :func:`_refined_eigenpairs` applies; closer pairs keep their vectors.
 EIGVEC_CORRECTION_MAX = 1e-6
-#: Frequencies per block of the pole-sum evaluation.
-OMEGA_CHUNK = 64
+#: Poles and frequencies per block of :func:`real_pole_sum` (0.26 MB of scratch).
+POLE_CHUNK = OMEGA_CHUNK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,17 +107,31 @@ def correlation(liou, rho_ss, a_op, b_op, omega, connected=False):
 
 
 def spectral_response(liou, rho_ss, seeds, observables, omegas):
-    """Connected regression transforms over a frequency grid.
+    """Connected regression transforms ``t[j, k, i]`` over a frequency grid:
+    those of :func:`spectral_poles`, with its pole sum evaluated by
+    :func:`real_pole_sum` on the real and imaginary parts."""
+    lam, w = spectral_poles(liou, rho_ss, seeds, observables, omegas)
+    if lam is None:
+        return w
+    # Re(-i c / (lam - i omega)) is Im(c / (lam - i omega)).
+    parts = real_pole_sum(lam, np.concatenate([w, -1j * w]).reshape(-1, lam.size), omegas)
+    re, im = parts.reshape((2,) + w.shape[:2] + (-1,))
+    return re + 1j * im
 
-    Returns ``t[j, k, i] = tr[B_k X_j]`` with (B - i omega_i) X_j = seeds[j],
-    B = -L + |rho_ss><tr|, for vectorized trace-free seeds
-    (:func:`connected_initial`) and observables B_k, i.e.
+
+def spectral_poles(liou, rho_ss, seeds, observables, omegas):
+    """Poles of the connected regression transforms over a frequency grid.
+
+    The transforms are ``t[j, k, i] = tr[B_k X_j]`` with
+    (B - i omega_i) X_j = seeds[j], B = -L + |rho_ss><tr|, for vectorized
+    trace-free seeds (:func:`connected_initial`) and observables B_k, i.e.
     ``correlation(..., connected=True)`` at every frequency.  ``liou`` is
     a :class:`~cbsim.liouvillian.Liouvillian` or a one-generator
     :class:`~cbsim.liouvillian.GeneratorStack`.  One diagonalization of the
-    real B = V diag(lam) V^-1 serves the whole grid:
-    t[j, k, i] = sum_m w[j, k, m] / (lam_m - i omega_i).  When the guard of
-    :func:`_pole_sum` trips, every frequency is solved by LU instead.
+    real B = V diag(lam) V^-1 gives ``(lam, w)`` with
+    t[j, k, i] = sum_m w[j, k, m] / (lam_m - i omega_i); when the guard of
+    :func:`_eigen_poles` trips, ``(None, t)`` holds t solved by LU at every
+    frequency instead.
 
     Both routes carry an absolute roundoff of about eps * ||B_k|| ||X_j||.
     At weak drive the detected-channel transform is far smaller than that
@@ -130,16 +146,17 @@ def spectral_response(liou, rho_ss, seeds, observables, omegas):
     # rho_ss is Hermitian, so its coordinates are real.
     solver = ResolventSolver(stack.dense(0),
                              deflate=hermitian_coordinates(vectorize(rho_ss)).real)
-    out = _pole_sum(solver.base, rhs, project, omegas)
-    if out is None:
-        out = np.empty((rhs.shape[1], project.shape[0], omegas.size), dtype=complex)
-        for i, w in enumerate(omegas):
-            out[:, :, i] = (project @ solver.factor(-w)(rhs)).T
-    return out
+    poles = _eigen_poles(solver.base, rhs, project, omegas)
+    if poles is not None:
+        return poles
+    out = np.empty((rhs.shape[1], project.shape[0], omegas.size), dtype=complex)
+    for i, w in enumerate(omegas):
+        out[:, :, i] = (project @ solver.factor(-w)(rhs)).T
+    return None, out
 
 
-def _pole_sum(base, rhs, project, omegas):
-    """Eigen route of :func:`spectral_response`, or ``None`` if it is not trusted.
+def _eigen_poles(base, rhs, project, omegas):
+    """Eigen route of :func:`spectral_poles`, or ``None`` if it is not trusted.
 
     The eigenvector matrix must be invertible with condition number below
     ``EIGVEC_COND_MAX``, and the true residual ||(B - i omega) x - rhs||
@@ -148,7 +165,7 @@ def _pole_sum(base, rhs, project, omegas):
     """
     try:
         lam, vecs = np.linalg.eig(base)
-        if not np.linalg.cond(vecs) < EIGVEC_COND_MAX:
+        if not _eigvec_cond(lam, vecs) < EIGVEC_COND_MAX:
             return None
         lam, vecs = _refined_eigenpairs(base, lam, vecs)
         coeffs = np.linalg.solve(vecs, rhs)
@@ -163,13 +180,47 @@ def _pole_sum(base, rhs, project, omegas):
             x = vecs @ (coeffs / (lam - 1j * w)[:, None])
             if not np.linalg.norm(base @ x - 1j * w * x - rhs) <= tol:
                 return None
-    # w[j, k, m] = (project V)[k, m] (V^-1 rhs)[m, j], flattened over (j, k).
-    weights = np.einsum("km,mj->jkm", project @ vecs, coeffs).reshape(-1, lam.size)
-    out = np.empty((weights.shape[0], omegas.size), dtype=complex)
-    for start in range(0, omegas.size, OMEGA_CHUNK):
-        block = omegas[start:start + OMEGA_CHUNK]
-        out[:, start:start + block.size] = weights @ (1.0 / (lam[:, None] - 1j * block))
-    return out.reshape(rhs.shape[1], project.shape[0], omegas.size)
+    # w[j, k, m] = (project V)[k, m] (V^-1 rhs)[m, j].
+    return lam, np.einsum("km,mj->jkm", project @ vecs, coeffs)
+
+
+def _eigvec_cond(lam, vecs):
+    """2-norm cond(vecs) for the eigenpairs of a real matrix, by a real SVD:
+    ``np.linalg.eig`` returns each complex pair as exact conjugates, and
+    [v, conj v] is [sqrt(2) Re v, sqrt(2) Im conj v] times the unitary
+    [[1, 1], [-i, i]] / sqrt(2)."""
+    return np.linalg.cond(np.where(lam.imag < 0, vecs.imag, vecs.real)
+                          * np.where(lam.imag == 0, 1.0, np.sqrt(2.0)))
+
+
+@np.errstate(over="ignore")
+def real_pole_sum(lam, weights, omegas):
+    """``Re sum_m weights[r, m] / (lam_m - i omega_i)`` in real arithmetic.
+
+    With lam = x + iy and u = y - omega, Re c / (x + iu) is
+    (x Re c + u Im c) / (x^2 + u^2), so each block of ``POLE_CHUNK`` poles
+    and ``OMEGA_CHUNK`` frequencies is one real product of [x Re c, Im c]
+    with 1 / (x^2 + u^2) stacked on u / (x^2 + u^2) in one scratch buffer.
+    Short products keep the rounding at that of one phase point's poles.
+    Where u^2 overflows (|u| > 1e154) the term, below 1e-154 |c|, is 0.
+    """
+    out = np.zeros((len(weights), len(omegas)))
+    buffer = np.empty((2 * POLE_CHUNK, OMEGA_CHUNK))
+    for first in range(0, lam.size, POLE_CHUNK):
+        poles, c = lam[first:first + POLE_CHUNK], weights[:, first:first + POLE_CHUNK]
+        coeffs, m = np.hstack([c.real * poles.real, c.imag]), poles.size
+        y, x2 = poles.imag[:, None], poles.real[:, None] ** 2
+        for start in range(0, len(omegas), OMEGA_CHUNK):
+            block = omegas[start:start + OMEGA_CHUNK]
+            n = len(block)
+            scale, shift = buffer[:m, :n], buffer[m:2 * m, :n]
+            np.subtract(y, block, out=shift)
+            np.multiply(shift, shift, out=scale)
+            scale += x2
+            np.reciprocal(scale, out=scale)
+            shift *= scale
+            out[:, start:start + n] += coeffs @ buffer[:2 * m, :n]
+    return out
 
 
 def _refined_eigenpairs(base, lam, vecs):

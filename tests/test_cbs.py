@@ -493,3 +493,72 @@ def test_spectrum_components_match_intensity_route(v_scheme, spectrum_on_resonan
     result, _ = spectrum_on_resonance
     direct = cbs.cbs_components(v_scheme, default_params(rabi=100.0, detuning=0.0))
     assert result.components == direct
+
+
+def _detected_spectrum_by_lu(scheme, params, grid):
+    """(ladder, crossed) densities of the 4 x 4 phase grid from one
+    :func:`spectra.correlation` LU solve per point, operator pair and
+    frequency, with the detection phase b averaged here: at each point the
+    density Re sum_jk exp(i(b_j - b_k)) t[j, k] / pi has the b-average
+    Re(t00 + t11) / pi and the exp(-ib) coefficient (t01 + conj t10) / 2pi."""
+    low = atoms.lowering_operator(scheme, scheme.cbs_transition)
+    lows = [atoms.embed(low, 1), atoms.embed(low, 2)]
+    highs = [op.conj().T for op in lows]
+    a, p = cbs.phase_grid(4, 4)
+    ladder, crossed = np.zeros(grid.size), np.zeros(grid.size)
+    for a_i, p_i in zip(a, p):
+        liou = generator_at(scheme, params, a_i, p_i)
+        rho = solver.steady_state(liou)
+        t = np.array([[[spectra.correlation(liou, rho, highs[j], lows[k], w, connected=True)
+                        for w in grid] for k in range(2)] for j in range(2)])
+        ladder += (t[0, 0] + t[1, 1]).real / np.pi
+        crossed += 2.0 * (np.exp(1j * a_i) * (t[0, 1] + t[1, 0].conj()) / (2.0 * np.pi)).real
+    return ladder / a.size, crossed / a.size
+
+
+def _peak_grid(rabi, detuning):
+    """The seven predicted peaks plus three frequencies between and beyond them."""
+    peaks = list(dressed.peak_positions(rabi, detuning).as_dict().values())
+    return np.unique(np.concatenate([peaks, [-3.0 * rabi, 0.37, 3.0 * rabi]]))
+
+
+@pytest.mark.parametrize("kind", [atoms.V_TYPE, atoms.FULL_J0_J1])
+def test_phase_averaged_spectrum_matches_lu_correlations(kind):
+    scheme, params = atoms.build_scheme(kind), default_params(rabi=10.0, detuning=2.0)
+    grid = _peak_grid(10.0, 2.0)
+    if kind == atoms.FULL_J0_J1:  # one 256 x 256 LU per correlation: two peaks only
+        peaks = dressed.peak_positions(10.0, 2.0)
+        grid = np.array([peaks.autler_townes_minus, peaks.autler_townes_plus])
+    result = cbs.cbs_spectrum(scheme, params, omega_grid=grid, normalize=False)
+    for series, reference in zip((result.background, result.interference),
+                                 _detected_spectrum_by_lu(scheme, params, grid)):
+        assert np.abs(series.density - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
+def test_spectrum_sends_only_untrusted_points_to_lu(v_scheme, monkeypatch):
+    params, grid = default_params(rabi=10.0, detuning=2.0), _peak_grid(10.0, 2.0)
+    eigen = cbs.cbs_spectrum(v_scheme, params, omega_grid=grid, normalize=False)
+    diagonalized, refused, factored = [], [], []
+    eigen_poles, factor = spectra._eigen_poles, solver.ResolventSolver.factor
+
+    def every_other_point(base, *args):
+        diagonalized.append(base)
+        if len(diagonalized) % 2:
+            refused.append(base)
+            return None
+        return eigen_poles(base, *args)
+
+    def spy_factor(self, omega):
+        factored.append(self.base)
+        return factor(self, omega)
+
+    monkeypatch.setattr(spectra, "_eigen_poles", every_other_point)
+    monkeypatch.setattr(solver.ResolventSolver, "factor", spy_factor)
+    mixed = cbs.cbs_spectrum(v_scheme, params, omega_grid=grid, normalize=False)
+    # every point takes the eigen step once, and only the refused ones are factored
+    assert (len(diagonalized), len(refused)) == (16, 8)
+    assert len(factored) == len(refused) * grid.size
+    assert all(any(base is r for r in refused) for base in factored)
+    for name in ("background", "interference"):
+        expected, got = getattr(eigen, name).density, getattr(mixed, name).density
+        assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()

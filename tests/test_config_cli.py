@@ -100,6 +100,8 @@ _LIBRARY_RULES = {
     "sweep_s": ("logspace(1, 10, 0)", lambda: cbs.sweep_alpha_collect(_V_TYPE, 0.0, [])),
     "sweep_s-negative": ("-1, 2", lambda: cbs.sweep_alpha_collect(_V_TYPE, 0.0, [-1, 2])),
     "sweep_s-unsorted": ("2, 1", lambda: cbs.sweep_alpha_collect(_V_TYPE, 0.0, [2, 1])),
+    "sweep_s-long": ("logspace(1, 10, 10001)", lambda: cbs.sweep_alpha_collect(
+        _V_TYPE, 0.0, np.geomspace(1.0, 10.0, 10001))),
     "n_phase_a": ("2", lambda: cbs.cbs_components(_V_TYPE, lv.PhysicalParams(), n_a=2)),
     "n_phase_p": ("3", lambda: cbs.cbs_components(_V_TYPE, lv.PhysicalParams(), n_p=3)),
     "n_configs": ("0", lambda: cbs.cbs_components_isotropic(
@@ -459,11 +461,31 @@ def test_oversized_spectrum_grid_rejected_before_solving(tmp_path, monkeypatch, 
     calls = count_phase_points(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"rabi = 1e7\noutput_dir = {tmp_path}\n")
-    assert cli.main(["spectrum", str(cfg_path)]) == 2
+    assert cli.main(["spectrum", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ERROR:") and err.count("\n") == 1 and "Traceback" not in err
     assert "points" in err
     assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_sweep_length_bounded_before_the_sweep_is_built(tmp_path, monkeypatch, capsys):
+    # logspace(1, 10, 1e10) would be an 80 GB array: its length is checked first
+    def geomspace(*args, **kwargs):
+        raise AssertionError("an oversized sweep was built")
+
+    cbs._check_sweep(np.ones(cbs.MAX_SWEEP_POINTS))  # the longest allowed sweep
+    monkeypatch.setattr(np, "geomspace", geomspace)
+    text = "sweep_s = logspace(1, 10, 10000000000)\n"
+    with pytest.raises(ParseError) as info:
+        config.parse_config(text)
+    assert (info.value.line, info.value.key) == (1, "sweep_s")
+    assert "10,000,000,000" in str(info.value)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text + f"output_dir = {tmp_path}\n")
+    assert cli.main(["alpha-sweep", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR:") and err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 

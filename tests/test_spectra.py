@@ -135,6 +135,38 @@ def test_near_defective_generator_takes_lu_fallback(monkeypatch):
         assert abs(response[0, 0, i] - ref) <= 1e-9 * abs(ref)
 
 
+@pytest.mark.parametrize("case", [atoms.V_TYPE, atoms.FULL_J0_J1, "near_defective"])
+def test_real_pair_condition_number_is_that_of_the_eigenvectors(monkeypatch, case):
+    # the guard's real SVD against the complex SVD of the eigenvectors it judges
+    pairs = []
+    real_pair = spectra._eigvec_cond
+
+    def both(lam, vecs):
+        pairs.append((real_pair(lam, vecs), np.linalg.cond(vecs)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(spectra, "_eigvec_cond", both)
+    if case == "near_defective":
+        liou, rho, low, high = driven_atom(0.5)
+        lows, highs = [low], [high]
+    else:  # a phase point of the production spectrum
+        liou, rho, lows, highs = detected_pair(case, 100.0, 20.0)
+    seeds = [spectra.connected_initial(rho, op) for op in highs]
+    spectra.spectral_response(liou, rho, seeds, lows, np.array([0.0, 1.0]))
+    [(real, complex_svd)] = pairs
+    assert abs(real - complex_svd) <= 1e-12 * complex_svd
+    assert (complex_svd > spectra.EIGVEC_COND_MAX) == (case == "near_defective")
+
+
+def test_pole_sum_far_beyond_every_pole_stays_quiet():
+    # (Im lam - omega)^2 overflows past |omega| ~ 1e154: those terms, below
+    # 1e-154 of their weight, are dropped without a RuntimeWarning
+    liou, rho, low, high = driven_atom(2.0)
+    response = spectra.spectral_response(liou, rho, [spectra.connected_initial(rho, high)],
+                                         [low], np.array([0.0, 1e200, -1e308]))[0, 0]
+    assert np.all(np.abs(response[1:]) <= 1e-150 * abs(response[0]))
+
+
 def test_nan_generator_raises_through_the_lu_fallback(monkeypatch):
     liou, rho, low, high = driven_atom(1.0)
     gen = liou.generator.copy()
