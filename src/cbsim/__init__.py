@@ -14,14 +14,12 @@ from .atoms import (FULL_J0_J1, TWO_LEVEL, V_TYPE, LevelScheme, build_scheme,
 from .cbs import (CbsComponents, CbsSpectrumResult, cbs_components,
                   cbs_components_isotropic, cbs_spectrum, detected_intensity,
                   sweep_alpha_collect)
-from .dressed import (PeakSet, dressed_energies, generalized_rabi,
-                      peak_positions, validate_spectrum)
+from .dressed import PeakSet, generalized_rabi, peak_positions, validate_spectrum
 from .liouvillian import (Liouvillian, PhysicalParams, assemble,
                           assemble_single, decay_dissipator, drive_hamiltonian,
                           rabi_for_saturation, saturation)
-from .solver import evolve, resolvent_solve, steady_state
-from .spectra import (SpectrumSeries, correlation, default_omega_grid,
-                      elastic_weight, single_atom_spectrum)
+from .solver import steady_state
+from .spectra import SpectrumSeries, default_omega_grid, elastic_weight, single_atom_spectrum
 
 __all__ = [
     "__version__",
@@ -30,11 +28,9 @@ __all__ = [
     "CbsComponents", "CbsSpectrumResult", "cbs_components",
     "cbs_components_isotropic", "cbs_spectrum", "detected_intensity",
     "sweep_alpha_collect",
-    "PeakSet", "dressed_energies", "generalized_rabi", "peak_positions",
-    "validate_spectrum",
+    "PeakSet", "generalized_rabi", "peak_positions", "validate_spectrum",
     "Liouvillian", "PhysicalParams", "assemble", "assemble_single",
     "decay_dissipator", "drive_hamiltonian", "rabi_for_saturation", "saturation",
-    "evolve", "resolvent_solve", "steady_state",
-    "SpectrumSeries", "correlation", "default_omega_grid", "elastic_weight",
-    "single_atom_spectrum",
+    "steady_state",
+    "SpectrumSeries", "default_omega_grid", "elastic_weight", "single_atom_spectrum",
 ]

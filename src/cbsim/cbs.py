@@ -54,22 +54,18 @@ class CbsComponents:
 
     Background (ladder) and interference (crossed) terms, each split into
     elastic and inelastic parts.  ``alpha`` is the backward-to-background
-    intensity ratio (l2 + c2) / l2 over the totals.
+    intensity ratio (l2 + c2) / l2 over the totals, which needs l2 > 0.
     """
 
     l2_el: float
     l2_inel: float
     c2_el: float
     c2_inel: float
-    alpha: float
 
     def __post_init__(self):
-        expected = (self.l2_total + self.c2_total) / self.l2_total
-        scale = max(abs(expected), 1.0)
-        if abs(self.alpha - expected) > 1e-12 * scale:
-            raise DomainError(
-                f"alpha={self.alpha!r} inconsistent with intensities (expected {expected!r})"
-            )
+        if not self.l2_total > 0.0:
+            raise DomainError(f"background intensity {self.l2_total!r} is not positive; "
+                              "enhancement undefined")
 
     @property
     def l2_total(self):
@@ -79,16 +75,9 @@ class CbsComponents:
     def c2_total(self):
         return self.c2_el + self.c2_inel
 
-    @classmethod
-    def from_intensities(cls, l2_el, l2_inel, c2_el, c2_inel):
-        l2_total = l2_el + l2_inel
-        if not l2_total > 0.0:
-            raise DomainError(
-                f"background intensity {l2_total!r} is not positive; enhancement undefined"
-            )
-        alpha = (l2_total + c2_el + c2_inel) / l2_total
-        return cls(l2_el=float(l2_el), l2_inel=float(l2_inel),
-                   c2_el=float(c2_el), c2_inel=float(c2_inel), alpha=float(alpha))
+    @property
+    def alpha(self):
+        return (self.l2_total + self.c2_el + self.c2_inel) / self.l2_total
 
 
 def _check_sizes(n_a=4, n_p=4, n_configs=None, seed=0):
@@ -243,9 +232,8 @@ def _resolve_drive(params, s, detuning):
 def _components(total, elastic, scale):
     """Components from the (ladder, crossed) pairs of the total and elastic intensity."""
     (ladder, crossed), (ladder_el, crossed_el) = total, elastic
-    return CbsComponents.from_intensities(
-        ladder_el / scale, (ladder - ladder_el) / scale,
-        crossed_el / scale, (crossed - crossed_el) / scale)
+    parts = np.array([ladder_el, ladder - ladder_el, crossed_el, crossed - crossed_el])
+    return CbsComponents(*(parts / scale).tolist())
 
 
 def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POINTS,
@@ -287,7 +275,7 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64
                               n_a=n_a, n_p=n_p, normalize=normalize)
         sums += (comp.l2_el, comp.l2_inel, comp.c2_el, comp.c2_inel)
     sums /= n_configs
-    return CbsComponents.from_intensities(*sums)
+    return CbsComponents(*sums.tolist())
 
 
 # -- saturation sweep -------------------------------------------------------

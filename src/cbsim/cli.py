@@ -16,11 +16,11 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.  Every
 point is solved serially in this process.  ``--seed`` overrides the config
 seed; it and the ``peaks`` flags pass the rules of their config keys
 (:func:`cbsim.config.check`).  The output directory, and a spectrum's
-frequency grid (its size and its coverage of the predicted peaks), are
-checked before any point is solved.  CSV
-artifacts carry a ``#``-prefixed metadata block (command, version, seed,
-config echo), use LF line endings, and print floats with 17 significant
-digits, so identical config and seed reproduce identical bytes.
+orientation mode (fixed only) and frequency grid (its size and its
+coverage of the predicted peaks), are checked before any point is
+solved.  CSV artifacts carry a ``#``-prefixed metadata block (command,
+version, seed, config echo), use LF line endings, and print floats with 17
+significant digits, so identical config and seed reproduce identical bytes.
 """
 
 import argparse
@@ -30,10 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, atoms, cbs, config, dressed, liouvillian, solver, spectra
-from .errors import CbsimError, ConfigurationError, DomainError, ParseError
+from .errors import CbsimError, ConfigurationError, CoverageError, DomainError, ParseError
 
 ALPHA_HEADER = "s,omega_rabi,l2_el,l2_inel,c2_el,c2_inel,alpha,error"
 SPECTRUM_HEADER = "omega_over_gamma,background_density,interference_density"
+#: Row templates: 17 significant digits, the empty error column of a solved point.
+ALPHA_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,"
+SPECTRUM_ROW = "%.17g,%.17g,%.17g"
 
 
 def _fmt(value):
@@ -52,23 +55,6 @@ def write_csv(path, command, cfg, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
-
-
-def read_csv(path):
-    """Read back an emitted CSV: (metadata lines, header fields, rows)."""
-    metadata, header, rows = [], None, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                metadata.append(line[1:].strip())
-            elif header is None:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
-    return metadata, header, rows
 
 
 def _artifact_path(cfg, path, name):
@@ -103,14 +89,11 @@ def run_alpha_sweep(cfg, output_path=None, workers=1):
     for s, comp, err in results:
         rabi = liouvillian.rabi_for_saturation(s, cfg.detuning)
         if err is None:
-            rows.append(",".join([
-                _fmt(s), _fmt(rabi), _fmt(comp.l2_el), _fmt(comp.l2_inel),
-                _fmt(comp.c2_el), _fmt(comp.c2_inel), _fmt(comp.alpha), "",
-            ]))
+            rows.append(ALPHA_ROW % (s, rabi, comp.l2_el, comp.l2_inel, comp.c2_el,
+                                     comp.c2_inel, comp.alpha))
         else:
             failures += 1
-            rows.append(",".join([_fmt(s), _fmt(rabi), "", "", "", "", "",
-                                  err.replace(",", ";")]))
+            rows.append("%.17g,%.17g,,,,,,%s" % (s, rabi, err.replace(",", ";")))
     write_csv(output_path, "alpha-sweep", cfg, ALPHA_HEADER, rows)
     return output_path, failures
 
@@ -126,30 +109,38 @@ def run_spectrum(cfg, output_path=None, workers=1):
         raise ConfigurationError(f"workers = {workers!r}; cbsim runs serially")
     if cfg.rabi is None:
         raise ParseError("spectrum mode requires a 'rabi' entry", key="rabi")
+    if cfg.orientation_mode == config.ISOTROPIC:
+        raise ParseError("spectra are computed for a fixed orientation only",
+                         line=cfg.source_lines.get("orientation_mode"), key="orientation_mode")
     output_path = _artifact_path(cfg, output_path, "spectrum.csv")
     report_path = _artifact_path(cfg, None, "spectrum_peaks.txt")
     peaks = dressed.peak_positions(cfg.rabi, cfg.detuning)
-    try:  # an auto span too wide for a grid is a configuration error, like omega_span's
+    # An auto span too wide for a grid, or a span that misses a predicted
+    # peak, is a configuration error of the key that set the span.
+    key = "rabi" if cfg.omega_span is None else "omega_span"
+    try:
         omega_grid = spectra.default_omega_grid(cfg.rabi, cfg.detuning, span=cfg.omega_span)
-    except DomainError as exc:
-        raise ParseError(str(exc), line=cfg.source_lines.get("rabi"), key="rabi") from None
-    dressed.check_coverage(omega_grid, peaks)
+        dressed.check_coverage(omega_grid, peaks)
+    except (DomainError, CoverageError) as exc:
+        raise ParseError(str(exc), line=cfg.source_lines.get(key), key=key) from None
 
     scheme = atoms.build_scheme(cfg.scheme)
     result = cbs.cbs_spectrum(scheme, cfg.params(), omega_grid=omega_grid,
                               n_a=cfg.n_phase_a, n_p=cfg.n_phase_p)
-    rows = [
-        ",".join([_fmt(w), _fmt(bg), _fmt(inter)])
-        for w, bg, inter in zip(result.background.omega,
-                                result.background.density,
-                                result.interference.density)
-    ]
+    rows = _spectrum_rows(result.background.omega, result.background.density,
+                          result.interference.density)
     write_csv(output_path, "spectrum", cfg, SPECTRUM_HEADER, rows)
 
     report = _peak_report_text(cfg, result, peaks, PEAK_TOLERANCE)
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report)
     return output_path, report_path, result
+
+
+def _spectrum_rows(omega, background, interference):
+    """``SPECTRUM_ROW`` over the three columns, formatted as Python floats."""
+    return [SPECTRUM_ROW % row
+            for row in zip(omega.tolist(), background.tolist(), interference.tolist())]
 
 
 def _peak_report_text(cfg, result, peaks, tolerance):

@@ -22,6 +22,7 @@ n_phase_p             4                        propagation-phase grid points
 omega_span            auto                     half-width of the frequency grid;
                                                ``auto`` = 2.5 x generalized Rabi
 orientation_mode      fixed                    fixed | isotropic interatomic axis
+                                               (isotropic: alpha-sweep only)
 orientation           1,0,0                    axis used in fixed mode
 n_configs             64                       isotropic-average sample count
 seed                  0                        non-negative RNG seed (isotropic sampling)

@@ -68,30 +68,6 @@ def peak_positions(rabi, detuning):
     )
 
 
-@dataclass(frozen=True)
-class DressedDoublet:
-    """Splitting of the two dressed ground-sublevel branches.
-
-    ``upper_weights`` are the bare-state populations (ground, driven-excited)
-    of the upper-energy branch; equal mixing at zero detuning, no mixing at
-    zero drive.
-    """
-
-    splitting: float
-    upper_weights: tuple
-
-
-def dressed_energies(rabi, detuning):
-    """Diagonalize the driven two-level block and report the branch splitting."""
-    h = np.array([[0.0, 0.5 * rabi], [0.5 * rabi, -detuning]])
-    vals, vecs = np.linalg.eigh(h)
-    upper = vecs[:, np.argmax(vals)]
-    return DressedDoublet(
-        splitting=float(vals.max() - vals.min()),
-        upper_weights=(float(abs(upper[0]) ** 2), float(abs(upper[1]) ** 2)),
-    )
-
-
 def local_extrema(values, kind="max", min_relative_height=0.0):
     """Indices of strict interior local extrema of a sampled curve.
 

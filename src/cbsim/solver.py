@@ -1,10 +1,11 @@
-"""Steady states, time evolution, and frequency-domain solves.
+"""Steady states and frequency-domain (resolvent) solves.
 
 Everything here is a dense linear-algebra operation on the vectorized
 Liouville space (dimension <= 256 for the schemes shipped with the
 package), so direct LU factorization with partial pivoting is used
 throughout.  All functions are pure; independent solves may run
-concurrently without shared state.
+concurrently without shared state.  :class:`ResolventSolver` is the LU
+route of the spectral kernel :func:`cbsim.spectra.spectral_poles`.
 
 The steady state solves the bordered system M x = e_0, where M is the
 generator with its first row replaced by the trace functional.  M is
@@ -33,10 +34,9 @@ i omega Id - L is complex in either basis.
 import math
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .errors import ConditioningError, DimensionError, DomainError, MultiplicityError
+from .errors import ConditioningError, DimensionError, MultiplicityError
 from .liouvillian import GeneratorStack, vectorized_operators
 
 #: Residual bound for the steady-state solve, relative to ||L||.
@@ -177,14 +177,6 @@ def _steady_states(stack):
     return rho
 
 
-def evolve(liou, rho0, t):
-    """Propagate ``rho0`` for a time ``t`` (units of 1/gamma) under exp(L t)."""
-    if t < 0:
-        raise DomainError(f"evolution time must be non-negative, got {t}")
-    propagator = sla.expm(liou.generator * t)
-    return unvectorize(propagator @ vectorize(rho0))
-
-
 class ResolventSolver:
     """Repeated solves of (i omega Id - L) x = rhs against one N x N
     ``generator``, in the standard vectorization or in the Hermitian basis
@@ -237,14 +229,3 @@ class ResolventSolver:
 
         return solve
 
-
-def resolvent_solve(liou, rhs, omega, deflate=None):
-    """Solve (i omega Id - L) x = rhs by dense LU with partial pivoting."""
-    rhs = np.asarray(rhs, dtype=complex)
-    if rhs.shape != (liou.dim,):
-        raise DimensionError(
-            f"rhs must be a vectorized operator of length {liou.dim}, got {rhs.shape}"
-        )
-    if not np.any(rhs):
-        return np.zeros_like(rhs)
-    return ResolventSolver(liou.generator, deflate=deflate).factor(omega)(rhs)

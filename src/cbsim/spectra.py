@@ -13,11 +13,11 @@ works in the Hermitian operator basis of :mod:`cbsim.liouvillian`, where
 the generator and the deflation by the (Hermitian) steady state are real,
 so the diagonalization is that of a real matrix; seeds and observables are
 mapped into the basis, and an orthonormal basis leaves the eigenvector
-condition number and the residual norms of the guard unchanged.
-:func:`correlation` keeps a single rcond-checked LU solve in the standard
-vectorization as the independent reference.  Spectra use the connected
-correlator (means subtracted), which removes the coherent delta at the
-drive frequency exactly; that elastic weight is reported separately.
+condition number and the residual norms of the guard unchanged.  Spectra
+use the connected correlator (means subtracted), which removes the
+coherent delta at the drive frequency exactly; that elastic weight is
+reported separately.  Frequency grids have fixed steps
+(:func:`default_omega_grid`).
 """
 
 from dataclasses import dataclass
@@ -27,15 +27,14 @@ import numpy as np
 from . import atoms, dressed
 from .errors import DomainError
 from .liouvillian import GeneratorStack, assemble_single, hermitian_coordinates
-from .solver import (RESOLVENT_RESIDUAL_TOL, ResolventSolver, steady_state, vectorize,
-                     unvectorize)
+from .solver import RESOLVENT_RESIDUAL_TOL, ResolventSolver, steady_state, vectorize
 
 BACKGROUND = "background"
 INTERFERENCE = "interference"
 
-#: Default frequency-grid parameters (units of gamma): total span as a
-#: multiple of the generalized Rabi frequency, base spacing, and the finer
-#: spacing applied within ``REFINE_HALFWIDTH`` of each predicted peak.
+#: The frequency grid (units of gamma): total span as a multiple of the
+#: generalized Rabi frequency, base spacing, and the finer spacing applied
+#: within ``REFINE_HALFWIDTH`` of each predicted peak.
 SPAN_FACTOR = 2.5
 BASE_STEP = 0.1
 REFINE_STEP = 0.02
@@ -85,27 +84,6 @@ def connected_initial(rho_ss, a_op):
     return vectorize(init - np.trace(init) * rho_ss)
 
 
-def correlation(liou, rho_ss, a_op, b_op, omega, connected=False):
-    """Half-line transform of <A(t) B(t+tau)> at a frequency offset.
-
-    Computes integral_0^inf dtau exp(i omega tau) tr[B exp(L tau)(rho_ss A)]
-    through one dense resolvent solve.  With ``connected=True`` the
-    factorized part <A><B> is subtracted first (and the stationary mode is
-    deflated), which makes the transform finite at every real omega
-    including zero.
-    """
-    if connected:
-        rhs = connected_initial(rho_ss, a_op)
-        deflate = vectorize(rho_ss)
-    else:
-        rhs = vectorize(rho_ss @ a_op)
-        deflate = None
-    # exp(i omega tau) integrated against exp(L tau) gives (-i omega - L)^(-1),
-    # i.e. the resolvent evaluated at the opposite frequency sign.
-    solve = ResolventSolver(liou.generator, deflate=deflate).factor(-omega)
-    return complex(np.trace(b_op @ unvectorize(solve(rhs))))
-
-
 def spectral_response(liou, rho_ss, seeds, observables, omegas):
     """Connected regression transforms ``t[j, k, i]`` over a frequency grid:
     those of :func:`spectral_poles`, with its pole sum evaluated by
@@ -124,9 +102,10 @@ def spectral_poles(liou, rho_ss, seeds, observables, omegas):
 
     The transforms are ``t[j, k, i] = tr[B_k X_j]`` with
     (B - i omega_i) X_j = seeds[j], B = -L + |rho_ss><tr|, for vectorized
-    trace-free seeds (:func:`connected_initial`) and observables B_k, i.e.
-    ``correlation(..., connected=True)`` at every frequency.  ``liou`` is
-    a :class:`~cbsim.liouvillian.Liouvillian` or a one-generator
+    trace-free seeds (:func:`connected_initial` of A_j) and observables
+    B_k, i.e. the half-line transforms of the connected <A_j(t) B_k(t+tau)>
+    at every frequency.  ``liou`` is a
+    :class:`~cbsim.liouvillian.Liouvillian` or a one-generator
     :class:`~cbsim.liouvillian.GeneratorStack`.  One diagonalization of the
     real B = V diag(lam) V^-1 gives ``(lam, w)`` with
     t[j, k, i] = sum_m w[j, k, m] / (lam_m - i omega_i); when the guard of
@@ -267,49 +246,43 @@ def checked_grid(omega_grid, params):
     return grid
 
 
-def _lattice(span, base_step=BASE_STEP, refine_step=REFINE_STEP,
-             refine_halfwidth=REFINE_HALFWIDTH):
-    """``(n_span, coarse_every)``, the half-width and coarse spacing of a grid
-    in units of ``refine_step``, once the steps, the span and the size (at
-    most ``MAX_GRID_POINTS``, counted in floating point) are checked."""
-    if not (np.inf > base_step >= refine_step > 0 and np.inf > refine_halfwidth > 0):
-        raise DomainError("grid steps must satisfy inf > base_step >= refine_step > 0 and "
-                          f"inf > refine_halfwidth > 0, got {base_step}, {refine_step}, "
-                          f"{refine_halfwidth}")
+def _lattice(span):
+    """The half-width of a grid in units of ``REFINE_STEP``, once the span and
+    the size (at most ``MAX_GRID_POINTS``, counted in floating point) are
+    checked."""
     if not (np.isfinite(span) and span > 0):
         raise DomainError(f"grid span must be finite and positive, got {span}")
     # Python floats overflow to inf without a warning; 7 peaks, 2 sides each.
-    span, base_step, refine_step = float(span), float(base_step), float(refine_step)
-    n_span = span / refine_step
-    count = 2.0 * span / base_step + 14.0 * float(refine_halfwidth) / refine_step
+    span = float(span)
+    n_span = span / REFINE_STEP
+    count = 2.0 * span / BASE_STEP + 14.0 * REFINE_HALFWIDTH / REFINE_STEP
     if not (n_span < np.inf and count <= MAX_GRID_POINTS):
-        raise DomainError(f"a grid of span {span:g} and refine_step {refine_step:g} has "
-                          f"about {count:.3g} points, more than {MAX_GRID_POINTS:,}")
-    return int(np.ceil(n_span)), max(round(base_step / refine_step), 1)
+        raise DomainError(f"a grid of span {span:g} has about {count:.3g} points, "
+                          f"more than {MAX_GRID_POINTS:,}")
+    return int(np.ceil(n_span))
 
 
-def default_omega_grid(rabi, detuning, span=None, base_step=BASE_STEP,
-                       refine_step=REFINE_STEP, refine_halfwidth=REFINE_HALFWIDTH):
+def default_omega_grid(rabi, detuning, span=None):
     """Symmetric frequency grid resolving all predicted resonances.
 
     Covers ``+- SPAN_FACTOR * Omega_R`` (or an explicit ``span``) at
-    ``base_step`` spacing with ``refine_step`` refinement inside
-    ``+- refine_halfwidth`` of each predicted peak.  All points are integer
-    multiples of ``refine_step`` so that a zero-detuning grid is exactly
-    mirror symmetric; :func:`_lattice` checks the parameters and the size.
+    ``BASE_STEP`` spacing with ``REFINE_STEP`` refinement inside
+    ``+- REFINE_HALFWIDTH`` of each predicted peak.  All points are integer
+    multiples of ``REFINE_STEP`` so that a zero-detuning grid is exactly
+    mirror symmetric; :func:`_lattice` checks the span and the size.
     """
     if span is None:
         span = SPAN_FACTOR * max(dressed.generalized_rabi(rabi, detuning), 1.0)
-    n_span, coarse_every = _lattice(span, base_step, refine_step, refine_halfwidth)
-    positive = set(range(0, n_span + 1, coarse_every))
+    n_span = _lattice(span)
+    positive = set(range(0, n_span + 1, round(BASE_STEP / REFINE_STEP)))
     positive.add(n_span)
     lattice = positive | {-k for k in positive}
     for pos in dressed.peak_positions(rabi, detuning).as_dict().values():
-        lo = max(np.floor((pos - refine_halfwidth) / refine_step), -n_span)
-        hi = min(np.ceil((pos + refine_halfwidth) / refine_step), n_span)
+        lo = max(np.floor((pos - REFINE_HALFWIDTH) / REFINE_STEP), -n_span)
+        hi = min(np.ceil((pos + REFINE_HALFWIDTH) / REFINE_STEP), n_span)
         if lo <= hi:  # skip a window outside the span: its offsets may be infinite
             lattice.update(range(int(lo), int(hi) + 1))
-    return refine_step * np.array(sorted(lattice), dtype=float)
+    return REFINE_STEP * np.array(sorted(lattice), dtype=float)
 
 
 def single_atom_spectrum(params, omega_grid=None, scheme=None):

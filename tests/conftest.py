@@ -87,10 +87,9 @@ def spectrum_detuned(v_scheme):
 
 @pytest.fixture(scope="session")
 def spectrum_on_resonance_raw(v_scheme):
-    """Unnormalized variant on a reduced grid, for sum-rule checks."""
+    """Unnormalized variant on the default grid, for sum-rule checks."""
     params = liouvillian.PhysicalParams(rabi=100.0, detuning=0.0)
-    grid = spectra.default_omega_grid(100.0, 0.0, base_step=0.25, refine_step=0.05)
-    return cbs.cbs_spectrum(v_scheme, params, omega_grid=grid, normalize=False)
+    return cbs.cbs_spectrum(v_scheme, params, normalize=False)
 
 
 @pytest.fixture(scope="session")

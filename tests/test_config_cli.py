@@ -11,6 +11,7 @@ import pytest
 from cbsim import atoms, cbs, cli, config, liouvillian as lv, spectra
 from cbsim.errors import ConfigurationError, DomainError, ParseError
 from conftest import count_phase_points
+from oracles import read_csv
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 
@@ -206,7 +207,7 @@ def test_alpha_sweep_csv_round_trip(tmp_path):
     cfg.output_dir = str(tmp_path)
     path, failures = cli.run_alpha_sweep(cfg)
     assert failures == 0
-    metadata, header, rows = cli.read_csv(path)
+    metadata, header, rows = read_csv(path)
     assert header == cli.ALPHA_HEADER.split(",")
     assert len(rows) == 2
     assert any(line.startswith("version") for line in metadata)
@@ -241,7 +242,7 @@ def test_alpha_sweep_lf_endings_and_precision(tmp_path):
     path, _ = cli.run_alpha_sweep(cfg)
     raw = path.read_bytes()
     assert b"\r" not in raw
-    _, _, rows = cli.read_csv(path)
+    _, _, rows = read_csv(path)
     # full double precision round-trips through the text format
     value = float(rows[0][6])
     assert f"{value:.17g}" == rows[0][6]
@@ -263,7 +264,7 @@ def test_alpha_sweep_records_point_failures(tmp_path, monkeypatch):
     cfg.output_dir = str(tmp_path)
     path, failures = cli.run_alpha_sweep(cfg)
     assert failures == 1
-    _, _, rows = cli.read_csv(path)
+    _, _, rows = read_csv(path)
     assert rows[0][-1] == ""
     assert "ConditioningError" in rows[1][-1]
     assert rows[1][2] == ""  # numeric columns left empty on failure
@@ -281,7 +282,7 @@ def test_cli_main_alpha_sweep_and_seed_override(tmp_path, capsys):
     cfg_path.write_text(SWEEP_CONFIG + f"output_dir = {tmp_path}\n")
     code = cli.main(["alpha-sweep", str(cfg_path), "--seed", "17"])
     assert code == 0
-    metadata, _, _ = cli.read_csv(tmp_path / "alpha_sweep.csv")
+    metadata, _, _ = read_csv(tmp_path / "alpha_sweep.csv")
     assert "seed = 17" in metadata
 
 
@@ -302,7 +303,7 @@ def test_alpha_sweep_reproduces_limit_rows(tmp_path):
     cfg.output_dir = str(tmp_path)
     path, failures = cli.run_alpha_sweep(cfg)
     assert failures == 0
-    _, _, rows = cli.read_csv(path)
+    _, _, rows = read_csv(path)
     alphas = {float(r[0]): float(r[6]) for r in rows}
     assert abs(alphas[0.001] - 2.0) <= 0.02
     assert abs(alphas[1000.0] / (23.0 / 21.0) - 1.0) <= 0.02
@@ -312,7 +313,7 @@ def test_detuned_sweep_contains_anti_enhancement_row(tmp_path):
     cfg = config.parse_config("detuning = 20\nsweep_s = 0.5, 0.7\n")
     cfg.output_dir = str(tmp_path)
     path, _ = cli.run_alpha_sweep(cfg)
-    _, _, rows = cli.read_csv(path)
+    _, _, rows = read_csv(path)
     alphas = [float(r[6]) for r in rows]
     c2_inels = [float(r[5]) for r in rows]
     assert any(a < 1.0 for a in alphas)
@@ -325,12 +326,12 @@ def test_isotropic_sweep_runs_and_is_seeded(tmp_path):
     cfg.output_dir = str(tmp_path)
     path, failures = cli.run_alpha_sweep(cfg)
     assert failures == 0
-    _, _, rows = cli.read_csv(path)
+    _, _, rows = read_csv(path)
     first_alpha = float(rows[0][6])
     assert 1.0 < first_alpha < 2.0
     # same seed reproduces the identical row
     path2, _ = cli.run_alpha_sweep(cfg)
-    _, _, rows2 = cli.read_csv(path2)
+    _, _, rows2 = read_csv(path2)
     assert rows == rows2
 
 
@@ -433,7 +434,7 @@ def test_spectrum_csv_and_report(tmp_path):
     cfg = config.parse_config(SPECTRUM_CONFIG)
     cfg.output_dir = str(tmp_path)
     csv_path, report_path, result = cli.run_spectrum(cfg)
-    metadata, header, rows = cli.read_csv(csv_path)
+    metadata, header, rows = read_csv(csv_path)
     assert header == cli.SPECTRUM_HEADER.split(",")
     assert len(rows) == result.background.omega.size
     omegas = np.array([float(r[0]) for r in rows])
@@ -444,16 +445,52 @@ def test_spectrum_csv_and_report(tmp_path):
 
 
 def test_spectrum_coverage_validated_before_solving(tmp_path, monkeypatch, capsys):
+    # a span that misses a predicted peak is a configuration error of omega_span
     calls = count_phase_points(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
     # at rabi 1e307 the peak windows lie at offsets that overflow a float
     for rabi in ("100", "1e307"):
         cfg_path.write_text(f"rabi = {rabi}\nomega_span = 150\noutput_dir = {tmp_path}\n")
-        assert cli.main(["spectrum", str(cfg_path)]) == 2
+        assert cli.main(["spectrum", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR:") and err.count("\n") == 1 and "cover" in err
+        assert "line 2: key 'omega_span'" in err
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_isotropic_spectrum_rejected_before_solving(tmp_path, monkeypatch, capsys):
+    # a spectrum is computed for the fixed axis only, so no orientation average
+    # may be claimed for it
+    calls = count_phase_points(monkeypatch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"rabi = 5\ndetuning = 1\norientation_mode = isotropic\n"
+                        f"n_configs = 3\noutput_dir = {tmp_path}\n")
+    assert cli.main(["spectrum", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "line 3: key 'orientation_mode'" in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # one %-template over Python floats prints what f"{v:.17g}" prints per value
+    # +-1.8e308 overflows to +-inf; the largest finite double is 1.7976931348623157e308
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    values = np.array([0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, 1.8e308, -1.8e308,
+                       huge, -huge, 1e-300, -1e300, 0.1, 1.0 / 3.0, 123456789.0, -7.0])
+    columns = (values, -values[::-1], np.roll(values, 5))
+    rows = cli._spectrum_rows(*columns)
+    expected = [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+    assert rows == expected
+    printed = {v for row in rows for v in row.split(",")}
+    assert {"-0", "4.9406564584124654e-324", "-inf", "1.7976931348623157e+308"} <= printed
+    sweep_row = cli.ALPHA_ROW % tuple(values[:7].tolist())
+    assert sweep_row == ",".join(f"{v:.17g}" for v in values[:7]) + ","
+    cfg = config.parse_config(SPECTRUM_CONFIG)
+    path = cli.write_csv(tmp_path / "rows.csv", "spectrum", cfg, cli.SPECTRUM_HEADER, rows)
+    assert path.read_bytes().decode().splitlines()[-len(rows):] == expected
 
 
 def test_oversized_spectrum_grid_rejected_before_solving(tmp_path, monkeypatch, capsys):

@@ -65,31 +65,25 @@ def test_seven_distinct_positions_with_minimum_gap():
         assert np.diff(pos).min() >= gap_floor - 1e-9
 
 
-def test_dressed_energies_equal_mixing_on_resonance():
-    d = dressed.dressed_energies(100.0, 0.0)
-    assert np.isclose(d.splitting, 100.0)
-    assert np.allclose(d.upper_weights, (0.5, 0.5))
-
-
-def test_dressed_energies_no_mixing_without_drive():
-    d = dressed.dressed_energies(0.0, 20.0)
-    assert np.isclose(d.splitting, 20.0)
-    assert np.allclose(d.upper_weights, (1.0, 0.0))
+def dressed_splitting(rabi, detuning):
+    """Eigenvalue gap of the driven two-level block [[0, rabi/2], [rabi/2, -detuning]]."""
+    vals = np.linalg.eigvalsh([[0.0, 0.5 * rabi], [0.5 * rabi, -detuning]])
+    return vals[1] - vals[0]
 
 
 def test_dressed_splitting_equals_generalized_rabi():
     rng = np.random.default_rng(11)
     for _ in range(20):
         rabi, detuning = rng.uniform(0, 100), rng.uniform(-50, 50)
-        assert np.isclose(dressed.dressed_energies(rabi, detuning).splitting,
+        assert np.isclose(dressed_splitting(rabi, detuning),
                           dressed.generalized_rabi(rabi, detuning), rtol=1e-12)
 
 
 def test_dressed_splitting_limits_on_log_grid():
     for rabi in np.geomspace(1e-4, 1e-1, 7):
-        assert abs(dressed.dressed_energies(rabi, 20.0).splitting - 20.0) < 1e-3
+        assert abs(dressed.generalized_rabi(rabi, 20.0) - 20.0) < 1e-3
     for detuning in np.geomspace(1e-4, 1e-1, 7):
-        assert abs(dressed.dressed_energies(30.0, detuning).splitting - 30.0) < 1e-3
+        assert abs(dressed.generalized_rabi(30.0, detuning) - 30.0) < 1e-3
 
 
 # -- extrema and validation ---------------------------------------------------
