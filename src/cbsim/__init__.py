@@ -14,8 +14,8 @@ from .atoms import (FULL_J0_J1, TWO_LEVEL, V_TYPE, LevelScheme, build_scheme,
 from .cbs import (CbsComponents, CbsSpectrumResult, cbs_components,
                   cbs_components_isotropic, cbs_spectrum, detected_intensity,
                   sweep_alpha_collect)
-from .dressed import PeakSet, generalized_rabi, peak_positions, validate_spectrum
-from .liouvillian import (Liouvillian, PhysicalParams, assemble,
+from .dressed import generalized_rabi, peak_positions, validate_spectrum
+from .liouvillian import (GeneratorStack, PhysicalParams, assemble,
                           assemble_single, decay_dissipator, drive_hamiltonian,
                           rabi_for_saturation, saturation)
 from .solver import steady_state
@@ -28,8 +28,8 @@ __all__ = [
     "CbsComponents", "CbsSpectrumResult", "cbs_components",
     "cbs_components_isotropic", "cbs_spectrum", "detected_intensity",
     "sweep_alpha_collect",
-    "PeakSet", "generalized_rabi", "peak_positions", "validate_spectrum",
-    "Liouvillian", "PhysicalParams", "assemble", "assemble_single",
+    "generalized_rabi", "peak_positions", "validate_spectrum",
+    "GeneratorStack", "PhysicalParams", "assemble", "assemble_single",
     "decay_dissipator", "drive_hamiltonian", "rabi_for_saturation", "saturation",
     "steady_state",
     "SpectrumSeries", "default_omega_grid", "elastic_weight", "single_atom_spectrum",

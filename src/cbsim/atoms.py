@@ -35,11 +35,6 @@ SCHEME_KINDS = (TWO_LEVEL, V_TYPE, FULL_J0_J1)
 
 
 @dataclass(frozen=True)
-class Level:
-    label: str
-
-
-@dataclass(frozen=True)
 class Transition:
     lower: int
     upper: int
@@ -52,7 +47,8 @@ class LevelScheme:
 
     All levels of a manifold are degenerate; in the frame rotating at the
     drive frequency only the detuning shifts the excited levels.
-    Transition endpoints index into ``levels``.
+    ``levels`` is a tuple of distinct labels, into which transition
+    endpoints index.
     """
 
     kind: str
@@ -60,8 +56,7 @@ class LevelScheme:
     transitions: tuple
 
     def __post_init__(self):
-        labels = [lv.label for lv in self.levels]
-        if len(set(labels)) != len(labels):
+        if len(set(self.levels)) != len(self.levels):
             raise ConfigurationError(f"duplicate level labels in scheme {self.kind!r}")
         n = len(self.levels)
         for t in self.transitions:
@@ -113,19 +108,19 @@ def build_scheme(kind):
     if key == TWO_LEVEL:
         return LevelScheme(
             kind=TWO_LEVEL,
-            levels=(Level("|1>"), Level("|4>")),
+            levels=("|1>", "|4>"),
             transitions=(Transition(0, 1, SIGMA_PLUS),),
         )
     if key == V_TYPE:
         return LevelScheme(
             kind=V_TYPE,
-            levels=(Level("|1>"), Level("|2>"), Level("|4>")),
+            levels=("|1>", "|2>", "|4>"),
             transitions=(Transition(0, 2, SIGMA_PLUS), Transition(0, 1, SIGMA_MINUS)),
         )
     if key == FULL_J0_J1:
         return LevelScheme(
             kind=FULL_J0_J1,
-            levels=(Level("|1>"), Level("|2>"), Level("|3>"), Level("|4>")),
+            levels=("|1>", "|2>", "|3>", "|4>"),
             transitions=(
                 Transition(0, 3, SIGMA_PLUS),
                 Transition(0, 1, SIGMA_MINUS),

@@ -116,8 +116,10 @@ def run_spectrum(cfg, output_path=None, workers=1):
     report_path = _artifact_path(cfg, None, "spectrum_peaks.txt")
     peaks = dressed.peak_positions(cfg.rabi, cfg.detuning)
     # An auto span too wide for a grid, or a span that misses a predicted
-    # peak, is a configuration error of the key that set the span.
-    key = "rabi" if cfg.omega_span is None else "omega_span"
+    # peak, is a configuration error of the key that set the span: the auto
+    # span follows sqrt(rabi^2 + detuning^2), set by the larger of the two.
+    key = "omega_span" if cfg.omega_span is not None else (
+        "detuning" if abs(cfg.detuning) > cfg.rabi else "rabi")
     try:
         omega_grid = spectra.default_omega_grid(cfg.rabi, cfg.detuning, span=cfg.omega_span)
         dressed.check_coverage(omega_grid, peaks)
@@ -154,16 +156,11 @@ def _peak_report_text(cfg, result, peaks, tolerance):
         f"rabi = {_fmt(cfg.rabi)}  detuning = {_fmt(cfg.detuning)}  "
         f"generalized_rabi = {_fmt(dressed.generalized_rabi(cfg.rabi, cfg.detuning))}",
         f"peak tolerance = {_fmt(tolerance)}",
-        "",
-        "background peaks (predicted / found / offset / status):",
     ]
-    for m in bg_report.matches:
-        lines.append(f"  {m.label:<20} {m.predicted:12.4f} {m.found:12.4f} "
-                     f"{m.offset:8.4f}  {'ok' if m.passed else 'MISSED'}")
-    lines += ["", "interference extrema (predicted / found / offset / status):"]
-    for m in int_report.matches:
-        lines.append(f"  {m.label:<20} {m.predicted:12.4f} {m.found:12.4f} "
-                     f"{m.offset:8.4f}  {'ok' if m.passed else 'MISSED'}")
+    for title, report in (("background peaks", bg_report), ("interference extrema", int_report)):
+        lines += ["", f"{title} (predicted / found / offset / status):"]
+        lines += [f"  {m.label:<20} {m.predicted:12.4f} {m.found:12.4f} "
+                  f"{m.offset:8.4f}  {'ok' if m.passed else 'MISSED'}" for m in report.matches]
     n_maxima = dressed.local_extrema(result.background.density, kind="max",
                                      min_relative_height=1e-6).size
     lines += [
@@ -195,32 +192,32 @@ def _check_battery():
     rng = np.random.default_rng(7)
     scheme = atoms.build_scheme(atoms.V_TYPE)
     params = liouvillian.PhysicalParams(rabi=liouvillian.rabi_for_saturation(1.0, 0.0))
-    liou = liouvillian.assemble(scheme, params, ([0.7], [1.3])).liouvillian(0)
-    dim = liou.hilbert_dim
+    stack = liouvillian.assemble(scheme, params, ([0.7], [1.3]))
+    gen, dim = stack.standard(0), stack.hilbert_dim
 
     worst = 0.0
     for _ in range(20):
         h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         rho = h + h.conj().T
         worst = max(worst, abs(np.trace(solver.unvectorize(
-            liou.generator @ rho.reshape(-1)))))
+            gen @ rho.reshape(-1)))))
     yield "trace preservation", worst <= 1e-10 * dim, f"max |tr L(rho)| = {worst:.2e}"
 
     h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    lh = solver.unvectorize(liou.generator @ h.reshape(-1))
-    lhd = solver.unvectorize(liou.generator @ (h.conj().T).reshape(-1))
+    lh = solver.unvectorize(gen @ h.reshape(-1))
+    lhd = solver.unvectorize(gen @ (h.conj().T).reshape(-1))
     herm = np.abs(lh.conj().T - lhd).max()
     yield "hermiticity preservation", herm <= 1e-12 * np.abs(lh).max() + 1e-12, \
         f"max deviation = {herm:.2e}"
 
-    eigs = np.linalg.eigvals(liou.generator)
+    eigs = np.linalg.eigvals(gen)
     yield "spectrum in left half-plane", eigs.real.max() <= 1e-10, \
         f"max Re(lambda) = {eigs.real.max():.2e}"
     yield "stationary eigenvalue present", np.abs(eigs).min() <= 1e-10, \
         f"min |lambda| = {np.abs(eigs).min():.2e}"
 
     try:
-        solver.steady_state(liou)  # validates the density it returns
+        solver.steady_state(stack)  # validates the density it returns
         yield "steady-state density invariants", True, "hermitian, unit trace, positive"
     except (CbsimError, np.linalg.LinAlgError) as exc:
         yield "steady-state density invariants", False, str(exc)
@@ -326,9 +323,8 @@ def main(argv=None):
         if args.command == "peaks":
             for key in ("rabi", "detuning"):  # the rules of the config keys
                 config.check(key, getattr(args, key), name=f"--{key}")
-            peaks = dressed.peak_positions(args.rabi, args.detuning)
-            for label in dressed.PEAK_LABELS:
-                print(f"{label:<20} {getattr(peaks, label):+.10g}")
+            for label, pos in dressed.peak_positions(args.rabi, args.detuning).items():
+                print(f"{label:<20} {pos:+.10g}")
             return 0
         if args.command == "check":
             return 2 if run_check() else 0

@@ -13,7 +13,8 @@ key                   default                  meaning
 ====================  =======================  =====================================
 scheme                v_type                   v_type | full_j0_j1
 detuning              0.0                      drive detuning (units of gamma)
-kr                    100.0                    dimensionless interatomic distance
+kr                    100.0                    dimensionless interatomic distance,
+                                               10 to 1e150
 sweep_s               (none)                   saturation sweep: ``logspace(lo, hi, n)``
                                                or a comma-separated list
 rabi                  (none)                   single Rabi frequency (spectrum mode)

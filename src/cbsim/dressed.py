@@ -33,39 +33,13 @@ def generalized_rabi(rabi, detuning):
     return math.hypot(rabi, detuning)
 
 
-@dataclass(frozen=True)
-class PeakSet:
-    """The seven predicted resonance positions (offsets from the drive)."""
-
-    mollow_central: float
-    mollow_plus: float
-    mollow_minus: float
-    autler_townes_plus: float
-    autler_townes_minus: float
-    hyper_raman_plus: float
-    hyper_raman_minus: float
-
-    def as_dict(self):
-        return {label: getattr(self, label) for label in PEAK_LABELS}
-
-    @property
-    def positions(self):
-        """All seven positions, sorted ascending."""
-        return tuple(sorted(self.as_dict().values()))
-
-
 def peak_positions(rabi, detuning):
-    """Predicted peak positions {0, +-Omega_R, (Omega_R -+ delta)/2 pair, +-2 Omega_R}."""
+    """Predicted peak positions {0, +-Omega_R, (Omega_R -+ delta)/2 pair,
+    +-2 Omega_R}, as a dict in ``PEAK_LABELS`` order."""
     omega_r = generalized_rabi(rabi, detuning)
-    return PeakSet(
-        mollow_central=0.0,
-        mollow_plus=omega_r,
-        mollow_minus=-omega_r,
-        autler_townes_plus=0.5 * (omega_r - detuning),
-        autler_townes_minus=-0.5 * (omega_r + detuning),
-        hyper_raman_plus=2.0 * omega_r,
-        hyper_raman_minus=-2.0 * omega_r,
-    )
+    return dict(zip(PEAK_LABELS, (0.0, omega_r, -omega_r, 0.5 * (omega_r - detuning),
+                                  -0.5 * (omega_r + detuning), 2.0 * omega_r,
+                                  -2.0 * omega_r)))
 
 
 def local_extrema(values, kind="max", min_relative_height=0.0):
@@ -119,7 +93,7 @@ class PeakReport:
 def check_coverage(grid, peaks):
     """Raise :class:`CoverageError` unless ``grid`` spans every one of ``peaks``."""
     lo, hi = np.min(grid), np.max(grid)
-    for label, pos in peaks.as_dict().items():
+    for label, pos in peaks.items():
         if not (lo <= pos <= hi):
             raise CoverageError(f"the grid [{lo:g}, {hi:g}] does not cover the "
                                 f"predicted peak {label} at {pos:g}")
@@ -136,7 +110,6 @@ def validate_spectrum(spectrum, peaks, tolerance):
     grid = np.asarray(spectrum.omega)
     density = np.asarray(spectrum.density)
     check_coverage(grid, peaks)
-    predicted = peaks.as_dict()
     kind = "max" if getattr(spectrum, "kind", "background") == "background" else "both"
     idx = local_extrema(density, kind=kind, min_relative_height=1e-9)
     if idx.size == 0:
@@ -144,7 +117,7 @@ def validate_spectrum(spectrum, peaks, tolerance):
     extrema_pos = grid[idx]
     matches = []
     for label in PEAK_LABELS:
-        pos = predicted[label]
+        pos = peaks[label]
         found = float(extrema_pos[np.argmin(np.abs(extrema_pos - pos))])
         offset = abs(found - pos)
         matches.append(PeakMatch(label, float(pos), found, offset, offset <= tolerance))

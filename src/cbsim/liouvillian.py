@@ -66,9 +66,9 @@ of (a, p) phase points is assembled in one call: generator i of its stack
 is the row ``coef[i] @ values`` of the block values, shares the index
 arrays of the cached blocks, stays sparse, and is checked for trace
 preservation from its entries.  Offsets into dense arrays are computed
-where they are used.  The dense view of generator i in the standard
-(row-major, complex) vectorization is the :class:`Liouvillian`
-``stack.liouvillian(i)``.
+where they are used.  ``stack.standard(i)`` is the dense array of
+generator i in the standard (row-major, complex) vectorization, and
+:meth:`GeneratorStack.from_dense` builds a stack from such arrays.
 """
 
 import functools
@@ -83,6 +83,9 @@ from .errors import ConfigurationError, DimensionError, DomainError
 #: Smallest admissible dimensionless interatomic distance; below this the
 #: weak-coupling expansion underlying the model is not trustworthy.
 KR_MIN = 10.0
+#: Largest admissible kr: the intensities scale as (1.5 / kr)^2, which goes
+#: subnormal beyond kr ~ 1e154.
+KR_MAX = 1e150
 
 
 def saturation(rabi, detuning):
@@ -123,6 +126,8 @@ class PhysicalParams:
             raise DomainError(
                 f"kr >= {KR_MIN:g} required (weak-coupling regime), got {self.kr}"
             )
+        if self.kr > KR_MAX:
+            raise DomainError(f"kr <= {KR_MAX:g} required (finite intensities), got {self.kr}")
         n = np.asarray(self.orientation, dtype=float)
         if n.shape != (3,) or not np.all(np.isfinite(n)):
             raise ConfigurationError(f"orientation must be a finite 3-vector, got {self.orientation}")
@@ -136,18 +141,6 @@ class PhysicalParams:
     @property
     def saturation(self):
         return saturation(self.rabi, self.detuning)
-
-
-@dataclass(frozen=True, eq=False)
-class Liouvillian:
-    """Generator of the master equation on vectorized density matrices."""
-
-    hilbert_dim: int
-    generator: np.ndarray
-
-    @property
-    def dim(self):
-        return self.hilbert_dim**2
 
 
 # -- the Hermitian operator basis (module docstring)
@@ -293,25 +286,24 @@ class GeneratorStack:
         """Generator i as a stack of one."""
         return replace(self, values=self.values[i:i + 1])
 
-    def liouvillian(self, i):
-        """Generator i in the standard vectorization."""
-        return Liouvillian(self.hilbert_dim, _generator_map(self.dense(i), "inverse"))
+    def standard(self, i):
+        """Generator i in the standard vectorization, as a dense complex array."""
+        return _generator_map(self.dense(i), "inverse")
 
     @classmethod
-    def from_dense(cls, liouvillians):
-        """Stack of dense generators of one Hilbert dimension on the union of
-        their supports in the Hermitian basis; raises
-        :class:`ConfigurationError` for one that does not preserve Hermiticity."""
-        n = liouvillians[0].hilbert_dim
-        gens = []
-        for liou in liouvillians:
-            gen = np.asarray(liou.generator, dtype=complex)
-            if liou.hilbert_dim != n or gen.shape != (n * n, n * n):
+    def from_dense(cls, generators):
+        """Stack of dense N x N generators in the standard vectorization, all
+        of one Hilbert dimension n = isqrt(N), on the union of their supports
+        in the Hermitian basis; raises :class:`ConfigurationError` for one
+        that does not preserve Hermiticity."""
+        gens = [np.asarray(gen, dtype=complex) for gen in generators]
+        n = math.isqrt(len(gens[0]))
+        for gen in gens:
+            if gen.shape != (n * n, n * n):
                 raise DimensionError(
                     f"generator of shape {gen.shape} does not act on a "
                     f"{n}-level system")
-            gens.append(_generator_map(gen, "forward"))
-        gens = np.array(gens)
+        gens = np.array([_generator_map(gen, "forward") for gen in gens])
         rows, cols = np.nonzero(gens.any(axis=0))
         return cls(n, rows, cols, gens[:, rows, cols])
 
@@ -512,9 +504,10 @@ def assemble(scheme, params, phases):
 
 
 def assemble_single(scheme, params):
-    """Generator for one driven atom (no exchange, drive phase zero)."""
+    """Generator for one driven atom (no exchange, drive phase zero), as a
+    :class:`GeneratorStack` of one."""
     jumps = _jumps(scheme, 1)
-    liou = Liouvillian(scheme.n_levels, master_generator(
-        drive_hamiltonian(scheme, params, phases=(0.0,)), jumps, 2.0 * np.eye(len(jumps))))
-    _check_trace_preserving(GeneratorStack.from_dense([liou]))
-    return liou
+    stack = GeneratorStack.from_dense([master_generator(
+        drive_hamiltonian(scheme, params, phases=(0.0,)), jumps, 2.0 * np.eye(len(jumps)))])
+    _check_trace_preserving(stack)
+    return stack

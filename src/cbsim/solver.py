@@ -13,13 +13,14 @@ singular exactly when the stationary manifold is degenerate, so the LU
 factorization of M doubles as the uniqueness test: the singular-value
 check that reports the nullity runs only when the LAPACK condition
 estimate of that factorization falls below a bound derived in
-:func:`_steady_states`.  A whole :class:`~cbsim.liouvillian.GeneratorStack`
-is solved in one call: each sparse generator is scattered into one reused
-Fortran-ordered buffer that LAPACK factors in place, at offsets computed
-once per call from the stack's ``rows`` and ``cols``.  The Frobenius norms
-come from the entries and the residuals from grouped row sums of them;
-they and the density checks act on the whole stack.  A single dense
-generator is solved as a stack of one.
+:func:`steady_state`.  It takes a :class:`~cbsim.liouvillian.GeneratorStack`
+only, and solves the whole stack in one call: each sparse generator is
+scattered into one reused Fortran-ordered buffer that LAPACK factors in
+place, at offsets computed once per call from the stack's ``rows`` and
+``cols``.  The Frobenius norms come from the entries and the residuals
+from grouped row sums of them; they and the density checks act on the
+whole stack.  A single generator is a stack of one
+(:meth:`~cbsim.liouvillian.GeneratorStack.from_dense`).
 
 Stacks hold their generators in the orthonormal Hermitian operator basis
 of :mod:`cbsim.liouvillian`, where they are real, so the steady state is a
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConditioningError, DimensionError, MultiplicityError
-from .liouvillian import GeneratorStack, vectorized_operators
+from .liouvillian import vectorized_operators
 
 #: Residual bound for the steady-state solve, relative to ||L||.
 STEADY_RESIDUAL_TOL = 1e-10
@@ -96,24 +97,6 @@ def _check_unique(gen):
         raise MultiplicityError(int(small.sum()))
 
 
-def steady_state(liou):
-    """Stationary density matrix of a trace-preserving generator, or the
-    (k, n, n) stack of them for a :class:`~cbsim.liouvillian.GeneratorStack`.
-
-    The singular linear system L x = 0 is regularized by replacing its
-    first row with the trace constraint, and that bordered matrix M is
-    LU-factorized once, in real arithmetic in the Hermitian basis.  A
-    second near-vanishing singular value of L raises
-    :class:`MultiplicityError` with the estimated nullity; it is looked for
-    only when M is near singular.  A generator that does not preserve
-    Hermiticity raises :class:`~cbsim.errors.ConfigurationError` before
-    anything is factored.
-    """
-    if isinstance(liou, GeneratorStack):
-        return _steady_states(liou)
-    return _steady_states(GeneratorStack.from_dense([liou]))[0]
-
-
 def _bordered_solves(stack, triggers):
     """Real coordinates x_i solving M_i x_i = e_0, one LU of the bordered
     matrix each; the singular-value check runs for the slices whose
@@ -146,7 +129,17 @@ def _bordered_solves(stack, triggers):
     return x
 
 
-def _steady_states(stack):
+def steady_state(stack):
+    """The (k, n, n) stationary density matrices of the k trace-preserving
+    generators of a :class:`~cbsim.liouvillian.GeneratorStack`.
+
+    The singular linear system L x = 0 is regularized by replacing its
+    first row with the trace constraint, and that bordered matrix M is
+    LU-factorized once, in real arithmetic in the Hermitian basis.  A
+    second near-vanishing singular value of L raises
+    :class:`MultiplicityError` with the estimated nullity; it is looked for
+    only when M is near singular.
+    """
     n, dim = stack.hilbert_dim, stack.dim
     frobenius = np.linalg.norm(stack.values, axis=1)
     # When the singular-value check fires, sigma_{N-1}(L) < r sigma_1(L) with

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import atoms, dressed
 from .errors import DomainError
-from .liouvillian import GeneratorStack, assemble_single, hermitian_coordinates
+from .liouvillian import assemble_single, hermitian_coordinates
 from .solver import RESOLVENT_RESIDUAL_TOL, ResolventSolver, steady_state, vectorize
 
 BACKGROUND = "background"
@@ -84,11 +84,11 @@ def connected_initial(rho_ss, a_op):
     return vectorize(init - np.trace(init) * rho_ss)
 
 
-def spectral_response(liou, rho_ss, seeds, observables, omegas):
+def spectral_response(stack, rho_ss, seeds, observables, omegas):
     """Connected regression transforms ``t[j, k, i]`` over a frequency grid:
     those of :func:`spectral_poles`, with its pole sum evaluated by
     :func:`real_pole_sum` on the real and imaginary parts."""
-    lam, w = spectral_poles(liou, rho_ss, seeds, observables, omegas)
+    lam, w = spectral_poles(stack, rho_ss, seeds, observables, omegas)
     if lam is None:
         return w
     # Re(-i c / (lam - i omega)) is Im(c / (lam - i omega)).
@@ -97,17 +97,16 @@ def spectral_response(liou, rho_ss, seeds, observables, omegas):
     return re + 1j * im
 
 
-def spectral_poles(liou, rho_ss, seeds, observables, omegas):
+def spectral_poles(stack, rho_ss, seeds, observables, omegas):
     """Poles of the connected regression transforms over a frequency grid.
 
     The transforms are ``t[j, k, i] = tr[B_k X_j]`` with
     (B - i omega_i) X_j = seeds[j], B = -L + |rho_ss><tr|, for vectorized
     trace-free seeds (:func:`connected_initial` of A_j) and observables
     B_k, i.e. the half-line transforms of the connected <A_j(t) B_k(t+tau)>
-    at every frequency.  ``liou`` is a
-    :class:`~cbsim.liouvillian.Liouvillian` or a one-generator
-    :class:`~cbsim.liouvillian.GeneratorStack`.  One diagonalization of the
-    real B = V diag(lam) V^-1 gives ``(lam, w)`` with
+    at every frequency, for the generator L of the one-generator
+    :class:`~cbsim.liouvillian.GeneratorStack` ``stack``.  One
+    diagonalization of the real B = V diag(lam) V^-1 gives ``(lam, w)`` with
     t[j, k, i] = sum_m w[j, k, m] / (lam_m - i omega_i); when the guard of
     :func:`_eigen_poles` trips, ``(None, t)`` holds t solved by LU at every
     frequency instead.
@@ -117,7 +116,6 @@ def spectral_poles(liou, rho_ss, seeds, observables, omegas):
     scale (at rabi = 1e-3, v_type, omega = 0: 2.8e-17 against
     ||X|| ~ 3e-9), so it keeps only about eight significant digits there.
     """
-    stack = liou if isinstance(liou, GeneratorStack) else GeneratorStack.from_dense([liou])
     rhs = hermitian_coordinates(np.array(seeds)).T
     # tr[B X] is the plain dot product of the coordinates of B and X.
     project = hermitian_coordinates(np.array([vectorize(op) for op in observables]))
@@ -277,7 +275,7 @@ def default_omega_grid(rabi, detuning, span=None):
     positive = set(range(0, n_span + 1, round(BASE_STEP / REFINE_STEP)))
     positive.add(n_span)
     lattice = positive | {-k for k in positive}
-    for pos in dressed.peak_positions(rabi, detuning).as_dict().values():
+    for pos in dressed.peak_positions(rabi, detuning).values():
         lo = max(np.floor((pos - REFINE_HALFWIDTH) / REFINE_STEP), -n_span)
         hi = min(np.ceil((pos + REFINE_HALFWIDTH) / REFINE_STEP), n_span)
         if lo <= hi:  # skip a window outside the span: its offsets may be infinite
@@ -297,11 +295,11 @@ def single_atom_spectrum(params, omega_grid=None, scheme=None):
     omega_grid = checked_grid(omega_grid, params)
     low = atoms.lowering_operator(scheme, scheme.driven_transition)
     high = low.conj().T
-    liou = assemble_single(scheme, params)
-    rho = steady_state(liou)
+    stack = assemble_single(scheme, params)
+    rho = steady_state(stack)[0]
 
     seeds = [connected_initial(rho, high)]
-    density = spectral_response(liou, rho, seeds, [low], omega_grid)[0, 0].real / np.pi
+    density = spectral_response(stack, rho, seeds, [low], omega_grid)[0, 0].real / np.pi
     elastic = elastic_weight(rho, high, low).real
     return SpectrumSeries(omega=omega_grid, density=density,
                           elastic_weight=elastic, kind=BACKGROUND)

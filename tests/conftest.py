@@ -47,15 +47,14 @@ def count_phase_points(monkeypatch):
 def generator_at(scheme, params, a=0.0, p=0.0):
     """Dense two-atom generator at the one phase point (a, p): the single-point
     view of ``liouvillian.assemble``, in the standard vectorization."""
-    return liouvillian.assemble(scheme, params, ([a], [p])).liouvillian(0)
+    return liouvillian.assemble(scheme, params, ([a], [p])).standard(0)
 
 
 def uncoupled_pair(scheme, params, a=0.0):
     """The pair without photon exchange at drive-phase difference ``a``, from
     the public builders: independent decay plus the two drives."""
     drive = liouvillian.drive_hamiltonian(scheme, params, (0.0, a))
-    return liouvillian.Liouvillian(scheme.n_levels**2, liouvillian.decay_dissipator(scheme)
-                                   + liouvillian.hamiltonian_generator(drive))
+    return liouvillian.decay_dissipator(scheme) + liouvillian.hamiltonian_generator(drive)
 
 
 def completed_sweep(scheme, detuning, s_values):

@@ -13,19 +13,21 @@ from cbsim.errors import DomainError
 from cbsim.solver import ResolventSolver
 
 
-def evolve(liou, rho0, t):
-    """Propagate ``rho0`` for a time ``t`` (units of 1/gamma) under exp(L t)."""
+def evolve(generator, rho0, t):
+    """Propagate ``rho0`` for a time ``t`` (units of 1/gamma) under exp(L t),
+    for the dense ``generator`` L in the standard vectorization."""
     if t < 0:
         raise DomainError(f"evolution time must be non-negative, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
-    return (sla.expm(liou.generator * t) @ rho0.reshape(-1)).reshape(rho0.shape)
+    return (sla.expm(generator * t) @ rho0.reshape(-1)).reshape(rho0.shape)
 
 
-def correlation(liou, rho_ss, a_op, b_op, omega, connected=False):
+def correlation(generator, rho_ss, a_op, b_op, omega, connected=False):
     """Half-line transform of <A(t) B(t+tau)> at a frequency offset.
 
     Computes integral_0^inf dtau exp(i omega tau) tr[B exp(L tau)(rho_ss A)]
-    through one dense resolvent solve.  With ``connected=True`` the
+    through one dense resolvent solve of the ``generator`` L in the
+    standard vectorization.  With ``connected=True`` the
     factorized part <A><B> is subtracted first (and the stationary mode is
     deflated), which makes the transform finite at every real omega
     including zero.
@@ -37,7 +39,7 @@ def correlation(liou, rho_ss, a_op, b_op, omega, connected=False):
         deflate = rho_ss.reshape(-1)
     # exp(i omega tau) integrated against exp(L tau) gives (-i omega - L)^(-1),
     # i.e. the resolvent evaluated at the opposite frequency sign.
-    solve = ResolventSolver(liou.generator, deflate=deflate).factor(-omega)
+    solve = ResolventSolver(generator, deflate=deflate).factor(-omega)
     x = solve(seed.reshape(-1).astype(complex))
     return complex(np.trace(b_op @ x.reshape(seed.shape)))
 

@@ -38,7 +38,7 @@ def test_acceptance_2_strong_field_limit(v_scheme):
     ok = abs(comp.alpha / ALPHA_INF - 1.0) <= 0.02 and elapsed < 10.0
     if not ok:  # printed only when the limit value is missed
         peaks = dressed.peak_positions(lv.rabi_for_saturation(1e3, 0.0), 0.0)
-        print(f"  diagnostic: predicted peaks {peaks.positions}")
+        print(f"  diagnostic: predicted peaks {tuple(sorted(peaks.values()))}")
     assert report(2, ok, f"alpha(s=1e3, d=0) = {comp.alpha:.5f} "
                          f"(target 23/21 = {ALPHA_INF:.5f} +- 2%) in {elapsed:.2f} s")
 
@@ -141,7 +141,8 @@ def test_acceptance_8_property_suites(tmp_path, v_scheme, alpha_sweep_on_resonan
     # solve; re-asserted here explicitly)
     for s, detuning in ((1e-3, 0.0), (1.0, 0.0), (1e3, 0.0), (0.5, 20.0)):
         p = lv.PhysicalParams(rabi=lv.rabi_for_saturation(s, detuning), detuning=detuning)
-        rho = solver.steady_state(generator_at(v_scheme, p, 1.0, 2.0))
+        rho = solver.steady_state(lv.GeneratorStack.from_dense(
+            [generator_at(v_scheme, p, 1.0, 2.0)]))[0]
         solver.validate_density(rho)
     checks.append(("steady-state invariants", True))
 

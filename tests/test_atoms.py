@@ -38,6 +38,12 @@ def test_unknown_scheme_rejected():
         atoms.build_scheme("lambda_type")
 
 
+def test_duplicate_level_labels_rejected():
+    with pytest.raises(ConfigurationError, match="duplicate level labels"):
+        atoms.LevelScheme(kind="twin", levels=("|g>", "|g>"),
+                          transitions=(atoms.Transition(0, 1, atoms.SIGMA_PLUS),))
+
+
 def test_lowering_operator_is_single_matrix_element():
     scheme = atoms.build_scheme(atoms.TWO_LEVEL)
     low = atoms.lowering_operator(scheme, 0)

@@ -164,7 +164,8 @@ def test_stacked_densities_match_pointwise_solves(kind, options, sizes):
     assert len(stack) == rho.shape[0] == m.shape[2] == a.size
     (low_1, low_2), (high_1, high_2) = cbs._detection_operators(scheme)
     for i in range(a.size):
-        alone = solver.steady_state(generator_at(scheme, params, a[i], p[i]))
+        alone = solver.steady_state(lv.GeneratorStack.from_dense(
+            [generator_at(scheme, params, a[i], p[i])]))[0]
         assert np.abs(rho[i] - alone).max() <= 1e-12
         moments = np.array([[np.trace(alone @ high @ low) for low in (low_1, low_2)]
                             for high in (high_1, high_2)])
@@ -178,7 +179,8 @@ def test_stacked_densities_match_pointwise_solves(kind, options, sizes):
 
 
 def test_intensity_zero_without_exchange(v_scheme):
-    rho = solver.steady_state(uncoupled_pair(v_scheme, default_params(rabi=2.0)))
+    rho = solver.steady_state(lv.GeneratorStack.from_dense(
+        [uncoupled_pair(v_scheme, default_params(rabi=2.0))]))[0]
     (low_1, low_2), _ = cbs._detection_operators(v_scheme)
     dipole = low_1 + low_2
     assert abs(np.trace(rho @ dipole.conj().T @ dipole)) < 1e-20
@@ -244,7 +246,7 @@ def test_detection_operators_built_once_per_phase_grid(v_scheme, monkeypatch):
 
 def _custom_scheme(kind, n_levels, transitions):
     return atoms.LevelScheme(
-        kind=kind, levels=tuple(atoms.Level(f"|{i}>") for i in range(n_levels)),
+        kind=kind, levels=tuple(f"|{i}>" for i in range(n_levels)),
         transitions=tuple(atoms.Transition(*t) for t in transitions))
 
 
@@ -503,9 +505,9 @@ def _detected_spectrum_by_lu(scheme, params, grid):
     a, p = cbs.phase_grid(4, 4)
     ladder, crossed = np.zeros(grid.size), np.zeros(grid.size)
     for a_i, p_i in zip(a, p):
-        liou = generator_at(scheme, params, a_i, p_i)
-        rho = solver.steady_state(liou)
-        t = np.array([[[correlation(liou, rho, highs[j], lows[k], w, connected=True)
+        gen = generator_at(scheme, params, a_i, p_i)
+        rho = solver.steady_state(lv.GeneratorStack.from_dense([gen]))[0]
+        t = np.array([[[correlation(gen, rho, highs[j], lows[k], w, connected=True)
                         for w in grid] for k in range(2)] for j in range(2)])
         ladder += (t[0, 0] + t[1, 1]).real / np.pi
         crossed += 2.0 * (np.exp(1j * a_i) * (t[0, 1] + t[1, 0].conj()) / (2.0 * np.pi)).real
@@ -514,7 +516,7 @@ def _detected_spectrum_by_lu(scheme, params, grid):
 
 def _peak_grid(rabi, detuning):
     """The seven predicted peaks plus three frequencies between and beyond them."""
-    peaks = list(dressed.peak_positions(rabi, detuning).as_dict().values())
+    peaks = list(dressed.peak_positions(rabi, detuning).values())
     return np.unique(np.concatenate([peaks, [-3.0 * rabi, 0.37, 3.0 * rabi]]))
 
 
@@ -524,7 +526,7 @@ def test_phase_averaged_spectrum_matches_lu_correlations(kind):
     grid = _peak_grid(10.0, 2.0)
     if kind == atoms.FULL_J0_J1:  # one 256 x 256 LU per correlation: two peaks only
         peaks = dressed.peak_positions(10.0, 2.0)
-        grid = np.array([peaks.autler_townes_minus, peaks.autler_townes_plus])
+        grid = np.array([peaks["autler_townes_minus"], peaks["autler_townes_plus"]])
     result = cbs.cbs_spectrum(scheme, params, omega_grid=grid, normalize=False)
     for series, reference in zip((result.background, result.interference),
                                  _detected_spectrum_by_lu(scheme, params, grid)):

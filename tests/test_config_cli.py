@@ -95,6 +95,7 @@ _LIBRARY_RULES = {
     "scheme-unknown": ("lambda", lambda: atoms.build_scheme("lambda")),
     "detuning": ("nan", lambda: lv.PhysicalParams(detuning=np.nan)),
     "kr": ("5", lambda: lv.PhysicalParams(kr=5.0)),
+    "kr-huge": ("1e200", lambda: lv.PhysicalParams(kr=1e200)),
     "rabi": ("-1", lambda: lv.PhysicalParams(rabi=-1.0)),
     "orientation": ("0, 0, 0", lambda: lv.PhysicalParams(orientation=(0.0, 0.0, 0.0))),
     "orientation-short": ("1, 0", lambda: lv.PhysicalParams(orientation=(1.0, 0.0))),
@@ -424,6 +425,12 @@ def test_scheme_without_detected_channel_rejected_before_solving(tmp_path, monke
                              "no sigma_minus transition")
 
 
+def test_kr_beyond_finite_intensities_rejected_before_solving(tmp_path, monkeypatch, capsys):
+    # (1.5 / kr)^2 goes subnormal past kr ~ 1e154 and every point used to fail
+    _rejected_before_solving(tmp_path, monkeypatch, capsys, "kr = 1e200", "kr",
+                             "kr <= 1e\\+150")
+
+
 # -- spectrum artifact -------------------------------------------------------------
 
 
@@ -502,6 +509,21 @@ def test_oversized_spectrum_grid_rejected_before_solving(tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("ERROR:") and err.count("\n") == 1 and "Traceback" not in err
     assert "points" in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_auto_span_error_names_the_key_that_set_the_span(tmp_path, monkeypatch, capsys):
+    # the auto span follows the larger of rabi and |detuning|
+    calls = count_phase_points(monkeypatch)
+    for text, named in (("rabi = 1\ndetuning = 1e7\n", "line 2: key 'detuning'"),
+                        ("detuning = -1e7\nrabi = 1\n", "line 1: key 'detuning'"),
+                        ("detuning = 1\nrabi = 1e7\n", "line 2: key 'rabi'")):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text + f"output_dir = {tmp_path}\n")
+        assert cli.main(["spectrum", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR: {named}: ") and "points" in err
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 

@@ -75,6 +75,8 @@ def test_params_reject_bad_values():
         lv.PhysicalParams(rabi=-1.0)
     with pytest.raises(DomainError):
         lv.PhysicalParams(kr=5.0)
+    with pytest.raises(DomainError, match="kr <= 1e\\+150"):
+        lv.PhysicalParams(kr=1e160)
     with pytest.raises(ConfigurationError):
         lv.PhysicalParams(orientation=(0.0, 0.0, 0.0))
     # finite and nonzero, but the norm transverse_weights divides by
@@ -82,6 +84,13 @@ def test_params_reject_bad_values():
     for orientation in ((1e-170, 1e-170, 0.0), (1e200, 1e200, 0.0)):
         with pytest.raises(ConfigurationError, match="finite nonzero norm"):
             lv.PhysicalParams(orientation=orientation)
+
+
+def test_alpha_unchanged_up_to_kr_max(v_scheme):
+    # the intensities scale as (1.5 / kr)^2, subnormal past kr ~ 1e154
+    far, near = (cbs.cbs_components(v_scheme, lv.PhysicalParams(kr=kr), s=1.0, detuning=0.0)
+                 for kr in (lv.KR_MAX, 1e10))
+    assert abs(far.alpha - near.alpha) <= 1e-14 * near.alpha
 
 
 def test_params_store_orientation_as_float_tuple():
@@ -139,7 +148,7 @@ def test_drive_hermitian_with_phases():
 
 def test_drive_requires_driven_transition():
     bare = atoms.LevelScheme(
-        kind="bare", levels=(atoms.Level("|g>"), atoms.Level("|e>")),
+        kind="bare", levels=("|g>", "|e>"),
         transitions=(atoms.Transition(0, 1, atoms.SIGMA_MINUS),))
     with pytest.raises(ConfigurationError):
         lv.drive_hamiltonian(bare, lv.PhysicalParams(rabi=1.0))
@@ -150,11 +159,11 @@ def test_drive_requires_driven_transition():
 
 def test_undriven_excited_population_decays_at_2gamma():
     scheme = atoms.build_scheme(atoms.TWO_LEVEL)
-    liou = lv.assemble_single(scheme, lv.PhysicalParams(rabi=0.0))
+    gen = lv.assemble_single(scheme, lv.PhysicalParams(rabi=0.0)).standard(0)
     rho_e = np.zeros((2, 2), dtype=complex)
     rho_e[1, 1] = 1.0
     for t in (0.2, 0.5, 1.3):
-        rho_t = evolve(liou, rho_e, t)
+        rho_t = evolve(gen, rho_e, t)
         assert np.isclose(rho_t[1, 1].real, np.exp(-2.0 * t), rtol=1e-9)
 
 
@@ -206,14 +215,13 @@ def test_transverse_weights_hermitian_any_axis():
 
 def exchange(scheme, params, p):
     """The exchange part of the generator at propagation phase ``p``."""
-    return (generator_at(scheme, params, p=p).generator
-            - uncoupled_pair(scheme, params).generator)
+    return generator_at(scheme, params, p=p) - uncoupled_pair(scheme, params)
 
 
 def test_exchange_scales_exactly_as_inverse_kr():
     # L(kr) - L(2 kr) is half the exchange at kr, all from the cached blocks
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    l100, l200, l400 = (generator_at(scheme, lv.PhysicalParams(kr=kr), p=0.8).generator
+    l100, l200, l400 = (generator_at(scheme, lv.PhysicalParams(kr=kr), p=0.8)
                         for kr in (100.0, 200.0, 400.0))
     assert np.allclose(l100 - l200, 2.0 * (l200 - l400), rtol=1e-13, atol=1e-16)
 
@@ -228,8 +236,8 @@ def test_exchange_vanishes_at_large_separation():
 
 def test_assemble_pure_decay_steady_state_is_double_ground():
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    liou = uncoupled_pair(scheme, lv.PhysicalParams(rabi=0.0))
-    rho = solver.steady_state(liou)
+    gen = uncoupled_pair(scheme, lv.PhysicalParams(rabi=0.0))
+    rho = solver.steady_state(lv.GeneratorStack.from_dense([gen]))[0]
     expected = np.zeros((9, 9), dtype=complex)
     expected[0, 0] = 1.0
     assert np.allclose(rho, expected, atol=1e-12)
@@ -238,8 +246,7 @@ def test_assemble_pure_decay_steady_state_is_double_ground():
 def test_assembled_generator_spectrum_in_left_half_plane():
     scheme = atoms.build_scheme(atoms.V_TYPE)
     p = lv.PhysicalParams(rabi=lv.rabi_for_saturation(2.0, 1.0), detuning=1.0)
-    liou = generator_at(scheme, p, 0.9, 2.2)
-    eigs = np.linalg.eigvals(liou.generator)
+    eigs = np.linalg.eigvals(generator_at(scheme, p, 0.9, 2.2))
     assert eigs.real.max() <= 1e-10
     assert np.abs(eigs).min() <= 1e-10  # stationary mode present
 
@@ -248,7 +255,7 @@ def test_trace_preservation_on_random_states():
     rng = np.random.default_rng(6)
     scheme = atoms.build_scheme(atoms.V_TYPE)
     p = lv.PhysicalParams(rabi=3.0, detuning=-2.0)
-    gen = generator_at(scheme, p, 1.0, 0.3).generator
+    gen = generator_at(scheme, p, 1.0, 0.3)
     for _ in range(100):
         rho = random_hermitian(rng, 9)
         out = solver.unvectorize(gen @ rho.reshape(-1))
@@ -257,7 +264,7 @@ def test_trace_preservation_on_random_states():
 
 def test_trace_preservation_on_operator_basis():
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    gen = generator_at(scheme, lv.PhysicalParams(rabi=1.5), p=1.0).generator
+    gen = generator_at(scheme, lv.PhysicalParams(rabi=1.5), p=1.0)
     # tr(L(E_ij)) for the complete matrix-unit basis, all at once
     trace_of_columns = np.eye(9, dtype=complex).reshape(-1) @ gen
     assert np.abs(trace_of_columns).max() < 1e-12 * np.abs(gen).max()
@@ -267,7 +274,7 @@ def test_hermiticity_preservation():
     rng = np.random.default_rng(7)
     scheme = atoms.build_scheme(atoms.V_TYPE)
     p = lv.PhysicalParams(rabi=2.0, detuning=4.0)
-    gen = generator_at(scheme, p, 2.0, 5.0).generator
+    gen = generator_at(scheme, p, 2.0, 5.0)
     for _ in range(10):
         x = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         lx = solver.unvectorize(gen @ x.reshape(-1))
@@ -287,15 +294,15 @@ def test_uncoupled_pair_factorizes():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    lhs = solver.unvectorize(pair.generator @ np.kron(x, y).reshape(-1))
-    dx = solver.unvectorize(single_0.generator @ x.reshape(-1))
+    lhs = solver.unvectorize(pair @ np.kron(x, y).reshape(-1))
+    dx = solver.unvectorize(single_0.standard(0) @ x.reshape(-1))
     dy = solver.unvectorize(gen2 @ y.reshape(-1))
     assert np.allclose(lhs, np.kron(dx, y) + np.kron(x, dy), atol=1e-12)
 
     # steady state of the pair is the product of single-atom steady states
-    rho_pair = solver.steady_state(pair)
-    rho_1 = solver.steady_state(single_0)
-    rho_2 = solver.steady_state(lv.Liouvillian(3, gen2))
+    rho_pair = solver.steady_state(lv.GeneratorStack.from_dense([pair]))[0]
+    rho_1 = solver.steady_state(single_0)[0]
+    rho_2 = solver.steady_state(lv.GeneratorStack.from_dense([gen2]))[0]
     assert np.linalg.norm(rho_pair - np.kron(rho_1, rho_2)) < 1e-9
 
 
@@ -355,7 +362,7 @@ def _model_part(scheme, params, a, p, mode, include_exchange, cross_damping):
     weights of the three coordinate axes sum to 2 (T = 1, the scalar weights).
     """
     def full(phase, at=params):
-        return generator_at(scheme, at, a, phase).generator
+        return generator_at(scheme, at, a, phase)
 
     def exchanged(at):
         return full(p, at) if cross_damping else 0.5 * (full(p, at) + full(-p, at))
@@ -400,7 +407,7 @@ def test_generator_matches_term_by_term_reference(kind, mode, include_exchange,
         _assert_same_generator(lv.decay_dissipator(scheme, n_atoms=n_atoms),
                                _ref_decay(scheme, n_atoms))
     single = _ref_hamiltonian(lv.drive_hamiltonian(scheme, params, (0.0,)))
-    _assert_same_generator(lv.assemble_single(scheme, params).generator,
+    _assert_same_generator(lv.assemble_single(scheme, params).standard(0),
                            single + _ref_decay(scheme, 1))
 
 
@@ -447,8 +454,8 @@ def test_stack_slices_equal_single_point_assembly(v_scheme):
     stack = lv.assemble(v_scheme, params, (a, p))
     assert len(stack) == 3
     for i in range(3):
-        alone = generator_at(v_scheme, params, a[i], p[i]).generator
-        mapped_back = stack.liouvillian(i).generator
+        alone = generator_at(v_scheme, params, a[i], p[i])
+        mapped_back = stack.standard(i)
         assert np.abs(mapped_back - alone).max() <= 1e-15 * np.abs(alone).max()
     with pytest.raises(DimensionError):
         lv.assemble(v_scheme, params, (a, p[:2]))
@@ -541,7 +548,7 @@ def test_real_basis_generator_and_steady_state_anywhere(kind, log_rabi, detuning
     reference = (_ref_hamiltonian(lv.drive_hamiltonian(scheme, params, (0.0, a)))
                  + _ref_decay(scheme, 2)
                  + _ref_exchange(scheme, params, p))
-    _assert_same_generator(stack.liouvillian(0).generator, reference)
+    _assert_same_generator(stack.standard(0), reference)
 
     rho = solver.steady_state(stack)[0]
     n = stack.hilbert_dim

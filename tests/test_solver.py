@@ -1,5 +1,6 @@
 """Steady states, propagation, and resolvent solves against closed-form oracles."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -37,27 +38,26 @@ def single_two_level(rabi, detuning=0.0):
 
 
 def test_steady_state_no_drive_is_ground():
-    liou = single_two_level(0.0)
-    rho = solver.steady_state(liou)
+    rho = solver.steady_state(single_two_level(0.0))[0]
     assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_steady_state_matches_bloch_oracle_at_unit_saturation():
     rabi = lv.rabi_for_saturation(1.0, 0.0)
-    rho = solver.steady_state(single_two_level(rabi))
+    rho = solver.steady_state(single_two_level(rabi))[0]
     assert np.isclose(rho[1, 1].real, 0.25, atol=1e-12)
     assert np.isclose(rho[1, 1].real, bloch_excited_population(rabi, 0.0), atol=1e-12)
 
 
 @pytest.mark.parametrize("rabi,detuning", [(0.3, 0.0), (2.0, 1.5), (40.0, -7.0)])
 def test_steady_state_matches_bloch_oracle(rabi, detuning):
-    rho = solver.steady_state(single_two_level(rabi, detuning))
+    rho = solver.steady_state(single_two_level(rabi, detuning))[0]
     assert np.isclose(rho[1, 1].real, bloch_excited_population(rabi, detuning),
                       atol=1e-12)
 
 
 def test_steady_state_saturates_to_half():
-    rho = solver.steady_state(single_two_level(lv.rabi_for_saturation(1e6, 0.0)))
+    rho = solver.steady_state(single_two_level(lv.rabi_for_saturation(1e6, 0.0)))[0]
     assert abs(rho[1, 1].real - 0.5) < 1e-5
 
 
@@ -67,16 +67,16 @@ def test_steady_state_invariants_across_parameters():
         for detuning in (0.0, 20.0):
             p = lv.PhysicalParams(rabi=lv.rabi_for_saturation(s, detuning),
                                   detuning=detuning)
-            rho = solver.steady_state(generator_at(scheme, p, 1.0, 0.5))
+            rho = solver.steady_state(lv.GeneratorStack.from_dense(
+                [generator_at(scheme, p, 1.0, 0.5)]))[0]
             solver.validate_density(rho)  # hermitian, unit trace, positive
 
 
 def test_degenerate_manifold_reports_multiplicity():
     # block-diagonal generator with two independent decay-free subspaces
-    gen = np.zeros((16, 16), dtype=complex)
-    liou = lv.Liouvillian(4, gen)
+    stack = lv.GeneratorStack.from_dense([np.zeros((16, 16), dtype=complex)])
     with pytest.raises(MultiplicityError):
-        solver.steady_state(liou)
+        solver.steady_state(stack)
 
 
 def planted_slow_mode(slow_rate, rng, n_levels=3):
@@ -92,8 +92,7 @@ def planted_slow_mode(slow_rate, rng, n_levels=3):
                         + 1j * rng.standard_normal((n_levels, n_levels)))
     jumps = q @ jumps @ q.conj().T
     rates = np.diag([1.0, 0.6, slow_rate] + [1.0] * (n_levels - 3))
-    gen = lv.master_generator(q @ h @ q.conj().T, jumps, rates)
-    return lv.Liouvillian(n_levels, gen)
+    return lv.master_generator(q @ h @ q.conj().T, jumps, rates)
 
 
 def svd_nullity(gen):
@@ -123,17 +122,18 @@ def test_slow_mode_reported_exactly_when_svd_criterion_fires(n_levels, svd_calls
     rng = np.random.default_rng(4)
     ratios, fired, unchecked = [], 0, 0
     for slow_rate in np.geomspace(1e-9, 1.0, 28):
-        liou = planted_slow_mode(slow_rate, rng, n_levels)
-        nullity, ratio = svd_nullity(liou.generator)
+        gen = planted_slow_mode(slow_rate, rng, n_levels)
+        stack = lv.GeneratorStack.from_dense([gen])
+        nullity, ratio = svd_nullity(gen)
         ratios.append(ratio)
         svds_before = len(svd_calls)
         if nullity > 1:
             fired += 1
             with pytest.raises(MultiplicityError) as err:
-                solver.steady_state(liou)
+                solver.steady_state(stack)
             assert err.value.nullity == nullity
         else:
-            solver.validate_density(solver.steady_state(liou))
+            solver.validate_density(solver.steady_state(stack))
             unchecked += len(svd_calls) == svds_before
     assert min(ratios) < 1e-8 and max(ratios) > 1e-4
     assert 0 < fired < len(ratios)
@@ -143,11 +143,12 @@ def test_slow_mode_reported_exactly_when_svd_criterion_fires(n_levels, svd_calls
 
 def test_svd_fallback_returns_the_same_density(monkeypatch, svd_calls):
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    liou = generator_at(scheme, lv.PhysicalParams(rabi=2.0, detuning=1.0), 0.7, 1.9)
-    rho = solver.steady_state(liou)
+    stack = lv.GeneratorStack.from_dense(
+        [generator_at(scheme, lv.PhysicalParams(rabi=2.0, detuning=1.0), 0.7, 1.9)])
+    rho = solver.steady_state(stack)
     assert svd_calls == []
     monkeypatch.setattr(solver, "UNIQUENESS_MARGIN", np.inf)
-    assert np.array_equal(solver.steady_state(liou), rho)
+    assert np.array_equal(solver.steady_state(stack), rho)
     assert svd_calls == [(81, 81)]
 
 
@@ -204,9 +205,9 @@ def _v_type_generator(s, a, prop):
 
 
 def test_stack_takes_the_svd_check_only_for_the_slice_that_trips_it(monkeypatch):
-    liouvillians = [_v_type_generator(1.0, 0.3, 1.1), _v_type_generator(1e6, 0.3, 1.1),
+    generators = [_v_type_generator(1.0, 0.3, 1.1), _v_type_generator(1e6, 0.3, 1.1),
                     _v_type_generator(10.0, 2.0, 4.0)]
-    stack = lv.GeneratorStack.from_dense(liouvillians)
+    stack = lv.GeneratorStack.from_dense(generators)
     checked = []
     original = solver._check_unique
     monkeypatch.setattr(solver, "_check_unique",
@@ -215,15 +216,16 @@ def test_stack_takes_the_svd_check_only_for_the_slice_that_trips_it(monkeypatch)
     assert len(checked) == 1
     # the check sees slice 1 in the Hermitian basis, where the stack holds it
     assert np.array_equal(checked[0], stack.dense(1))
-    for slice_rho, liou in zip(rho, liouvillians):
-        assert np.abs(slice_rho - solver.steady_state(liou)).max() <= 1e-12
+    for slice_rho, gen in zip(rho, generators):
+        alone = solver.steady_state(lv.GeneratorStack.from_dense([gen]))[0]
+        assert np.abs(slice_rho - alone).max() <= 1e-12
 
 
 def test_slow_mode_slice_reports_its_own_nullity():
     rng = np.random.default_rng(5)
     slow = planted_slow_mode(1e-9, rng, 9)
     with pytest.raises(MultiplicityError) as alone:
-        solver.steady_state(slow)
+        solver.steady_state(lv.GeneratorStack.from_dense([slow]))
     assert alone.value.nullity > 1
     stack = lv.GeneratorStack.from_dense([planted_slow_mode(1.0, rng, 9), slow,
                                           planted_slow_mode(0.5, rng, 9)])
@@ -234,8 +236,8 @@ def test_slow_mode_slice_reports_its_own_nullity():
 
 def test_residual_bound_applies_per_slice():
     # the residual bound applies to each slice with that slice's own norm
-    liouvillians = [_v_type_generator(1.0, 0.0, 0.0), _v_type_generator(2.0, 1.0, 2.0)]
-    stack = lv.GeneratorStack.from_dense(liouvillians)
+    generators = [_v_type_generator(1.0, 0.0, 0.0), _v_type_generator(2.0, 1.0, 2.0)]
+    stack = lv.GeneratorStack.from_dense(generators)
     # row 0 is not in the bordered system; a decay-in rate planted there
     # leaves the solve alone and shows only in the residual
     planted, n = stack.values.copy(), stack.hilbert_dim
@@ -245,19 +247,19 @@ def test_residual_bound_applies_per_slice():
     with pytest.raises(ConditioningError, match="residual") as stacked:
         solver.steady_state(bad)
     with pytest.raises(ConditioningError, match="residual") as alone:
-        solver.steady_state(bad.liouvillian(1))
+        solver.steady_state(bad.point(1))
     assert str(stacked.value) == str(alone.value)
     solver.steady_state(replace(stack, values=planted[:1]))
 
 
-def hermiticity_breaking(liou, strength=1e-6):
-    """``liou`` plus ``strength`` [P, .] for the projector P on level 1: still
+def hermiticity_breaking(gen, strength=1e-6):
+    """``gen`` plus ``strength`` [P, .] for the projector P on level 1: still
     trace preserving, but it maps Hermitian operators to non-Hermitian ones."""
-    n = liou.hilbert_dim
+    n = math.isqrt(len(gen))
     projector = np.zeros((n, n))
     projector[1, 1] = 1.0
     commutator = np.kron(projector, np.eye(n)) - np.kron(np.eye(n), projector.T)
-    return lv.Liouvillian(n, liou.generator + strength * commutator)
+    return gen + strength * commutator
 
 
 class LapackSpy:
@@ -275,46 +277,46 @@ class LapackSpy:
 def test_non_hermiticity_preserving_generator_rejected_before_any_factorization(
         kind, monkeypatch, svd_calls):
     if kind == atoms.TWO_LEVEL:
-        liou = single_two_level(1.3, 0.4)
+        gen = single_two_level(1.3, 0.4).standard(0)
     else:
-        liou = _v_type_generator(2.0, 0.3, 1.1)
-    bad = hermiticity_breaking(liou)
-    n = liou.hilbert_dim
-    assert np.abs(np.eye(n).reshape(-1) @ bad.generator).max() <= 1e-15  # trace preserving
+        gen = _v_type_generator(2.0, 0.3, 1.1)
+    bad = hermiticity_breaking(gen)
+    n = math.isqrt(len(gen))
+    assert np.abs(np.eye(n).reshape(-1) @ bad).max() <= 1e-15  # trace preserving
     spy = LapackSpy(solver.lapack)
     monkeypatch.setattr(solver, "lapack", spy)
     with pytest.raises(ConfigurationError, match="Hermiticity"):
-        solver.steady_state(bad)
+        solver.steady_state(lv.GeneratorStack.from_dense([bad]))
     with pytest.raises(ConfigurationError, match="Hermiticity"):
-        lv.GeneratorStack.from_dense([liou, bad])
+        lv.GeneratorStack.from_dense([gen, bad])
     assert spy.calls == [] and svd_calls == []
     # the spy sees the real LU of the generator that does preserve Hermiticity
-    solver.steady_state(liou)
+    solver.steady_state(lv.GeneratorStack.from_dense([gen]))
     assert spy.calls == ["dgetrf", "dgecon", "dgetrs"]
 
 
 def nan_two_level():
     """Two-level generator with entry (1, 2) set to NaN."""
-    gen = single_two_level(1.0).generator.copy()
+    gen = single_two_level(1.0).standard(0)
     gen[1, 2] = np.nan
-    return lv.Liouvillian(2, gen)
+    return gen
 
 
 def test_resolvent_rejects_nan_generator():
     with pytest.raises(ConditioningError):
-        solver.ResolventSolver(nan_two_level().generator).factor(0.5)(
+        solver.ResolventSolver(nan_two_level()).factor(0.5)(
             np.array([0.3, 1.0, -1.0j, -0.3]))
 
 
 def test_steady_state_populations_invariant_under_global_drive_phase():
     scheme = atoms.build_scheme(atoms.V_TYPE)
     p = lv.PhysicalParams(rabi=2.0, detuning=1.0)
-    liou = generator_at(scheme, p, 0.7, 1.9)
-    rho_ref = solver.steady_state(liou)
+    gen = generator_at(scheme, p, 0.7, 1.9)
+    rho_ref = solver.steady_state(lv.GeneratorStack.from_dense([gen]))[0]
     # the same generator with the drive phases (0, 0.7) shifted by 1.1
     drive, shifted = (lv.hamiltonian_generator(lv.drive_hamiltonian(scheme, p, phases))
                       for phases in ((0.0, 0.7), (1.1, 1.8)))
-    rho_shift = solver.steady_state(lv.Liouvillian(9, liou.generator - drive + shifted))
+    rho_shift = solver.steady_state(lv.GeneratorStack.from_dense([gen - drive + shifted]))[0]
     assert np.allclose(np.diag(rho_shift).real, np.diag(rho_ref).real, atol=1e-9)
 
 
@@ -322,68 +324,67 @@ def test_steady_state_populations_invariant_under_global_drive_phase():
 
 
 def test_evolve_identity_at_zero_time():
-    liou = single_two_level(1.0)
+    gen = single_two_level(1.0).standard(0)
     rho0 = np.array([[0.7, 0.1j], [-0.1j, 0.3]], dtype=complex)
-    assert np.allclose(evolve(liou, rho0, 0.0), rho0, atol=1e-14)
+    assert np.allclose(evolve(gen, rho0, 0.0), rho0, atol=1e-14)
 
 
 def test_evolve_decay_law():
-    liou = single_two_level(0.0)
+    gen = single_two_level(0.0).standard(0)
     rho_e = np.diag([0.0, 1.0]).astype(complex)
-    rho_t = evolve(liou, rho_e, 0.5)
+    rho_t = evolve(gen, rho_e, 0.5)
     assert np.isclose(rho_t[1, 1].real, np.exp(-1.0), rtol=1e-10)
 
 
 def test_evolve_converges_to_steady_state():
-    liou = single_two_level(2.0, 0.5)
+    stack = single_two_level(2.0, 0.5)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    rho_inf = evolve(liou, rho0, 200.0)
-    assert np.linalg.norm(rho_inf - solver.steady_state(liou)) < 1e-8
+    rho_inf = evolve(stack.standard(0), rho0, 200.0)
+    assert np.linalg.norm(rho_inf - solver.steady_state(stack)[0]) < 1e-8
 
 
 def test_evolve_semigroup_property():
-    liou = single_two_level(3.0, -1.0)
+    gen = single_two_level(3.0, -1.0).standard(0)
     rho0 = np.diag([0.4, 0.6]).astype(complex)
-    once = evolve(liou, rho0, 1.7)
-    twice = evolve(liou, evolve(liou, rho0, 0.9), 0.8)
+    once = evolve(gen, rho0, 1.7)
+    twice = evolve(gen, evolve(gen, rho0, 0.9), 0.8)
     assert np.linalg.norm(once - twice) < 1e-9
 
 
 def test_evolve_preserves_trace_and_hermiticity():
     scheme = atoms.build_scheme(atoms.V_TYPE)
-    liou = generator_at(scheme, lv.PhysicalParams(rabi=2.0), 0.2, 0.4)
+    gen = generator_at(scheme, lv.PhysicalParams(rabi=2.0), 0.2, 0.4)
     rho0 = np.zeros((9, 9), dtype=complex)
     rho0[0, 0] = 1.0
-    rho_t = evolve(liou, rho0, 3.0)
+    rho_t = evolve(gen, rho0, 3.0)
     assert abs(np.trace(rho_t) - 1.0) < 1e-9
     assert np.abs(rho_t - rho_t.conj().T).max() < 1e-9
 
 
 def test_evolve_rejects_negative_time():
     with pytest.raises(DomainError):
-        evolve(single_two_level(1.0), np.eye(2, dtype=complex) / 2, -1.0)
+        evolve(single_two_level(1.0).standard(0), np.eye(2, dtype=complex) / 2, -1.0)
 
 
 # -- resolvent ----------------------------------------------------------------
 
 
 def test_resolvent_zero_generator_is_scalar_inversion():
-    liou = lv.Liouvillian(2, np.zeros((4, 4), dtype=complex))
     rhs = np.array([1.0, 2.0, -1.0, 0.5], dtype=complex)
-    x = solver.ResolventSolver(liou.generator).factor(1.0)(rhs)
+    x = solver.ResolventSolver(np.zeros((4, 4), dtype=complex)).factor(1.0)(rhs)
     assert np.allclose(x, rhs / 1.0j, atol=1e-14)
 
 
 def test_resolvent_zero_rhs_gives_zero():
-    liou = single_two_level(1.0)
-    x = solver.ResolventSolver(liou.generator).factor(2.0)(np.zeros(4, dtype=complex))
+    gen = single_two_level(1.0).standard(0)
+    x = solver.ResolventSolver(gen).factor(2.0)(np.zeros(4, dtype=complex))
     assert np.all(x == 0)
 
 
 def test_resolvent_reports_singular_system():
-    liou = lv.Liouvillian(2, np.zeros((4, 4), dtype=complex))
     with pytest.raises(ConditioningError):
-        solver.ResolventSolver(liou.generator).factor(0.0)(np.ones(4, dtype=complex))
+        solver.ResolventSolver(np.zeros((4, 4), dtype=complex)).factor(0.0)(
+            np.ones(4, dtype=complex))
 
 
 def test_resolvent_matches_time_domain_correlation():
@@ -396,21 +397,22 @@ def test_resolvent_matches_time_domain_correlation():
     the truncated tails).
     """
     scheme = atoms.build_scheme(atoms.TWO_LEVEL)
-    liou = lv.assemble_single(scheme, lv.PhysicalParams(rabi=2.0, detuning=0.7))
-    rho = solver.steady_state(liou)
+    stack = lv.assemble_single(scheme, lv.PhysicalParams(rabi=2.0, detuning=0.7))
+    gen = stack.standard(0)
+    rho = solver.steady_state(stack)[0]
     low = atoms.lowering_operator(scheme, 0)
     high = low.conj().T
 
     taus = np.linspace(0.0, 5.0, 101)
     seed = rho @ high - np.trace(rho @ high) * rho
-    c_time = np.array([np.trace(low @ evolve(liou, seed, t)) for t in taus])
+    c_time = np.array([np.trace(low @ evolve(gen, seed, t)) for t in taus])
 
     omegas = np.arange(-300.0, 300.0001, 0.05)
     c_freq = np.array([
-        correlation(liou, rho, high, low, w, connected=True) for w in omegas
+        correlation(gen, rho, high, low, w, connected=True) for w in omegas
     ])
     c0 = np.trace(low @ seed)
-    c1 = np.trace(low @ solver.unvectorize(liou.generator @ seed.reshape(-1)))
+    c1 = np.trace(low @ solver.unvectorize(gen @ seed.reshape(-1)))
     w0 = 2.0
     b = c1 + w0 * c0
     regular = c_freq - c0 / (w0 - 1j * omegas) - b / (w0 - 1j * omegas) ** 2

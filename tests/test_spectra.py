@@ -14,28 +14,28 @@ from oracles import correlation, evolve
 
 def driven_atom(rabi, detuning=0.0):
     scheme = atoms.build_scheme(atoms.TWO_LEVEL)
-    liou = lv.assemble_single(scheme, lv.PhysicalParams(rabi=rabi, detuning=detuning))
-    rho = solver.steady_state(liou)
+    stack = lv.assemble_single(scheme, lv.PhysicalParams(rabi=rabi, detuning=detuning))
+    rho = solver.steady_state(stack)[0]
     low = atoms.lowering_operator(scheme, 0)
-    return liou, rho, low, low.conj().T
+    return stack, rho, low, low.conj().T
 
 
 # -- correlation --------------------------------------------------------------
 
 
 def test_correlation_off_resonant_tail_is_small():
-    liou, rho, low, high = driven_atom(1.0)
-    peak = max(abs(correlation(liou, rho, high, low, w))
+    stack, rho, low, high = driven_atom(1.0)
+    peak = max(abs(correlation(stack.standard(0), rho, high, low, w))
                for w in (0.5, 1.0, 1.5))
-    far = abs(correlation(liou, rho, high, low, 1e4))
+    far = abs(correlation(stack.standard(0), rho, high, low, 1e4))
     assert far < 1e-3 * peak
 
 
 def test_correlation_real_part_peaks_at_mollow_positions():
-    liou, rho, low, high = driven_atom(100.0)
+    stack, rho, low, high = driven_atom(100.0)
     grid = np.arange(-130.0, 130.5, 0.5)
     values = np.array([
-        correlation(liou, rho, high, low, w, connected=True).real
+        correlation(stack.standard(0), rho, high, low, w, connected=True).real
         for w in grid
     ])
     idx = dressed.local_extrema(values, kind="max", min_relative_height=1e-4)
@@ -44,19 +44,19 @@ def test_correlation_real_part_peaks_at_mollow_positions():
 
 def test_correlation_time_reversal_conjugation():
     """<R(0) L(tau)> equals the conjugate of <R(tau) L(0)> in steady state."""
-    liou, rho, low, high = driven_atom(2.0, 0.6)
+    stack, rho, low, high = driven_atom(2.0, 0.6)
     for tau in (0.3, 1.1, 2.7):
-        forward = np.trace(low @ evolve(liou, rho @ high, tau))
-        backward = np.trace(high @ evolve(liou, low @ rho, tau))
+        forward = np.trace(low @ evolve(stack.standard(0), rho @ high, tau))
+        backward = np.trace(high @ evolve(stack.standard(0), low @ rho, tau))
         assert np.isclose(forward, backward.conjugate(), atol=1e-12)
 
 
 def test_correlation_at_zero_tau_reduces_to_one_time_average():
-    liou, rho, low, high = driven_atom(3.0, -1.0)
+    stack, rho, low, high = driven_atom(3.0, -1.0)
     # integral of the real spectral density recovers C(0) = <R L> - <R><L>
     grid = spectra.default_omega_grid(3.0, -1.0, span=150.0)
     density = np.array([
-        correlation(liou, rho, high, low, w, connected=True).real / np.pi
+        correlation(stack.standard(0), rho, high, low, w, connected=True).real / np.pi
         for w in grid
     ])
     c0 = np.trace(rho @ high @ low) - np.trace(rho @ high) * np.trace(rho @ low)
@@ -66,27 +66,28 @@ def test_correlation_at_zero_tau_reduces_to_one_time_average():
 def detected_pair(kind, rabi, detuning, a=0.7, p=1.3):
     """Pair generator, steady state and detected-transition operators."""
     scheme = atoms.build_scheme(kind)
-    liou = generator_at(scheme, lv.PhysicalParams(rabi=rabi, detuning=detuning), a, p)
-    rho = solver.steady_state(liou)
+    stack = lv.GeneratorStack.from_dense(
+        [generator_at(scheme, lv.PhysicalParams(rabi=rabi, detuning=detuning), a, p)])
+    rho = solver.steady_state(stack)[0]
     low = atoms.lowering_operator(scheme, scheme.cbs_transition)
     lows = [atoms.embed(low, 1), atoms.embed(low, 2)]
     highs = [op.conj().T for op in lows]
-    return liou, rho, lows, highs
+    return stack, rho, lows, highs
 
 
 def test_spectral_response_matches_connected_correlation():
     # the batched kernel against independent rcond-checked single solves
     rabi, detuning = 10.0, 2.0
-    liou, rho, lows, highs = detected_pair(atoms.V_TYPE, rabi, detuning)
+    stack, rho, lows, highs = detected_pair(atoms.V_TYPE, rabi, detuning)
     omega_r = dressed.generalized_rabi(rabi, detuning)
     omegas = np.array([0.0, omega_r, -omega_r, 1e3])
     seeds = [spectra.connected_initial(rho, op) for op in highs]
-    response = spectra.spectral_response(liou, rho, seeds, lows, omegas)
+    response = spectra.spectral_response(stack, rho, seeds, lows, omegas)
     assert response.shape == (2, 2, omegas.size)
     for i, w in enumerate(omegas):
         for j in range(2):
             for k in range(2):
-                ref = correlation(liou, rho, highs[j], lows[k], w,
+                ref = correlation(stack.standard(0), rho, highs[j], lows[k], w,
                                           connected=True)
                 assert ref != 0.0
                 assert abs(response[j, k, i] - ref) <= 1e-12 * abs(ref)
@@ -107,15 +108,15 @@ def spy_factor(monkeypatch):
 
 @pytest.mark.parametrize("guard", ["EIGVEC_COND_MAX", "RESOLVENT_RESIDUAL_TOL"])
 def test_spectral_response_falls_back_to_lu_when_guard_trips(monkeypatch, guard):
-    liou, rho, lows, highs = detected_pair(atoms.V_TYPE, 100.0, 20.0)
+    stack, rho, lows, highs = detected_pair(atoms.V_TYPE, 100.0, 20.0)
     seeds = [spectra.connected_initial(rho, op) for op in highs]
     omegas = np.concatenate([np.linspace(-250.0, 250.0, 51), [0.03, 101.98]])
     calls = spy_factor(monkeypatch)
-    eigen = spectra.spectral_response(liou, rho, seeds, lows, omegas)
+    eigen = spectra.spectral_response(stack, rho, seeds, lows, omegas)
     assert calls == []
     # a zero condition limit or residual tolerance trips the eigen-route guard only
     monkeypatch.setattr(spectra, guard, 0.0)
-    fallback = spectra.spectral_response(liou, rho, seeds, lows, omegas)
+    fallback = spectra.spectral_response(stack, rho, seeds, lows, omegas)
     assert calls == list(-omegas)
     assert np.all(np.abs(fallback - eigen) <= 1e-9 * np.abs(fallback))
 
@@ -123,16 +124,16 @@ def test_spectral_response_falls_back_to_lu_when_guard_trips(monkeypatch, guard)
 def test_near_defective_generator_takes_lu_fallback(monkeypatch):
     # On resonance at rabi = gamma/2 two Bloch modes merge into a Jordan
     # block at -3 gamma/2: the eigenvectors are numerically parallel.
-    liou, rho, low, high = driven_atom(0.5)
-    _, vecs = np.linalg.eig(-liou.generator)
+    stack, rho, low, high = driven_atom(0.5)
+    _, vecs = np.linalg.eig(-stack.standard(0))
     assert np.linalg.cond(vecs) > spectra.EIGVEC_COND_MAX
     omegas = np.array([-3.0, -0.5, 0.0, 0.25, 1.0, 40.0])
     calls = spy_factor(monkeypatch)
     response = spectra.spectral_response(
-        liou, rho, [spectra.connected_initial(rho, high)], [low], omegas)
+        stack, rho, [spectra.connected_initial(rho, high)], [low], omegas)
     assert len(calls) == omegas.size
     for i, w in enumerate(omegas):
-        ref = correlation(liou, rho, high, low, w, connected=True)
+        ref = correlation(stack.standard(0), rho, high, low, w, connected=True)
         assert abs(response[0, 0, i] - ref) <= 1e-9 * abs(ref)
 
 
@@ -148,12 +149,12 @@ def test_real_pair_condition_number_is_that_of_the_eigenvectors(monkeypatch, cas
 
     monkeypatch.setattr(spectra, "_eigvec_cond", both)
     if case == "near_defective":
-        liou, rho, low, high = driven_atom(0.5)
+        stack, rho, low, high = driven_atom(0.5)
         lows, highs = [low], [high]
     else:  # a phase point of the production spectrum
-        liou, rho, lows, highs = detected_pair(case, 100.0, 20.0)
+        stack, rho, lows, highs = detected_pair(case, 100.0, 20.0)
     seeds = [spectra.connected_initial(rho, op) for op in highs]
-    spectra.spectral_response(liou, rho, seeds, lows, np.array([0.0, 1.0]))
+    spectra.spectral_response(stack, rho, seeds, lows, np.array([0.0, 1.0]))
     [(real, complex_svd)] = pairs
     assert abs(real - complex_svd) <= 1e-12 * complex_svd
     assert (complex_svd > spectra.EIGVEC_COND_MAX) == (case == "near_defective")
@@ -162,19 +163,19 @@ def test_real_pair_condition_number_is_that_of_the_eigenvectors(monkeypatch, cas
 def test_pole_sum_far_beyond_every_pole_stays_quiet():
     # (Im lam - omega)^2 overflows past |omega| ~ 1e154: those terms, below
     # 1e-154 of their weight, are dropped without a RuntimeWarning
-    liou, rho, low, high = driven_atom(2.0)
-    response = spectra.spectral_response(liou, rho, [spectra.connected_initial(rho, high)],
+    stack, rho, low, high = driven_atom(2.0)
+    response = spectra.spectral_response(stack, rho, [spectra.connected_initial(rho, high)],
                                          [low], np.array([0.0, 1e200, -1e308]))[0, 0]
     assert np.all(np.abs(response[1:]) <= 1e-150 * abs(response[0]))
 
 
 def test_nan_generator_raises_through_the_lu_fallback(monkeypatch):
-    liou, rho, low, high = driven_atom(1.0)
-    gen = liou.generator.copy()
+    stack, rho, low, high = driven_atom(1.0)
+    gen = stack.standard(0)
     gen[1, 2] = np.nan
     calls = spy_factor(monkeypatch)
     with pytest.raises(ConditioningError):
-        spectra.spectral_response(lv.Liouvillian(2, gen), rho,
+        spectra.spectral_response(lv.GeneratorStack.from_dense([gen]), rho,
                                   [spectra.connected_initial(rho, high)], [low],
                                   np.linspace(-2.0, 2.0, 9))
     assert calls == [2.0]  # the eigen route gave up; the first LU solve raised
@@ -188,18 +189,18 @@ def test_nan_generator_raises_through_the_lu_fallback(monkeypatch):
 def test_spectral_response_matches_correlation_anywhere(kind, log_rabi, detuning, a, p,
                                                         omega):
     rabi = 10.0 ** log_rabi
-    liou, rho, lows, highs = detected_pair(kind, rabi, detuning, a, p)
+    stack, rho, lows, highs = detected_pair(kind, rabi, detuning, a, p)
     omega_r = dressed.generalized_rabi(rabi, detuning)
     omegas = np.array([0.0, omega_r, -omega_r, omega])
     seeds = [spectra.connected_initial(rho, op) for op in highs]
-    response = spectra.spectral_response(liou, rho, seeds, lows, omegas)
+    response = spectra.spectral_response(stack, rho, seeds, lows, omegas)
     # At weak drive tr[B X] is ~1e-8 of |B| |X| (the detected level fills
     # only through exchange), so roundoff of either solve sets a floor of a
     # few hundred ulps of |B_k| |seed_j| under the 1e-9 relative bound.
     floor = 1e-13 * np.outer([np.linalg.norm(s) for s in seeds],
                              [np.linalg.norm(op) for op in lows])
     for i, w in enumerate(omegas):
-        ref = np.array([[correlation(liou, rho, highs[j], lows[k], w,
+        ref = np.array([[correlation(stack.standard(0), rho, highs[j], lows[k], w,
                                              connected=True) for k in range(2)]
                         for j in range(2)])
         assert np.all(np.abs(response[:, :, i] - ref) <= 1e-9 * np.abs(ref) + floor)
@@ -209,13 +210,13 @@ def test_spectral_response_matches_correlation_anywhere(kind, log_rabi, detuning
 
 
 def test_elastic_weight_vanishes_without_drive():
-    liou, rho, low, high = driven_atom(0.0)
+    stack, rho, low, high = driven_atom(0.0)
     assert abs(spectra.elastic_weight(rho, high, low)) == 0.0
 
 
 def test_elastic_fraction_approaches_one_at_weak_drive():
     rabi = lv.rabi_for_saturation(1e-4, 0.0)
-    liou, rho, low, high = driven_atom(rabi)
+    stack, rho, low, high = driven_atom(rabi)
     elastic = spectra.elastic_weight(rho, high, low).real
     total = np.trace(rho @ high @ low).real
     assert np.isclose(elastic / total, 1.0, atol=2e-4)
@@ -223,7 +224,7 @@ def test_elastic_fraction_approaches_one_at_weak_drive():
 
 
 def test_elastic_fraction_vanishes_at_strong_drive():
-    liou, rho, low, high = driven_atom(100.0)
+    stack, rho, low, high = driven_atom(100.0)
     elastic = spectra.elastic_weight(rho, high, low).real
     total = np.trace(rho @ high @ low).real
     assert elastic / total < 1e-3
@@ -237,14 +238,14 @@ def test_default_grid_symmetric_and_covering():
     assert grid.max() >= 250.0 and grid.min() <= -250.0
     assert np.array_equal(grid, -grid[::-1])  # exact mirror symmetry
     # refinement present around every predicted peak
-    for pos in dressed.peak_positions(100.0, 0.0).positions:
+    for pos in dressed.peak_positions(100.0, 0.0).values():
         nearby = np.diff(grid[(grid > pos - 4.9) & (grid < pos + 4.9)])
         assert nearby.max() < 0.0201
 
 
 def test_default_grid_covers_detuned_peaks():
     grid = spectra.default_omega_grid(100.0, 20.0)
-    for pos in dressed.peak_positions(100.0, 20.0).positions:
+    for pos in dressed.peak_positions(100.0, 20.0).values():
         assert grid.min() <= pos <= grid.max()
 
 
@@ -266,7 +267,7 @@ def test_default_grid_covers_detuned_peaks():
 def test_bad_frequency_grid_rejected_before_any_steady_state(monkeypatch, bad, observable):
     calls = []
     for module in (cbs, spectra):
-        monkeypatch.setattr(module, "steady_state", lambda liou: calls.append(liou))
+        monkeypatch.setattr(module, "steady_state", lambda stack: calls.append(stack))
     with pytest.raises(DomainError, match="frequency grid"):
         observable(bad(np.linspace(-5.0, 5.0, 11)))
     assert calls == []
