@@ -15,13 +15,27 @@ in the exchange coupling no harmonic above order two exists in a or p, so
 grids of four points per phase resolve the decomposition at that order;
 the harmonics they alias shift the components by about kr^-4 relative
 (v_type, s = 0.1: 2.5e-5 at kr = 30, 2e-7 at kr = 100), which larger
-``n_a`` and ``n_p`` refine away.  The whole (a, p) grid is assembled and
-solved as one :class:`~cbsim.liouvillian.GeneratorStack`; the moments of
-every point then come from one product of the stacked densities with the
-observables; a spectrum reduces the pole weights of every point to a
-ladder and a crossed row and sums the poles of all points in one real pole
-sum.  Intensities are reported in units of the squared exchange amplitude
-(3/(2*kr))^2 (gamma = 1) unless ``normalize=False``.
+``n_a`` and ``n_p`` refine away.
+
+The average runs over all n_a * n_p points, but two exact symmetries of the
+pair generator make points contribute identically.  The mirror
+(a, p) -> (-a, p) swaps the atoms and applies the global gauge
+exp(-ia N_e): decay, detuning and exchange are unchanged, the detection
+indices swap, m_jk(-a) = m_(1-j)(1-k)(a).  The half shift
+(a, p) -> (a + pi, p + pi), for even n_a and n_p, is the gauge
+exp(i pi N_e) on atom 2 alone, which flips the sign of its drive, of every
+exchange term and of L2.  Both keep the ladder row m00 + m11 and the
+crossed row exp(ia) m01 + exp(-ia) m10 of the moment matrix, the elastic
+matrix and the pole weights, so :func:`phase_orbits` picks one point per
+orbit (4 x 4: 6 of 16; 5 x 4: 12; 8 x 5: 25; 6 x 6: 12; 8 x 8: 20) and
+its rows count once per orbit member.  That is one stacked solve of the
+orbit representatives as a :class:`~cbsim.liouvillian.GeneratorStack`;
+their moments then come from one product of the stacked densities with
+the observables; a spectrum reduces the pole weights of every
+representative to a ladder and a crossed row and sums the poles of all of
+them in one real pole sum.  Intensities are reported in units of the
+squared exchange amplitude (3/(2*kr))^2 (gamma = 1) unless
+``normalize=False``.
 
 Without photon exchange nothing populates the upper level of the detected
 sigma-minus transition, so the single-atom background of this
@@ -30,6 +44,7 @@ photon has been exchanged.  This is enforced as an invariant of the level
 scheme (see :func:`_detection_operators`) rather than subtracted.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -37,7 +52,7 @@ import numpy as np
 
 from . import atoms, spectra
 from .errors import CbsimError, ConditioningError, ConfigurationError, DomainError
-from .liouvillian import PhysicalParams, assemble, rabi_for_saturation
+from .liouvillian import MIN_RAW_INTENSITY, PhysicalParams, assemble, rabi_for_saturation
 from .solver import steady_state
 
 #: Default phase-grid size per axis: exact at leading order in 1/kr, O(kr^-4) after.
@@ -178,34 +193,53 @@ def detected_intensity(scheme, params, a=0.0, b=0.0, p=0.0):
     return float((m[0, 0, 0] + m[1, 1, 0] + 2.0 * eb * m[0, 1, 0]).real)
 
 
+def phase_orbits(n_a, n_p):
+    """Indices into :func:`phase_grid` of one point per symmetry orbit, with
+    the orbit sizes.  Grid index (ka, kp) shares its rows with (-ka, kp) and,
+    when both sizes are even, with (ka + n_a/2, kp + n_p/2) and
+    (-ka - n_a/2, kp + n_p/2); the image with the smallest index stands for
+    the orbit."""
+    ka, kp = np.divmod(np.arange(n_a * n_p), n_p)
+    images = [ka * n_p + kp, -ka % n_a * n_p + kp]
+    if n_a % 2 == 0 and n_p % 2 == 0:
+        ka, kp = ka + n_a // 2, (kp + n_p // 2) % n_p
+        images += [ka % n_a * n_p + kp, -ka % n_a * n_p + kp]
+    return np.unique(np.minimum.reduce(images), return_counts=True)
+
+
 def _phase_average(scheme, params, n_a, n_p, omega_grid=None):
     """(ladder, crossed) pairs of the total and elastic intensity, plus (given
     ``omega_grid``) of the spectral density over it.
 
-    The n_a * n_p (a, p) points are assembled and solved as one stack; b
-    is averaged exactly at each.  Only sums over the points are kept, so
-    no per-point spectrum is stored; :func:`harmonic_extract` reduces them.
+    The average runs over all n_a * n_p (a, p) points, but only one point
+    per :func:`phase_orbits` orbit is solved, all in one stack, and its rows
+    count once per orbit member; b is averaged exactly at each.  Only sums
+    over the points are kept, so no per-point spectrum is stored;
+    :func:`harmonic_extract` reduces them.
     """
+    _check_drive_scale(params.rabi, params.detuning, params.kr)
     detection = _detection_operators(scheme)
-    a, p = phase_grid(n_a, n_p)
+    points, counts = phase_orbits(n_a, n_p)
+    a, p = (x[points] for x in phase_grid(n_a, n_p))
     m, e, stack, rho = _moment_matrices(scheme, params, (a, p), detection=detection)
     weight = np.exp(1j * a)
-    sums = [_b_harmonics(mat, weight).real.sum(axis=-1) for mat in (m, e)]
+    sums = [_b_harmonics(mat, weight).real @ counts for mat in (m, e)]
     if omega_grid is not None:
         lows, highs = detection
         poles, density = [], np.zeros((2, omega_grid.size))
         for i in range(len(stack)):
             seeds = [spectra.connected_initial(rho[i], op) for op in highs]
             lam, w = spectra.spectral_poles(stack.point(i), rho[i], seeds, lows, omega_grid)
+            rows = counts[i] * _b_harmonics(w, weight[i])
             if lam is None:  # w holds this point's LU transforms
-                density += _b_harmonics(w, weight[i]).real
+                density += rows.real
             else:
-                poles.append((lam, _b_harmonics(w, weight[i])))
+                poles.append((lam, rows))
         if poles:
             lams, rows = zip(*poles)
             density += spectra.real_pole_sum(np.hstack(lams), np.hstack(rows), omega_grid)
         sums.append(density / np.pi)
-    return harmonic_extract(sums, a.size)
+    return harmonic_extract(sums, n_a * n_p)
 
 
 def harmonic_extract(sums, count):
@@ -219,6 +253,24 @@ def harmonic_extract(sums, count):
 def exchange_scale(params):
     """Squared exchange amplitude (3 / (2 kr))^2 used for normalization."""
     return (1.5 / params.kr) ** 2
+
+
+def _check_intensity_scale(s_values, kr):
+    """Raise :class:`DomainError` unless (1.5 / kr)^2 min(s, s^2), the scale of
+    the weakest raw intensity, reaches ``MIN_RAW_INTENSITY`` at every
+    saturation s of ``s_values``."""
+    for s in s_values:
+        if not (1.5 / kr) ** 2 * min(s, s * s) >= MIN_RAW_INTENSITY:
+            raise DomainError(
+                f"saturation {s:g} at kr = {kr:g} puts the raw intensities below "
+                f"{MIN_RAW_INTENSITY:g}, near the subnormal range")
+
+
+def _check_drive_scale(rabi, detuning, kr):
+    """:func:`_check_intensity_scale` at the saturation of a drive, formed
+    without the overflow of rabi^2 or detuning^2."""
+    ratio = rabi / math.hypot(1.0, detuning)
+    _check_intensity_scale([0.5 * ratio * ratio], kr)
 
 
 def _resolve_drive(params, s, detuning):
@@ -309,13 +361,15 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
     sweep.  With ``n_configs`` set, every point is the isotropic average of
     :func:`cbs_components_isotropic` over that many seeded samples.  Inputs
     that would fail every point, a scheme without a detected channel
-    included, raise before any point is solved.
+    included, and a saturation whose intensities would go subnormal at
+    ``params.kr`` raise before any point is solved.
     """
     _check_sizes(n_a, n_p, n_configs, seed)
     s_values = _check_sweep(s_values)
     _detection_operators(scheme)
     if params is None:
         params = PhysicalParams()
+    _check_intensity_scale(s_values, params.kr)
     grid_sizes = dict(n_a=n_a, n_p=n_p)
     rows = []
     for s in s_values:

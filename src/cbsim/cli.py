@@ -239,6 +239,14 @@ def _check_battery():
     yield "inverse-square exchange scaling", ok, \
         "ratios " + ", ".join(f"{r:.4f}" for r in ratios)
 
+    # The phase average solves one point per orbit of these two symmetries.
+    a, p = np.array([0.7, -0.7, 0.7 + np.pi]), np.array([1.3, 1.3, 1.3 + np.pi])
+    worst = 0.0
+    for mat in cbs._moment_matrices(scheme, params, (a, p))[:2]:
+        rows = cbs._b_harmonics(mat, np.exp(1j * a)).real
+        worst = max(worst, np.abs(rows - rows[:, :1]).max() / np.abs(rows).max())
+    yield "phase-point symmetries", worst <= 1e-12, f"max relative deviation = {worst:.2e}"
+
     coarse = cbs.cbs_components(scheme, liouvillian.PhysicalParams(), s=1.0,
                                 detuning=0.0)
     fine = cbs.cbs_components(scheme, liouvillian.PhysicalParams(), s=1.0,

@@ -33,7 +33,10 @@ output_dir            .                        directory for emitted artifacts
 The drive phase a and the propagation phase p are sampled on grids of at
 least 4 points, which leave an aliasing error of order kr^-4 that larger
 grids refine; the detection phase b is averaged exactly, so it has no grid
-key.  The frequency steps are those of the library's default grid.
+key.  The frequency steps are those of the library's default grid.  A
+saturation (of each ``sweep_s`` value, or of ``rabi`` and ``detuning``)
+whose raw intensities would near the subnormal range at ``kr`` is
+rejected by a joint rule of those keys.
 """
 
 import math
@@ -151,8 +154,9 @@ _PARSERS = {
 }
 
 
-#: The rule of each checked key: the library call that raises
-#: :class:`ConfigurationError` or :class:`DomainError` for a bad value.
+#: The rule of each checked key, or of a tuple of keys checked together:
+#: the library call that raises :class:`ConfigurationError` or
+#: :class:`DomainError` for a bad value (or tuple of values).
 RULES = {
     "scheme": lambda v: cbs._detection_operators(atoms.build_scheme(v)),
     "detuning": lambda v: liouvillian.PhysicalParams(detuning=v),
@@ -165,16 +169,21 @@ RULES = {
     "n_configs": lambda v: cbs._check_sizes(n_configs=v),
     "seed": lambda v: cbs._check_sizes(seed=v),
     "omega_span": spectra._lattice,
+    # Raw intensities must stay clear of the subnormal range (joint in s and kr).
+    ("sweep_s", "kr"): cbs._check_intensity_scale,
+    ("rabi", "detuning", "kr"): cbs._check_drive_scale,
 }
 
 
 def check(key, value, line=None, name=None):
-    """Apply the rule of ``key`` to ``value``; a rejection raises
-    :class:`ParseError` naming ``line`` and ``name`` (default ``key``)."""
+    """Apply the rule of ``key`` to ``value`` (of a tuple key to the tuple of
+    values); a rejection raises :class:`ParseError` naming ``line`` and
+    ``name`` (default ``key``, or the first key of a tuple)."""
+    joint = isinstance(key, tuple)
     try:
-        RULES[key](value)
+        RULES[key](*value) if joint else RULES[key](value)
     except (ConfigurationError, DomainError) as exc:
-        raise ParseError(str(exc), line=line, key=name or key) from None
+        raise ParseError(str(exc), line=line, key=name or (key[0] if joint else key)) from None
 
 
 def parse_config(text):
@@ -200,6 +209,8 @@ def parse_config(text):
         setattr(cfg, key, _PARSERS[key](raw_value, line_no))
     cfg.source_lines = seen
     for key in RULES:
-        if getattr(cfg, key) is not None:  # None: unset, or omega_span auto
-            check(key, getattr(cfg, key), line=seen.get(key))
+        keys = key if isinstance(key, tuple) else (key,)
+        values = tuple(getattr(cfg, k) for k in keys)
+        if None not in values:  # None: unset, or omega_span auto
+            check(key, values if len(values) > 1 else values[0], line=seen.get(keys[0]))
     return cfg

@@ -86,6 +86,11 @@ KR_MIN = 10.0
 #: Largest admissible kr: the intensities scale as (1.5 / kr)^2, which goes
 #: subnormal beyond kr ~ 1e154.
 KR_MAX = 1e150
+#: Least admissible (1.5 / kr)^2 min(s, s^2): at weak drive the raw elastic
+#: intensities scale as s (1.5 / kr)^2 and the inelastic ones as s^2 (1.5 / kr)^2,
+#: and this keeps them eight decades above the subnormal range, where they
+#: would lose their digits.
+MIN_RAW_INTENSITY = 1e-300
 
 
 def saturation(rabi, detuning):

@@ -1,5 +1,7 @@
 """Backscattering intensities, the phase average, and spectra."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cbsim import atoms, cbs, dressed, liouvillian as lv, solver, spectra
 from cbsim.errors import ConditioningError, ConfigurationError, DomainError
 from conftest import completed_sweep, count_phase_points, generator_at, uncoupled_pair
-from oracles import correlation
+from oracles import correlation, phase_average_unfolded
 
 
 def default_params(**kwargs):
@@ -52,16 +54,17 @@ def test_planted_non_hermitian_moments_rejected(v_scheme, monkeypatch):
     monkeypatch.setattr(cbs, "steady_state", planted)
     with pytest.raises(ConditioningError, match="anti-Hermitian"):
         cbs.cbs_components(v_scheme, default_params(rabi=2.0))
-    assert calls == [16]
+    assert calls == [6]  # one point per symmetry orbit of the 4 x 4 grid
 
 
 def test_phase_point_spy_sees_every_point(v_scheme, monkeypatch):
-    # positive control of count_phase_points: one stacked solve per phase grid
+    # positive control of count_phase_points: one stacked solve per phase
+    # grid, of one point per symmetry orbit (4 x 4: 6 of 16, 8 x 5: 25 of 40)
     calls = count_phase_points(monkeypatch)
     cbs.cbs_components(v_scheme, default_params(rabi=2.0))
-    assert calls == [16]
+    assert calls == [6]
     cbs.cbs_components(v_scheme, default_params(rabi=2.0), n_a=8, n_p=5)
-    assert calls == [16, 40]
+    assert calls == [6, 25]
 
 
 @pytest.mark.parametrize("observable,sizes", [
@@ -132,6 +135,21 @@ def test_non_finite_saturation_rejected_before_any_steady_state(v_scheme, monkey
     calls = count_phase_points(monkeypatch)
     with pytest.raises(DomainError, match="saturation must be finite"):
         observable(v_scheme, default_params(), s=s)
+    assert calls == []
+
+
+def test_subnormal_intensities_rejected_before_any_steady_state(v_scheme, monkeypatch):
+    # at kr = 1e150 the raw inelastic intensities scale as 2.25e-300 s^2 below
+    # s = 1 (s = 1 itself stays admissible); a huge detuning drives s to 0
+    far = default_params(kr=lv.KR_MAX)
+    calls = count_phase_points(monkeypatch)
+    for observable in (
+            lambda: cbs.sweep_alpha_collect(v_scheme, 0.0, [1e-20, 1e-12, 1.0], params=far),
+            lambda: cbs.cbs_components(v_scheme, far, s=1e-12, detuning=0.0),
+            lambda: cbs.cbs_components(v_scheme, default_params(rabi=1.0, detuning=1e200)),
+            lambda: cbs.cbs_spectrum(v_scheme, default_params(rabi=1e-3, kr=lv.KR_MAX))):
+        with pytest.raises(DomainError, match="subnormal"):
+            observable()
     assert calls == []
 
 
@@ -553,10 +571,68 @@ def test_spectrum_sends_only_untrusted_points_to_lu(v_scheme, monkeypatch):
     monkeypatch.setattr(spectra, "_eigen_poles", every_other_point)
     monkeypatch.setattr(solver.ResolventSolver, "factor", spy_factor)
     mixed = cbs.cbs_spectrum(v_scheme, params, omega_grid=grid, normalize=False)
-    # every point takes the eigen step once, and only the refused ones are factored
-    assert (len(diagonalized), len(refused)) == (16, 8)
+    # every solved point (one per symmetry orbit, 6 of 16) takes the eigen
+    # step once, and only the refused ones are factored
+    assert (len(diagonalized), len(refused)) == (6, 3)
     assert len(factored) == len(refused) * grid.size
     assert all(any(base is r for r in refused) for base in factored)
     for name in ("background", "interference"):
         expected, got = getattr(eigen, name).density, getattr(mixed, name).density
         assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+# -- one solved point per symmetry orbit of the phase grid ---------------------------
+
+
+@pytest.mark.parametrize("sizes,solved", [((4, 4), 6), ((5, 4), 12), ((8, 5), 25),
+                                          ((6, 6), 12), ((8, 8), 20)])
+def test_phase_orbit_counts(sizes, solved):
+    points, counts = cbs.phase_orbits(*sizes)
+    assert (len(points), counts.sum()) == (solved, sizes[0] * sizes[1])
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from([atoms.V_TYPE, atoms.FULL_J0_J1]),
+       log_rabi=st.floats(-1.0, 2.0), detuning=st.floats(-30.0, 30.0),
+       kr=st.floats(10.0, 1000.0),
+       # along z no exchanged light reaches the detected channel (l2 = 0)
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.hypot(v[0], v[1]) > 0.1),
+       a=st.floats(0.0, 2 * np.pi), p=st.floats(0.0, 2 * np.pi))
+def test_phase_point_symmetries_keep_the_rows(kind, log_rabi, detuning, kr, axis, a, p):
+    # the mirror (a, p) -> (-a, p) and the half shift (a, p) -> (a + pi, p + pi)
+    # leave the ladder and crossed rows of both moment matrices unchanged
+    params = default_params(rabi=10.0**log_rabi, detuning=detuning, kr=kr,
+                            orientation=axis)
+    a_images = np.array([a, -a, a + np.pi, -a - np.pi])
+    p_images = np.array([p, p, p + np.pi, p + np.pi])
+    m, e, _, _ = cbs._moment_matrices(atoms.build_scheme(kind), params, (a_images, p_images))
+    # The floor, 5 ulp of the squared exchange amplitude that every detected
+    # moment carries, covers rows far below it, such as the weak detuned drive
+    # (rabi 1, detuning 24, kr 11: 9.2e-21 apart, 1.2e-12 of rows of 7.8e-9).
+    floor = 1e-15 * cbs.exchange_scale(params)
+    for mat in (m, e):
+        rows = cbs._b_harmonics(mat, np.exp(1j * a_images)).real
+        assert np.abs(rows - rows[:, :1]).max() <= 1e-12 * np.abs(rows).max() + floor
+
+
+@pytest.mark.parametrize("sizes", [(4, 4), (5, 4), (4, 7), (6, 6), (8, 5)],
+                         ids=lambda sizes: "x".join(map(str, sizes)))
+@pytest.mark.parametrize("kind", [atoms.V_TYPE, atoms.FULL_J0_J1])
+def test_folded_phase_average_matches_every_point_solved(kind, sizes):
+    scheme = atoms.build_scheme(kind)
+    params = default_params(rabi=10.0, detuning=2.0, kr=40.0, orientation=(0.3, -0.5, 0.8))
+    # full_j0_j1 diagonalizes a 256 x 256 generator per point, so its spectrum
+    # is checked on the two smallest grids: one with both symmetries, one
+    # with the mirror alone (the property test above covers the rows per point)
+    grid = _peak_grid(10.0, 2.0)
+    if kind == atoms.FULL_J0_J1 and sizes not in ((4, 4), (5, 4)):
+        grid = None
+    folded = cbs._phase_average(scheme, params, *sizes, omega_grid=grid)
+    unfolded = phase_average_unfolded(scheme, params, *sizes, omega_grid=grid)
+    got, expected = (np.array(astuple(cbs._components(*pairs[:2], 1.0)))
+                     for pairs in (folded, unfolded))
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+    if grid is not None:
+        for got, expected in zip(folded[2], unfolded[2]):
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -431,6 +431,44 @@ def test_kr_beyond_finite_intensities_rejected_before_solving(tmp_path, monkeypa
                              "kr <= 1e\\+150")
 
 
+@pytest.mark.parametrize("command,text,key,library_call", [
+    ("alpha-sweep", "kr = 1e150\nsweep_s = 1e-20, 1e-12\n", "sweep_s",
+     lambda: cbs.sweep_alpha_collect(_V_TYPE, 0.0, [1e-20, 1e-12],
+                                     params=lv.PhysicalParams(kr=1e150))),
+    ("spectrum", "kr = 1e150\nrabi = 1e-3\n", "rabi",
+     lambda: cbs.cbs_spectrum(_V_TYPE, lv.PhysicalParams(rabi=1e-3, kr=1e150))),
+], ids=["sweep", "spectrum"])
+def test_subnormal_intensities_rejected_before_solving(tmp_path, monkeypatch, capsys, command,
+                                                       text, key, library_call):
+    # s = 1e-20 at kr = 1e150 puts the raw intensities near 1e-321, subnormal:
+    # the sweep wrote alpha 1.99824561 there and exactly 2 at s = 1e-12, exit 0
+    with pytest.raises(DomainError) as library:
+        library_call()
+    text += f"output_dir = {tmp_path}\n"
+    with pytest.raises(ParseError) as info:
+        config.parse_config(text)
+    assert (info.value.line, info.value.key) == (2, key)
+    assert str(library.value) in str(info.value)
+    calls = count_phase_points(monkeypatch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli.main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("ERROR:") == 1 and key in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_weak_sweep_at_default_kr_still_written(tmp_path):
+    # the same saturations at kr = 100 are far from the subnormal range
+    cfg = config.parse_config(f"sweep_s = 1e-20, 1e-12\noutput_dir = {tmp_path}\n")
+    path, failures = cli.run_alpha_sweep(cfg)
+    assert failures == 0
+    alphas = [cbs.cbs_components(_V_TYPE, lv.PhysicalParams(), s=s, detuning=0.0).alpha
+              for s in (1e-20, 1e-12)]
+    assert [float(row[6]) for row in read_csv(path)[2]] == alphas
+
+
 # -- spectrum artifact -------------------------------------------------------------
 
 
@@ -602,6 +640,16 @@ def test_cli_check_passes(capsys):
     assert cli.main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert "PASS - phase-point symmetries" in out
+
+
+def test_cli_check_reports_a_broken_phase_point_symmetry(monkeypatch, capsys):
+    # a crossed weight whose drive phase is off by 0.1 no longer has the mirror
+    original = cbs._b_harmonics
+    monkeypatch.setattr(cbs, "_b_harmonics",
+                        lambda mat, weight: original(mat, weight * np.exp(0.1j)))
+    assert cli.main(["check"]) == 2
+    assert "FAIL - phase-point symmetries" in capsys.readouterr().out
 
 
 def test_cli_check_reports_failing_steady_state_and_continues(monkeypatch, capsys):

@@ -180,10 +180,11 @@ def test_production_workloads_never_take_the_svd_check(uniqueness_checks, tmp_pa
 
 
 def test_svd_check_runs_at_extreme_drive(uniqueness_checks):
-    # the spy above sees the check once the drive is strong enough
+    # the spy above sees the check once the drive is strong enough, at each
+    # of the 6 solved points (one per symmetry orbit of the 4 x 4 grid)
     cbs.cbs_components(atoms.build_scheme(atoms.V_TYPE), lv.PhysicalParams(),
                        s=1e6, detuning=0.0)
-    assert uniqueness_checks == [(81, 81)] * 16
+    assert uniqueness_checks == [(81, 81)] * 6
 
 
 @pytest.mark.parametrize("drive", [dict(s=1e4, detuning=0.0),
