@@ -44,6 +44,7 @@ photon has been exchanged.  This is enforced as an invariant of the level
 scheme (see :func:`_detection_operators`) rather than subtracted.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -115,10 +116,19 @@ def phase_values(n):
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def _read_only(*arrays):
+    """``arrays`` as a tuple, each marked read-only."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
 def phase_grid(n_a, n_p):
-    """(a, p) arrays of the n_a * n_p points of the phase grid, a major."""
+    """(a, p) arrays of the n_a * n_p points of the phase grid, a major;
+    built once per size and read-only."""
     a, p = np.meshgrid(phase_values(n_a), phase_values(n_p), indexing="ij")
-    return a.reshape(-1), p.reshape(-1)
+    return _read_only(a.reshape(-1), p.reshape(-1))
 
 
 # -- steady-state moments of the detected dipole ---------------------------
@@ -193,18 +203,19 @@ def detected_intensity(scheme, params, a=0.0, b=0.0, p=0.0):
     return float((m[0, 0, 0] + m[1, 1, 0] + 2.0 * eb * m[0, 1, 0]).real)
 
 
+@functools.lru_cache(maxsize=16)
 def phase_orbits(n_a, n_p):
     """Indices into :func:`phase_grid` of one point per symmetry orbit, with
     the orbit sizes.  Grid index (ka, kp) shares its rows with (-ka, kp) and,
     when both sizes are even, with (ka + n_a/2, kp + n_p/2) and
     (-ka - n_a/2, kp + n_p/2); the image with the smallest index stands for
-    the orbit."""
+    the orbit.  Built once per size; the arrays are read-only."""
     ka, kp = np.divmod(np.arange(n_a * n_p), n_p)
     images = [ka * n_p + kp, -ka % n_a * n_p + kp]
     if n_a % 2 == 0 and n_p % 2 == 0:
         ka, kp = ka + n_a // 2, (kp + n_p // 2) % n_p
         images += [ka % n_a * n_p + kp, -ka % n_a * n_p + kp]
-    return np.unique(np.minimum.reduce(images), return_counts=True)
+    return _read_only(*np.unique(np.minimum.reduce(images), return_counts=True))
 
 
 def _phase_average(scheme, params, n_a, n_p, omega_grid=None):

@@ -242,10 +242,21 @@ def _check_battery():
     # The phase average solves one point per orbit of these two symmetries.
     a, p = np.array([0.7, -0.7, 0.7 + np.pi]), np.array([1.3, 1.3, 1.3 + np.pi])
     worst = 0.0
-    for mat in cbs._moment_matrices(scheme, params, (a, p))[:2]:
+    m, e, pair, rho = cbs._moment_matrices(scheme, params, (a, p))
+    for mat in (m, e):
         rows = cbs._b_harmonics(mat, np.exp(1j * a)).real
         worst = max(worst, np.abs(rows - rows[:, :1]).max() / np.abs(rows).max())
     yield "phase-point symmetries", worst <= 1e-12, f"max relative deviation = {worst:.2e}"
+
+    # The spectral kernel solves on the coordinates its seeds and detector
+    # reach; one full-space LU solve in the standard vectorization checks it.
+    lows, highs = cbs._detection_operators(scheme)
+    seeds = np.array([spectra.connected_initial(rho[0], op) for op in highs])
+    reduced = spectra.spectral_response(pair.point(0), rho[0], seeds, lows, [1.0])[..., 0]
+    x = solver.ResolventSolver(pair.standard(0), deflate=rho[0].reshape(-1)).factor(-1.0)(seeds.T)
+    full = (np.array([low.T.reshape(-1) for low in lows]) @ x).T
+    worst = np.abs(reduced - full).max() / np.abs(full).max()
+    yield "spectral subspace", worst <= 1e-12, f"max relative deviation = {worst:.2e}"
 
     coarse = cbs.cbs_components(scheme, liouvillian.PhysicalParams(), s=1.0,
                                 detuning=0.0)

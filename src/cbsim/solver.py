@@ -192,12 +192,11 @@ class ResolventSolver:
             trace_vec = np.eye(math.isqrt(base.shape[0])).reshape(-1)
             base = base + np.outer(deflate, trace_vec)
         self.base = base
-        self._n = base.shape[0]
 
     def factor(self, omega):
         """LU-factorize at one frequency and return a solve closure."""
         m = self.base.astype(complex)
-        m.flat[:: self._n + 1] += 1j * omega
+        m.flat[:: len(m) + 1] += 1j * omega
         anorm = np.abs(m).sum(axis=0).max()
         lu, piv, info = lapack.zgetrf(m)
         if info != 0:

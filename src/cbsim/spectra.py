@@ -13,7 +13,12 @@ works in the Hermitian operator basis of :mod:`cbsim.liouvillian`, where
 the generator and the deflation by the (Hermitian) steady state are real,
 so the diagonalization is that of a real matrix; seeds and observables are
 mapped into the basis, and an orthonormal basis leaves the eigenvector
-condition number and the residual norms of the guard unchanged.  Spectra
+condition number and the residual norms of the guard unchanged.  Both
+routes solve only on the coordinates that the seeds feed and the
+observables see (:func:`_coupled`): in the detected sigma-minus channel
+no pair state with both atoms in an undriven excited level is reached
+from the ground state, so 64 of 81 coordinates remain for v_type, and 64
+(axis x) or 144 (an oblique axis) of 256 for full_j0_j1.  Spectra
 use the connected correlator (means subtracted), which removes the
 coherent delta at the drive frequency exactly; that elastic weight is
 reported separately.  Frequency grids have fixed steps
@@ -92,7 +97,8 @@ def spectral_response(stack, rho_ss, seeds, observables, omegas):
     if lam is None:
         return w
     # Re(-i c / (lam - i omega)) is Im(c / (lam - i omega)).
-    parts = real_pole_sum(lam, np.concatenate([w, -1j * w]).reshape(-1, lam.size), omegas)
+    rows = np.concatenate([w, -1j * w]).reshape(2 * len(w) * w.shape[1], lam.size)
+    parts = real_pole_sum(lam, rows, omegas)
     re, im = parts.reshape((2,) + w.shape[:2] + (-1,))
     return re + 1j * im
 
@@ -111,6 +117,21 @@ def spectral_poles(stack, rho_ss, seeds, observables, omegas):
     :func:`_eigen_poles` trips, ``(None, t)`` holds t solved by LU at every
     frequency instead.
 
+    Both routes work on B_GG, the block of B on the coupled set G = O & F
+    of :func:`_coupled`: O holds the coordinates reached from the support
+    of the observables along the edges i -> j with B[i, j] != 0, F those
+    that reach the support of the seeds.  t = P_G (B_GG - i omega)^-1 R_G
+    exactly, for every B: (1) rows outside F have no entry in F's columns
+    and the seeds vanish there, so X vanishes off F; (2) rows inside O have
+    no entry outside O, and the observables vanish off O; (3) so only B_GG
+    enters t.  G comes from the numeric pattern of B, the seeds and the
+    observables, so an entry that roundoff leaves nonzero only enlarges it.
+    |G| is 64 of 81 for v_type and 64 (axis x) or 144 (oblique axis) of 256
+    for full_j0_j1; along z no exchange turns sigma-plus into sigma-minus,
+    G is empty and there are no poles (empty ``lam``, ``w`` of shape
+    (j, k, 0)).  The steady state stays on the full space, since its
+    uniqueness check covers every coordinate.
+
     Both routes carry an absolute roundoff of about eps * ||B_k|| ||X_j||.
     At weak drive the detected-channel transform is far smaller than that
     scale (at rabi = 1e-3, v_type, omega = 0: 2.8e-17 against
@@ -123,6 +144,12 @@ def spectral_poles(stack, rho_ss, seeds, observables, omegas):
     # rho_ss is Hermitian, so its coordinates are real.
     solver = ResolventSolver(stack.dense(0),
                              deflate=hermitian_coordinates(vectorize(rho_ss)).real)
+    keep = _coupled(solver.base, rhs, project)
+    if not keep.size:
+        return np.empty(0, dtype=complex), np.zeros((rhs.shape[1], len(project), 0), complex)
+    # Restricted after the deflation term is added, which needs the full space.
+    solver.base = solver.base[np.ix_(keep, keep)]
+    rhs, project = rhs[keep], project[:, keep]
     poles = _eigen_poles(solver.base, rhs, project, omegas)
     if poles is not None:
         return poles
@@ -130,6 +157,26 @@ def spectral_poles(stack, rho_ss, seeds, observables, omegas):
     for i, w in enumerate(omegas):
         out[:, :, i] = (project @ solver.factor(-w)(rhs)).T
     return None, out
+
+
+def _coupled(base, rhs, project):
+    """Indices G of the coordinates that both reach the support of ``rhs``
+    and are reached from that of ``project`` along the edges i -> j with
+    base[i, j] != 0: the only ones the transforms of :func:`spectral_poles`
+    depend on."""
+    edges = base != 0
+    observed = _closure(edges, (project != 0).any(axis=0))
+    fed = _closure(edges.T, (rhs != 0).any(axis=1))
+    return np.flatnonzero(observed & fed)
+
+
+def _closure(edges, start):
+    """Mask of the nodes reachable from the mask ``start`` along edges[i, j]."""
+    reached, frontier = start.copy(), start
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return reached
 
 
 def _eigen_poles(base, rhs, project, omegas):

@@ -591,6 +591,17 @@ def test_phase_orbit_counts(sizes, solved):
     assert (len(points), counts.sum()) == (solved, sizes[0] * sizes[1])
 
 
+@pytest.mark.parametrize("build", [cbs.phase_grid, cbs.phase_orbits])
+def test_phase_grid_and_orbits_built_once_per_size(build):
+    # a sweep or an isotropic average reuses one grid for every point
+    first, again = build(5, 4), build(5, 4)
+    assert all(x is y for x, y in zip(first, again))
+    for x in first:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1
+
+
 @settings(max_examples=10, deadline=None)
 @given(kind=st.sampled_from([atoms.V_TYPE, atoms.FULL_J0_J1]),
        log_rabi=st.floats(-1.0, 2.0), detuning=st.floats(-30.0, 30.0),

@@ -519,6 +519,18 @@ def test_isotropic_spectrum_rejected_before_solving(tmp_path, monkeypatch, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+def test_spectrum_without_detected_light_fails_cleanly(tmp_path, capsys):
+    # along z no exchange turns sigma-plus light into sigma-minus: the kernel
+    # has no coupled coordinates, no poles, and the background is zero
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"rabi = 5\ndetuning = 1\norientation = 0,0,1\noutput_dir = {tmp_path}\n")
+    assert cli.main(["spectrum", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "background intensity 0.0 is not positive" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_csv_rows_match_per_value_formatting(tmp_path):
     # one %-template over Python floats prints what f"{v:.17g}" prints per value
     # +-1.8e308 overflows to +-inf; the largest finite double is 1.7976931348623157e308
@@ -641,6 +653,14 @@ def test_cli_check_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert "PASS - phase-point symmetries" in out
+    assert "PASS - spectral subspace" in out
+
+
+def test_cli_check_reports_a_spectral_subspace_that_drops_a_coordinate(monkeypatch, capsys):
+    original = spectra._coupled
+    monkeypatch.setattr(spectra, "_coupled", lambda *args: original(*args)[1:])
+    assert cli.main(["check"]) == 2
+    assert "FAIL - spectral subspace" in capsys.readouterr().out
 
 
 def test_cli_check_reports_a_broken_phase_point_symmetry(monkeypatch, capsys):

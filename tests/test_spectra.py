@@ -63,11 +63,11 @@ def test_correlation_at_zero_tau_reduces_to_one_time_average():
     assert np.isclose(np.trapezoid(density, grid), c0.real, rtol=1e-2)
 
 
-def detected_pair(kind, rabi, detuning, a=0.7, p=1.3):
+def detected_pair(kind, rabi, detuning, a=0.7, p=1.3, orientation=(1.0, 0.0, 0.0)):
     """Pair generator, steady state and detected-transition operators."""
     scheme = atoms.build_scheme(kind)
-    stack = lv.GeneratorStack.from_dense(
-        [generator_at(scheme, lv.PhysicalParams(rabi=rabi, detuning=detuning), a, p)])
+    params = lv.PhysicalParams(rabi=rabi, detuning=detuning, orientation=orientation)
+    stack = lv.GeneratorStack.from_dense([generator_at(scheme, params, a, p)])
     rho = solver.steady_state(stack)[0]
     low = atoms.lowering_operator(scheme, scheme.cbs_transition)
     lows = [atoms.embed(low, 1), atoms.embed(low, 2)]
@@ -179,6 +179,125 @@ def test_nan_generator_raises_through_the_lu_fallback(monkeypatch):
                                   [spectra.connected_initial(rho, high)], [low],
                                   np.linspace(-2.0, 2.0, 9))
     assert calls == [2.0]  # the eigen route gave up; the first LU solve raised
+
+
+# -- the coupled subspace ------------------------------------------------------
+
+
+def spy_coupled(monkeypatch):
+    """Record the size of every coupled index set the kernel solves on."""
+    sizes = []
+    original = spectra._coupled
+
+    def coupled(base, rhs, project):
+        keep = original(base, rhs, project)
+        sizes.append(keep.size)
+        return keep
+
+    monkeypatch.setattr(spectra, "_coupled", coupled)
+    return sizes
+
+
+@pytest.mark.parametrize("kind,axis,size", [
+    (atoms.V_TYPE, (1.0, 0.0, 0.0), 64),
+    (atoms.V_TYPE, (0.3, 0.5, 0.8), 64),
+    (atoms.V_TYPE, (0.0, 0.0, 1.0), 0),
+    (atoms.FULL_J0_J1, (1.0, 0.0, 0.0), 64),
+    (atoms.FULL_J0_J1, (0.3, 0.5, 0.8), 144),
+    (atoms.FULL_J0_J1, (0.0, 0.0, 1.0), 0),
+], ids=["v_type_x", "v_type_oblique", "v_type_z", "full_x", "full_oblique", "full_z"])
+def test_coupled_subspace_transforms_match_full_space_solves(monkeypatch, kind, axis, size):
+    # no pair state with both atoms in an undriven excited level is reached
+    # from the ground state; along z no exchange turns sigma-plus into sigma-minus
+    stack, rho, lows, highs = detected_pair(kind, 10.0, 2.0, orientation=axis)
+    sizes = spy_coupled(monkeypatch)
+    omegas = np.array([0.0, 10.2, -10.2, 3.7, -250.0])
+    seeds = [spectra.connected_initial(rho, op) for op in highs]
+    response = spectra.spectral_response(stack, rho, seeds, lows, omegas)
+    assert sizes == [size]
+    ref = np.array([[[correlation(stack.standard(0), rho, highs[j], lows[k], w, connected=True)
+                      for w in omegas] for k in range(2)] for j in range(2)])
+    if size == 0:
+        assert np.all(ref == 0.0) and np.all(response == 0.0)
+    else:
+        assert np.all(np.abs(response - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_empty_coupled_subspace_has_no_poles():
+    stack, rho, lows, highs = detected_pair(atoms.V_TYPE, 5.0, 1.0, orientation=(0.0, 0.0, 1.0))
+    seeds = [spectra.connected_initial(rho, op) for op in highs]
+    lam, w = spectra.spectral_poles(stack, rho, seeds, lows, np.linspace(-9.0, 9.0, 7))
+    assert lam.shape == (0,) and w.shape == (2, 2, 0)
+    # the spectrum then fails where it failed before: no background to normalize
+    params = lv.PhysicalParams(rabi=5.0, detuning=1.0, orientation=(0.0, 0.0, 1.0))
+    with pytest.raises(DomainError, match="background intensity 0.0 is not positive"):
+        cbs.cbs_spectrum(atoms.build_scheme(atoms.V_TYPE), params)
+
+
+def test_dense_generator_keeps_every_coordinate(monkeypatch):
+    rng = np.random.default_rng(5)
+
+    def random_operator():
+        return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+    h = random_operator()
+    gen = lv.master_generator(h + h.conj().T, random_operator()[None], np.eye(1))
+    stack = lv.GeneratorStack.from_dense([gen])
+    assert np.all(stack.dense(0) != 0.0)
+    rho = solver.steady_state(stack)[0]
+    seed_op, observable = random_operator(), random_operator()
+    sizes = spy_coupled(monkeypatch)
+    omegas = np.array([-2.0, 0.0, 1.5])
+    response = spectra.spectral_response(stack, rho, [spectra.connected_initial(rho, seed_op)],
+                                         [observable], omegas)[0, 0]
+    assert sizes == [9]
+    ref = [correlation(gen, rho, seed_op, observable, w, connected=True) for w in omegas]
+    assert np.all(np.abs(response - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_coupled_set_keeps_a_block_that_feeds_the_observed_one():
+    # Coordinates 0-3 are observed; 4-7 are seeded and feed 0-3 through the
+    # one entry base[1, 6]; 8-9 are reached from 0-3 (base[3, 9]) but reach
+    # no seed; 10-11 are seeded but never reached from 0-3.  A closure that
+    # follows the edges one way for both sets keeps only one of 0-3 and 4-7.
+    rng = np.random.default_rng(11)
+    base = 6.0 * np.eye(12)
+    for lo, hi in ((0, 4), (4, 8), (8, 10), (10, 12)):
+        base[lo:hi, lo:hi] += rng.standard_normal((hi - lo, hi - lo))
+    base[1, 6], base[3, 9] = 0.5, 0.7
+    rhs = np.zeros((12, 2), dtype=complex)
+    rhs[4:8] = rng.standard_normal((4, 2))
+    rhs[10:12] = rng.standard_normal((2, 2))
+    project = np.zeros((3, 12))
+    project[:, :4] = rng.standard_normal((3, 4))
+    keep = spectra._coupled(base, rhs, project)
+    assert keep.tolist() == list(range(8))
+    for w in (-3.0, 0.0, 2.5):
+        shift = 1j * w * np.eye(12)
+        full = project @ np.linalg.solve(base - shift, rhs)
+        reduced = project[:, keep] @ np.linalg.solve((base - shift)[np.ix_(keep, keep)],
+                                                     rhs[keep])
+        assert np.abs(full).min() > 0.0
+        assert np.all(np.abs(reduced - full) <= 1e-12 * np.abs(full))
+
+
+def test_lu_fallback_on_the_coupled_subspace_matches_the_eigen_route(monkeypatch):
+    stack, rho, lows, highs = detected_pair(atoms.V_TYPE, 100.0, 20.0)
+    seeds = [spectra.connected_initial(rho, op) for op in highs]
+    omegas = np.array([-122.0, -20.0, 0.0, 0.03, 101.98, 250.0])
+    eigen = spectra.spectral_response(stack, rho, seeds, lows, omegas)
+    orders = []
+    original = solver.ResolventSolver.factor
+
+    def factor(self, omega):
+        orders.append(len(self.base))
+        return original(self, omega)
+
+    monkeypatch.setattr(solver.ResolventSolver, "factor", factor)
+    monkeypatch.setattr(spectra, "EIGVEC_COND_MAX", 0.0)
+    fallback = spectra.spectral_response(stack, rho, seeds, lows, omegas)
+    assert orders == [64] * omegas.size
+    assert np.all(np.abs(fallback - eigen) <= 1e-12 * np.abs(fallback))
 
 
 @settings(max_examples=12, deadline=None)
