@@ -45,7 +45,6 @@ scheme (see :func:`_detection_operators`) rather than subtracted.
 """
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -53,13 +52,18 @@ import numpy as np
 
 from . import atoms, spectra
 from .errors import CbsimError, ConditioningError, ConfigurationError, DomainError
-from .liouvillian import MIN_RAW_INTENSITY, PhysicalParams, assemble, rabi_for_saturation
+from .liouvillian import (MIN_RAW_INTENSITY, PhysicalParams, assemble, rabi_for_saturation,
+                          saturation)
 from .solver import steady_state
 
 #: Default phase-grid size per axis: exact at leading order in 1/kr, O(kr^-4) after.
 DEFAULT_PHASE_POINTS = 4
+#: Default number of seeded axes of an isotropic average.
+DEFAULT_ORIENTATIONS = 64
 #: Most saturations a sweep may hold: 400 times the 25 of the README's fig2a sweep.
 MAX_SWEEP_POINTS = 10**4
+#: Largest Rabi frequency and |detuning| of a sweep (the generator's norm overflows near 1e153).
+MAX_DRIVE = 1e150
 
 _REAL_RESIDUE_TOL = 1e-10
 
@@ -278,10 +282,18 @@ def _check_intensity_scale(s_values, kr):
 
 
 def _check_drive_scale(rabi, detuning, kr):
-    """:func:`_check_intensity_scale` at the saturation of a drive, formed
-    without the overflow of rabi^2 or detuning^2."""
-    ratio = rabi / math.hypot(1.0, detuning)
-    _check_intensity_scale([0.5 * ratio * ratio], kr)
+    """:func:`_check_intensity_scale` at the saturation of a drive."""
+    _check_intensity_scale([saturation(rabi, detuning)], kr)
+
+
+def _check_sweep_drive(s_values, detuning):
+    """Raise :class:`DomainError` unless |detuning| and the Rabi frequency of
+    each saturation of ``s_values`` stay within ``MAX_DRIVE``."""
+    if not abs(detuning) <= MAX_DRIVE:
+        raise DomainError(f"|detuning| <= {MAX_DRIVE:g} required, got {detuning:g}")
+    for s in s_values:
+        if not rabi_for_saturation(s, detuning) <= MAX_DRIVE:
+            raise DomainError(f"saturation {s:g} needs a Rabi frequency above {MAX_DRIVE:g}")
 
 
 def _resolve_drive(params, s, detuning):
@@ -326,16 +338,16 @@ def sample_orientations(n_configs, seed):
     return samples
 
 
-def cbs_components_isotropic(scheme, params, s=None, detuning=None, n_configs=64,
-                             seed=0, n_a=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS,
-                             normalize=True):
+def cbs_components_isotropic(scheme, params, s=None, detuning=None,
+                             n_configs=DEFAULT_ORIENTATIONS, seed=0,
+                             n_a=DEFAULT_PHASE_POINTS, n_p=DEFAULT_PHASE_POINTS):
     """Orientation-averaged components over an isotropic interatomic axis."""
     _check_sizes(n_a, n_p, n_configs, seed)
     params = _resolve_drive(params, s, detuning)
     sums = np.zeros(4)
     for orientation in sample_orientations(n_configs, seed):
         comp = cbs_components(scheme, replace(params, orientation=orientation),
-                              n_a=n_a, n_p=n_p, normalize=normalize)
+                              n_a=n_a, n_p=n_p)
         sums += (comp.l2_el, comp.l2_inel, comp.c2_el, comp.c2_inel)
     sums /= n_configs
     return CbsComponents(*sums.tolist())
@@ -372,8 +384,8 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
     sweep.  With ``n_configs`` set, every point is the isotropic average of
     :func:`cbs_components_isotropic` over that many seeded samples.  Inputs
     that would fail every point, a scheme without a detected channel
-    included, and a saturation whose intensities would go subnormal at
-    ``params.kr`` raise before any point is solved.
+    included, intensities that would go subnormal at ``params.kr`` and a
+    drive beyond ``MAX_DRIVE`` raise before any point is solved.
     """
     _check_sizes(n_a, n_p, n_configs, seed)
     s_values = _check_sweep(s_values)
@@ -381,6 +393,7 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
     if params is None:
         params = PhysicalParams()
     _check_intensity_scale(s_values, params.kr)
+    _check_sweep_drive(s_values, params.detuning if detuning is None else detuning)
     grid_sizes = dict(n_a=n_a, n_p=n_p)
     rows = []
     for s in s_values:

@@ -133,7 +133,7 @@ def run_spectrum(cfg, output_path=None, workers=1):
                           result.interference.density)
     write_csv(output_path, "spectrum", cfg, SPECTRUM_HEADER, rows)
 
-    report = _peak_report_text(cfg, result, peaks, PEAK_TOLERANCE)
+    report = _peak_report_text(cfg, result, peaks)
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report)
     return output_path, report_path, result
@@ -145,9 +145,9 @@ def _spectrum_rows(omega, background, interference):
             for row in zip(omega.tolist(), background.tolist(), interference.tolist())]
 
 
-def _peak_report_text(cfg, result, peaks, tolerance):
-    bg_report = dressed.validate_spectrum(result.background, peaks, tolerance)
-    int_report = dressed.validate_spectrum(result.interference, peaks, tolerance)
+def _peak_report_text(cfg, result, peaks):
+    bg_report = dressed.validate_spectrum(result.background, peaks, PEAK_TOLERANCE)
+    int_report = dressed.validate_spectrum(result.interference, peaks, PEAK_TOLERANCE)
     comp = result.components
     bg_area = result.background.integral
     int_area = result.interference.integral
@@ -155,14 +155,13 @@ def _peak_report_text(cfg, result, peaks, tolerance):
         "spectrum peak report",
         f"rabi = {_fmt(cfg.rabi)}  detuning = {_fmt(cfg.detuning)}  "
         f"generalized_rabi = {_fmt(dressed.generalized_rabi(cfg.rabi, cfg.detuning))}",
-        f"peak tolerance = {_fmt(tolerance)}",
+        f"peak tolerance = {_fmt(PEAK_TOLERANCE)}",
     ]
     for title, report in (("background peaks", bg_report), ("interference extrema", int_report)):
         lines += ["", f"{title} (predicted / found / offset / status):"]
         lines += [f"  {m.label:<20} {m.predicted:12.4f} {m.found:12.4f} "
-                  f"{m.offset:8.4f}  {'ok' if m.passed else 'MISSED'}" for m in report.matches]
-    n_maxima = dressed.local_extrema(result.background.density, kind="max",
-                                     min_relative_height=1e-6).size
+                  f"{m.offset:8.4f}  {'ok' if m.passed else 'MISSED'}" for m in report]
+    n_maxima = dressed.local_maxima(result.background.density, 1e-6).size
     lines += [
         "",
         f"background local maxima found: {n_maxima}",
@@ -178,7 +177,7 @@ def _peak_report_text(cfg, result, peaks, tolerance):
         f"  c2_inel = {_fmt(comp.c2_inel)}",
         f"  alpha = {_fmt(comp.alpha)}",
         "",
-        f"status: {'ok' if bg_report.all_passed else 'BACKGROUND PEAKS MISSED'}",
+        f"status: {'ok' if all(m.passed for m in bg_report) else 'BACKGROUND PEAKS MISSED'}",
         "",
     ]
     return "\n".join(lines)

@@ -36,7 +36,8 @@ grids refine; the detection phase b is averaged exactly, so it has no grid
 key.  The frequency steps are those of the library's default grid.  A
 saturation (of each ``sweep_s`` value, or of ``rabi`` and ``detuning``)
 whose raw intensities would near the subnormal range at ``kr`` is
-rejected by a joint rule of those keys.
+rejected by a joint rule of those keys, and so is a sweep whose detuning
+or Rabi frequency exceeds 1e150.
 """
 
 import math
@@ -59,28 +60,25 @@ _LOGSPACE_RE = re.compile(
 @dataclass
 class RunConfig:
     scheme: str = atoms.V_TYPE
-    detuning: float = 0.0
-    kr: float = 100.0
+    detuning: float = liouvillian.PhysicalParams.detuning
+    kr: float = liouvillian.PhysicalParams.kr
     sweep_s: tuple = None
     rabi: float = None
-    n_phase_a: int = 4
-    n_phase_p: int = 4
+    n_phase_a: int = cbs.DEFAULT_PHASE_POINTS
+    n_phase_p: int = cbs.DEFAULT_PHASE_POINTS
     omega_span: float = None  # None means auto (2.5 x generalized Rabi)
     orientation_mode: str = FIXED
-    orientation: tuple = (1.0, 0.0, 0.0)
-    n_configs: int = 64
+    orientation: tuple = liouvillian.PhysicalParams.orientation
+    n_configs: int = cbs.DEFAULT_ORIENTATIONS
     seed: int = 0
     output_dir: str = "."
     source_lines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def params(self, rabi=None):
         """PhysicalParams for this configuration."""
-        return liouvillian.PhysicalParams(
-            rabi=self.rabi if rabi is None else rabi,
-            detuning=self.detuning,
-            kr=self.kr,
-            orientation=self.orientation,
-        )
+        return liouvillian.PhysicalParams(rabi=self.rabi if rabi is None else rabi,
+                                          detuning=self.detuning, kr=self.kr,
+                                          orientation=self.orientation)
 
     def echo_lines(self):
         """Canonical ``key = value`` lines for metadata blocks."""
@@ -109,9 +107,8 @@ def _parse_number(raw, line, key, kind=float):
 def _parse_choice(raw, choices, line, key):
     value = raw.strip().lower()
     if value not in choices:
-        raise ParseError(
-            f"must be one of {', '.join(choices)}; got {raw!r}", line=line, key=key
-        )
+        raise ParseError(f"must be one of {', '.join(choices)}; got {raw!r}",
+                         line=line, key=key)
     return value
 
 
@@ -172,6 +169,9 @@ RULES = {
     # Raw intensities must stay clear of the subnormal range (joint in s and kr).
     ("sweep_s", "kr"): cbs._check_intensity_scale,
     ("rabi", "detuning", "kr"): cbs._check_drive_scale,
+    # A sweep's drive must stay clear of overflow; the detuning is checked (and named) first.
+    ("detuning", "sweep_s"): lambda detuning, s_values: cbs._check_sweep_drive((), detuning),
+    ("sweep_s", "detuning"): cbs._check_sweep_drive,
 }
 
 

@@ -8,6 +8,9 @@ the detected transition terminating on the split ground sublevels, and a
 doublet at +-2*Omega_R from frequency-shifting (Raman) rescattering of the
 triplet sidebands.  Frequencies are offsets from the drive frequency in
 units of gamma.
+
+:func:`validate_spectrum` matches each predicted peak to the nearest
+extremum that :func:`local_maxima` finds in a computed spectrum.
 """
 
 import math
@@ -42,32 +45,15 @@ def peak_positions(rabi, detuning):
                                   -2.0 * omega_r)))
 
 
-def local_extrema(values, kind="max", min_relative_height=0.0):
-    """Indices of strict interior local extrema of a sampled curve.
-
-    ``kind`` selects maxima, minima, or both.  With a positive
-    ``min_relative_height``, extrema whose magnitude is below that fraction
-    of the overall maximum magnitude are discarded (guards against ripple
-    in flat tails).
+def local_maxima(values, min_relative_height=0.0):
+    """Indices of the strict interior local maxima of a sampled curve (its
+    minima are those of its negative), less those whose magnitude is below
+    ``min_relative_height`` times the curve's largest (ripple in flat tails).
     """
     y = np.asarray(values, dtype=float)
-    if y.size < 3:
-        return np.array([], dtype=int)
-    interior = np.arange(1, y.size - 1)
-    is_max = (y[interior] > y[interior - 1]) & (y[interior] > y[interior + 1])
-    is_min = (y[interior] < y[interior - 1]) & (y[interior] < y[interior + 1])
-    if kind == "max":
-        mask = is_max
-    elif kind == "min":
-        mask = is_min
-    elif kind == "both":
-        mask = is_max | is_min
-    else:
-        raise ValueError(f"kind must be 'max', 'min', or 'both', got {kind!r}")
-    idx = interior[mask]
+    idx = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])) + 1
     if min_relative_height > 0.0 and idx.size:
-        floor = min_relative_height * np.abs(y).max()
-        idx = idx[np.abs(y[idx]) >= floor]
+        idx = idx[np.abs(y[idx]) >= min_relative_height * np.abs(y).max()]
     return idx
 
 
@@ -80,16 +66,6 @@ class PeakMatch:
     passed: bool
 
 
-@dataclass(frozen=True)
-class PeakReport:
-    tolerance: float
-    matches: tuple
-
-    @property
-    def all_passed(self):
-        return all(m.passed for m in self.matches)
-
-
 def check_coverage(grid, peaks):
     """Raise :class:`CoverageError` unless ``grid`` spans every one of ``peaks``."""
     lo, hi = np.min(grid), np.max(grid)
@@ -100,18 +76,20 @@ def check_coverage(grid, peaks):
 
 
 def validate_spectrum(spectrum, peaks, tolerance):
-    """Match predicted peaks against the extrema of a computed spectrum.
+    """One :class:`PeakMatch` per label of ``PEAK_LABELS``: the extremum of a
+    computed spectrum nearest the predicted peak, passed within ``tolerance``.
 
     Background-type spectra are searched for local maxima; interference-type
-    spectra for extrema of either sign, since their resonances may carry
-    negative weight or be dispersive.  :func:`check_coverage` runs before
-    any matching.
+    spectra for maxima and minima, since their resonances may carry
+    negative weight or be dispersive.  :func:`check_coverage` runs first,
+    and a spectrum without extrema raises :class:`CoverageError`.
     """
     grid = np.asarray(spectrum.omega)
     density = np.asarray(spectrum.density)
     check_coverage(grid, peaks)
-    kind = "max" if getattr(spectrum, "kind", "background") == "background" else "both"
-    idx = local_extrema(density, kind=kind, min_relative_height=1e-9)
+    idx = local_maxima(density, 1e-9)
+    if spectrum.kind != "background":
+        idx = np.union1d(idx, local_maxima(-density, 1e-9))
     if idx.size == 0:
         raise CoverageError("spectrum has no local extrema to match against")
     extrema_pos = grid[idx]
@@ -121,4 +99,4 @@ def validate_spectrum(spectrum, peaks, tolerance):
         found = float(extrema_pos[np.argmin(np.abs(extrema_pos - pos))])
         offset = abs(found - pos)
         matches.append(PeakMatch(label, float(pos), found, offset, offset <= tolerance))
-    return PeakReport(tolerance=float(tolerance), matches=tuple(matches))
+    return tuple(matches)

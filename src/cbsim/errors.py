@@ -20,11 +20,9 @@ class DomainError(CbsimError):
 class MultiplicityError(CbsimError):
     """The stationary manifold of a generator is degenerate."""
 
-    def __init__(self, nullity, message=None):
+    def __init__(self, nullity):
         self.nullity = nullity
-        super().__init__(
-            message or f"stationary manifold is degenerate (estimated nullity {nullity})"
-        )
+        super().__init__(f"stationary manifold is degenerate (estimated nullity {nullity})")
 
 
 class ConditioningError(CbsimError):

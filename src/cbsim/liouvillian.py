@@ -56,8 +56,9 @@ the standard vectorization.
 The blocks are built once per scheme by :func:`master_generator` (13 for
 v_type, 23 for full_j0_j1) and kept read-only in the Hermitian basis as
 one sparse :class:`GeneratorStack` on the union of their supports (about
-4% of the 256 x 256 full_j0_j1 generator); :func:`assemble` folds g0
-and the c_E into seven rows and combines them.
+4% of the 256 x 256 full_j0_j1 generator), built by
+:meth:`GeneratorStack.from_dense` one dense block at a time;
+:func:`assemble` folds g0 and the c_E into seven rows and combines them.
 
 A :class:`GeneratorStack` is the one sparse form of a generator: it holds
 the row and the column of every entry (``rows``, ``cols``, read-only, in
@@ -94,15 +95,18 @@ MIN_RAW_INTENSITY = 1e-300
 
 
 def saturation(rabi, detuning):
-    """Dimensionless drive strength s = rabi^2 / (2 (1 + detuning^2))."""
-    return rabi**2 / (2.0 * (1.0 + detuning**2))
+    """Dimensionless drive strength s = rabi^2 / (2 (1 + detuning^2)), formed
+    without squaring rabi or detuning: it overflows (to inf) only where s does."""
+    ratio = rabi / math.hypot(1.0, detuning)
+    return 0.5 * ratio * ratio
 
 
 def rabi_for_saturation(s, detuning):
-    """Rabi frequency that produces saturation ``s`` at the given detuning."""
+    """Rabi frequency sqrt(2 s) hypot(1, detuning) that produces saturation
+    ``s`` at the given detuning."""
     if not 0 <= s < math.inf:
         raise DomainError(f"saturation must be finite and non-negative, got {s}")
-    return math.sqrt(2.0 * s * (1.0 + detuning**2))
+    return math.sqrt(2.0 * s) * math.hypot(1.0, detuning)
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,7 @@ class PhysicalParams:
         if self.rabi < 0:
             raise DomainError(f"rabi frequency must be non-negative, got {self.rabi}")
         if self.kr < KR_MIN:
-            raise DomainError(
-                f"kr >= {KR_MIN:g} required (weak-coupling regime), got {self.kr}"
-            )
+            raise DomainError(f"kr >= {KR_MIN:g} required (weak-coupling regime), got {self.kr}")
         if self.kr > KR_MAX:
             raise DomainError(f"kr <= {KR_MAX:g} required (finite intensities), got {self.kr}")
         n = np.asarray(self.orientation, dtype=float)
@@ -142,10 +144,6 @@ class PhysicalParams:
             raise ConfigurationError(
                 f"orientation vector must have a finite nonzero norm, got {norm:g}")
         object.__setattr__(self, "orientation", tuple(float(x) for x in n))
-
-    @property
-    def saturation(self):
-        return saturation(self.rabi, self.detuning)
 
 
 # -- the Hermitian operator basis (module docstring)
@@ -299,18 +297,24 @@ class GeneratorStack:
     def from_dense(cls, generators):
         """Stack of dense N x N generators in the standard vectorization, all
         of one Hilbert dimension n = isqrt(N), on the union of their supports
-        in the Hermitian basis; raises :class:`ConfigurationError` for one
-        that does not preserve Hermiticity."""
-        gens = [np.asarray(gen, dtype=complex) for gen in generators]
-        n = math.isqrt(len(gens[0]))
-        for gen in gens:
+        in the Hermitian basis.  ``generators`` may be any iterable, and only
+        one dense array is held at a time.  Raises :class:`DimensionError` for
+        mixed sizes and :class:`ConfigurationError` for a generator that does
+        not preserve Hermiticity."""
+        entries = []
+        for gen in generators:
+            gen = np.asarray(gen, dtype=complex)
+            n = n if entries else math.isqrt(len(gen))
             if gen.shape != (n * n, n * n):
-                raise DimensionError(
-                    f"generator of shape {gen.shape} does not act on a "
-                    f"{n}-level system")
-        gens = np.array([_generator_map(gen, "forward") for gen in gens])
-        rows, cols = np.nonzero(gens.any(axis=0))
-        return cls(n, rows, cols, gens[:, rows, cols])
+                raise DimensionError(f"generator of shape {gen.shape} does not act on a "
+                                     f"{n}-level system")
+            gen = _generator_map(gen, "forward").reshape(-1)
+            entries.append((np.flatnonzero(gen), gen[gen != 0]))
+        support = np.unique(np.concatenate([flat for flat, _ in entries]))
+        values = np.zeros((len(entries), support.size), dtype=complex)
+        for row, (flat, entry) in zip(values, entries):
+            row[np.searchsorted(support, flat)] = entry
+        return cls(n, *np.divmod(support, n * n), values)
 
 
 # -- superoperators (row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho))
@@ -438,21 +442,9 @@ def _dense_blocks(scheme):
 
 @functools.cache
 def _affine_blocks(scheme):
-    """Read-only :class:`GeneratorStack` of the affine blocks in the
-    Hermitian basis: its generator k is block k, real, on the entries where
-    any block is nonzero.  Only one dense block is alive at a time.
-    """
-    n = scheme.n_levels**2
-    entries = []
-    for block in _dense_blocks(scheme):
-        block = _generator_map(block, "forward")
-        flat = np.flatnonzero(block)
-        entries.append((flat, block.reshape(-1)[flat]))
-    support = np.unique(np.concatenate([flat for flat, _ in entries]))
-    values = np.zeros((len(entries), support.size), dtype=complex)
-    for row, (flat, entry) in zip(values, entries):
-        row[np.searchsorted(support, flat)] = entry
-    blocks = GeneratorStack(n, *np.divmod(support, n * n), values)
+    """Read-only :class:`GeneratorStack` of the affine blocks in the Hermitian
+    basis, one generator per block, on the entries where any block is nonzero."""
+    blocks = GeneratorStack.from_dense(_dense_blocks(scheme))
     blocks.values.flags.writeable = False
     return blocks
 
@@ -477,10 +469,8 @@ def _check_trace_preserving(stack):
     scale = np.maximum(np.abs(values).max(axis=1, initial=0.0), 1.0)
     bad = np.flatnonzero(~(residual <= 1e-12 * scale))
     if bad.size:
-        raise ConfigurationError(
-            "assembled generator is not trace preserving "
-            f"(max residual {residual[bad[0]]:.3e})"
-        )
+        raise ConfigurationError("assembled generator is not trace preserving "
+                                 f"(max residual {residual[bad[0]]:.3e})")
 
 
 def assemble(scheme, params, phases):

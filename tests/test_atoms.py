@@ -130,3 +130,13 @@ def test_embed_rejects_bad_inputs():
         atoms.embed(np.zeros((2, 3)), 1)
     with pytest.raises(DimensionError):
         atoms.embed(np.eye(2), 3)
+
+
+@pytest.mark.parametrize("transition,match", [
+    (atoms.Transition(0, 2, atoms.SIGMA_PLUS), "outside 0..1"),
+    (atoms.Transition(1, 1, atoms.SIGMA_PLUS), "connects a level to itself"),
+    (atoms.Transition(0, 1, "sigma_zero"), "unknown polarization"),
+], ids=["out_of_range", "self_transition", "polarization"])
+def test_malformed_transition_rejected(transition, match):
+    with pytest.raises(ConfigurationError, match=match):
+        atoms.LevelScheme(kind="custom", levels=("|g>", "|e>"), transitions=(transition,))

@@ -153,6 +153,24 @@ def test_subnormal_intensities_rejected_before_any_steady_state(v_scheme, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("detuning,s_values,params,match", [
+    (1e200, [1.0], None, "detuning"),
+    (None, [1.0], dict(detuning=-1e200), "detuning"),
+    (0.0, [1.0, 1e300], None, "saturation 1e\\+300"),
+], ids=["detuning", "params_detuning", "saturation"])
+def test_sweep_drive_beyond_bound_rejected_before_any_steady_state(
+        v_scheme, monkeypatch, detuning, s_values, params, match):
+    # past |detuning| ~ 1.35e154 the Rabi frequency overflowed in
+    # rabi_for_saturation; past ~1e153 the generator's Frobenius norm does
+    calls = count_phase_points(monkeypatch)
+    with pytest.raises(DomainError, match=match):
+        cbs.sweep_alpha_collect(v_scheme, detuning, s_values,
+                                params=params and default_params(**params))
+    assert calls == []
+    # the bound itself is admissible
+    cbs._check_sweep_drive([0.5], cbs.MAX_DRIVE)
+
+
 def test_numpy_integer_sizes_accepted(v_scheme):
     params = default_params(rabi=2.0)
     assert (cbs.cbs_components(v_scheme, params, n_a=np.int64(4), n_p=np.int32(4))
@@ -502,7 +520,7 @@ def test_detuned_spectrum_peaks(spectrum_detuned):
     result, _ = spectrum_detuned
     peaks = dressed.peak_positions(100.0, 20.0)
     report = dressed.validate_spectrum(result.background, peaks, tolerance=0.5)
-    assert report.all_passed
+    assert all(m.passed for m in report)
 
 
 def test_spectrum_components_match_intensity_route(v_scheme, spectrum_on_resonance):

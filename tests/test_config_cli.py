@@ -1,5 +1,6 @@
 """Config grammar, CSV artifacts, determinism, and CLI exit codes."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -78,6 +79,34 @@ def test_unsorted_sweep_rejected():
 def test_phase_grid_minimum_enforced():
     with pytest.raises(ParseError):
         config.parse_config("n_phase_a = 2\n")
+
+
+@pytest.mark.parametrize("line,key,match", [
+    ("rabi 5", None, "expected 'key = value', got 'rabi 5'"),  # no '=', so no key
+    ("rabi =", "rabi", "missing value"),
+    ("orientation_mode = sideways", "orientation_mode", "must be one of fixed, isotropic"),
+    ("sweep_s = logspace(0, 1, 3)", "sweep_s", "bounds must be finite and positive"),
+], ids=["no_equals", "empty_value", "orientation_mode", "logspace_zero"])
+def test_malformed_line_rejected_with_line_and_key(line, key, match):
+    with pytest.raises(ParseError, match=match) as info:
+        config.parse_config(f"detuning = 1\n{line}\n")
+    assert (info.value.line, info.value.key) == (2, key)
+    assert str(info.value).startswith("line 2: " + (f"key '{key}': " if key else ""))
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg, params = config.RunConfig(), lv.PhysicalParams()
+    assert (cfg.detuning, cfg.kr, cfg.orientation) == (
+        params.detuning, params.kr, params.orientation)
+    defaults = {name: p.default for name, p in
+                inspect.signature(cbs.cbs_components_isotropic).parameters.items()}
+    assert (cfg.n_phase_a, cfg.n_phase_p, cfg.n_configs, cfg.seed) == (
+        defaults["n_a"], defaults["n_p"], defaults["n_configs"], defaults["seed"])
+    # and the metadata echo of an empty config is unchanged
+    assert config.parse_config("").echo_lines() == [
+        "scheme = v_type", "detuning = 0.0", "kr = 100.0", "n_phase_a = 4",
+        "n_phase_p = 4", "orientation_mode = fixed", "orientation = 1,0,0",
+        "n_configs = 64", "seed = 0", "output_dir = ."]
 
 
 def _raised(call):
@@ -455,6 +484,33 @@ def test_subnormal_intensities_rejected_before_solving(tmp_path, monkeypatch, ca
     assert cli.main([command, str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.count("ERROR:") == 1 and key in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("text,key,library_call", [
+    ("sweep_s = 1\ndetuning = 1e200\n", "detuning",
+     lambda: cbs.sweep_alpha_collect(_V_TYPE, 1e200, [1.0])),
+    ("detuning = 1e100\nsweep_s = 1, 1e300\n", "sweep_s",
+     lambda: cbs.sweep_alpha_collect(_V_TYPE, 1e100, [1.0, 1e300])),
+], ids=["detuning", "sweep_s"])
+def test_sweep_drive_beyond_bound_rejected_before_solving(tmp_path, monkeypatch, capsys, text,
+                                                          key, library_call):
+    # detuning = 1e200 used to end the sweep in an OverflowError traceback, exit 1
+    # with no ERROR line; the bound names the detuning when it is too large
+    with pytest.raises(DomainError) as library:
+        library_call()
+    text += f"output_dir = {tmp_path}\n"
+    with pytest.raises(ParseError) as info:
+        config.parse_config(text)
+    assert (info.value.line, info.value.key) == (2, key)
+    assert str(info.value).endswith(str(library.value))
+    calls = count_phase_points(monkeypatch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["alpha-sweep", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("ERROR:") == 1 and f"key '{key}'" in err and "Traceback" not in err
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 

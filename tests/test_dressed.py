@@ -99,10 +99,10 @@ def lorentzian_comb(grid, centers, width=1.0):
 def test_local_extrema_on_planted_signal():
     x = np.linspace(0.0, 4.0 * np.pi, 400)
     y = np.sin(x)
-    maxima = dressed.local_extrema(y, kind="max")
-    minima = dressed.local_extrema(y, kind="min")
+    maxima = dressed.local_maxima(y)
+    minima = dressed.local_maxima(-y)
     assert maxima.size == 2 and minima.size == 2
-    assert dressed.local_extrema(y, kind="both").size == 4
+    assert np.union1d(maxima, minima).size == 4
 
 
 def test_validate_spectrum_planted_lorentzians():
@@ -112,8 +112,8 @@ def test_validate_spectrum_planted_lorentzians():
     spectrum = spectra.SpectrumSeries(omega=grid, density=density,
                                       elastic_weight=0.0, kind=spectra.BACKGROUND)
     report = dressed.validate_spectrum(spectrum, peaks, tolerance=0.5)
-    assert report.all_passed
-    assert all(m.offset <= 0.051 for m in report.matches)
+    assert all(m.passed for m in report)
+    assert all(m.offset <= 0.051 for m in report)
 
 
 def test_validate_spectrum_interference_accepts_negative_peaks():
@@ -127,7 +127,7 @@ def test_validate_spectrum_interference_accepts_negative_peaks():
     spectrum = spectra.SpectrumSeries(omega=grid, density=density,
                                       elastic_weight=0.0, kind=spectra.INTERFERENCE)
     report = dressed.validate_spectrum(spectrum, peaks, tolerance=0.5)
-    assert report.all_passed
+    assert all(m.passed for m in report)
 
 
 def test_validate_spectrum_coverage_error():
@@ -136,4 +136,15 @@ def test_validate_spectrum_coverage_error():
     spectrum = spectra.SpectrumSeries(omega=grid, density=lorentzian_comb(grid, [0.0]),
                                       elastic_weight=0.0, kind=spectra.BACKGROUND)
     with pytest.raises(CoverageError):
+        dressed.validate_spectrum(spectrum, peaks, tolerance=0.5)
+
+
+@pytest.mark.parametrize("kind", [spectra.BACKGROUND, spectra.INTERFERENCE])
+def test_validate_spectrum_without_extrema_raises_coverage_error(kind):
+    # a monotone density covers the grid but has nothing to match
+    peaks = dressed.peak_positions(10.0, 0.0)
+    grid = np.arange(-30.0, 30.01, 0.1)
+    spectrum = spectra.SpectrumSeries(omega=grid, density=np.exp(grid / 10.0),
+                                      elastic_weight=0.0, kind=kind)
+    with pytest.raises(CoverageError, match="no local extrema"):
         dressed.validate_spectrum(spectrum, peaks, tolerance=0.5)

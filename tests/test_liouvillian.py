@@ -1,5 +1,6 @@
 """Generator assembly: drive, decay, exchange, and their invariants."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -44,6 +45,14 @@ def test_rabi_for_saturation_inverts():
 def test_negative_saturation_rejected():
     with pytest.raises(DomainError):
         lv.rabi_for_saturation(-0.1, 0.0)
+
+
+def test_saturation_conversions_do_not_overflow():
+    # both sides square neither rabi nor detuning
+    assert lv.saturation(1e200, 0.0) == math.inf
+    assert lv.saturation(1e200, 1e200) == 0.5
+    assert lv.saturation(1.0, 1e200) == 0.0
+    assert lv.rabi_for_saturation(1.0, 1e200) == math.sqrt(2.0) * 1e200
 
 
 # -- parameter validation ----------------------------------------------------
@@ -478,6 +487,20 @@ def test_cached_blocks_are_read_only(v_scheme):
     first, second = (lv.assemble(v_scheme, params, ([0.0], [0.5])) for _ in range(2))
     first.values[0, 0] += 1.0
     assert first.values[0, 0] != second.values[0, 0]
+
+
+def test_block_cache_is_the_stack_of_the_dense_blocks(v_scheme):
+    # the one sparse-stack builder takes the blocks one at a time from an
+    # iterator, as from a list
+    blocks = lv._affine_blocks(v_scheme)
+    listed = lv.GeneratorStack.from_dense(list(lv._dense_blocks(v_scheme)))
+    for part in ("rows", "cols", "values"):
+        assert np.array_equal(getattr(blocks, part), getattr(listed, part))
+
+
+def test_from_dense_rejects_mixed_sizes():
+    with pytest.raises(DimensionError, match="2-level"):
+        lv.GeneratorStack.from_dense(iter([np.zeros((4, 4)), np.zeros((9, 9))]))
 
 
 def test_block_cache_bounded_over_isotropic_average(v_scheme):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cbsim import atoms, cbs, cli, config, liouvillian as lv, solver
-from cbsim.errors import (ConditioningError, ConfigurationError, DomainError,
-                          MultiplicityError)
+from cbsim.errors import (ConditioningError, ConfigurationError, DimensionError,
+                          DomainError, MultiplicityError)
 from conftest import generator_at
 from oracles import correlation, evolve
 
@@ -293,7 +293,7 @@ def test_non_hermiticity_preserving_generator_rejected_before_any_factorization(
     assert spy.calls == [] and svd_calls == []
     # the spy sees the real LU of the generator that does preserve Hermiticity
     solver.steady_state(lv.GeneratorStack.from_dense([gen]))
-    assert spy.calls == ["dgetrf", "dgecon", "dgetrs"]
+    assert spy.calls == ["dgetrf", "dgecon", "dgetrs", "dgetrs"]
 
 
 def nan_two_level():
@@ -319,6 +319,38 @@ def test_steady_state_populations_invariant_under_global_drive_phase():
                       for phases in ((0.0, 0.7), (1.1, 1.8)))
     rho_shift = solver.steady_state(lv.GeneratorStack.from_dense([gen - drive + shifted]))[0]
     assert np.allclose(np.diag(rho_shift).real, np.diag(rho_ref).real, atol=1e-9)
+
+
+# -- density invariants and the exactly singular border -------------------------
+
+
+@pytest.mark.parametrize("rho,match", [
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+    (np.diag([0.6, 0.6]), "trace deviates"),
+    (np.diag([1.1, -0.1]), "negative eigenvalue"),
+], ids=["non_hermitian", "trace", "negative_eigenvalue"])
+def test_density_invariants_rejected(rho, match):
+    with pytest.raises(ConditioningError, match=match):
+        solver.validate_density(rho)
+    with pytest.raises(ConditioningError, match=match):
+        solver.validate_density(np.stack([np.eye(2) / 2, rho]))  # a stack, by its worst
+
+
+def test_exactly_singular_border_with_unique_null_vector_raises_conditioning_error():
+    # L = diag(-1, 0, -1, -1) in the Hermitian basis of 2 x 2 operators has
+    # the one null vector e_1 (sqrt(2) Re rho_01), which is trace-free, so
+    # the bordered M annihilates it too: dgetrf meets an exact zero pivot,
+    # the singular-value check finds nullity 1, and the solve is refused
+    on = np.array([0, 2, 3])
+    stack = lv.GeneratorStack(2, on, on.copy(), np.array([[-1.0, -1.0, -1.0]]))
+    assert (np.linalg.svd(stack.dense(0), compute_uv=False) < 1e-12).sum() == 1
+    with pytest.raises(ConditioningError, match="bordered steady-state system is singular"):
+        solver.steady_state(stack)
+
+
+def test_unvectorize_rejects_non_square_length():
+    with pytest.raises(DimensionError, match="length 5"):
+        solver.unvectorize(np.arange(5.0))
 
 
 # -- time evolution -----------------------------------------------------------
@@ -386,6 +418,19 @@ def test_resolvent_reports_singular_system():
     with pytest.raises(ConditioningError):
         solver.ResolventSolver(np.zeros((4, 4), dtype=complex)).factor(0.0)(
             np.ones(4, dtype=complex))
+
+
+def test_resolvent_residual_bound_enforced(monkeypatch):
+    # every LU solve leaves some roundoff, which a zero bound refuses
+    gen = single_two_level(1.3).standard(0)
+    rhs = np.array([0.3, 1.0, -1.0j, -0.3])
+    solve = solver.ResolventSolver(gen).factor(0.7)
+    system = -gen
+    system.flat[::5] += 0.7j
+    assert np.linalg.norm(system @ solve(rhs) - rhs) > 0
+    monkeypatch.setattr(solver, "RESOLVENT_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ConditioningError, match="resolvent residual"):
+        solve(rhs)
 
 
 def test_resolvent_matches_time_domain_correlation():

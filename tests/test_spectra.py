@@ -38,7 +38,7 @@ def test_correlation_real_part_peaks_at_mollow_positions():
         correlation(stack.standard(0), rho, high, low, w, connected=True).real
         for w in grid
     ])
-    idx = dressed.local_extrema(values, kind="max", min_relative_height=1e-4)
+    idx = dressed.local_maxima(values, 1e-4)
     assert sorted(np.round(grid[idx])) == [-100.0, 0.0, 100.0]
 
 
@@ -415,7 +415,7 @@ def test_default_grid_bounded_before_it_is_built(rabi, options):
 
 def test_mollow_triplet_structure(mollow_spectrum):
     spec, _ = mollow_spectrum
-    idx = dressed.local_extrema(spec.density, kind="max", min_relative_height=1e-6)
+    idx = dressed.local_maxima(spec.density, 1e-6)
     positions = spec.omega[idx]
     assert positions.size == 3
     assert np.allclose(np.sort(positions), [-100.0, 0.0, 100.0], atol=0.5)
