@@ -33,7 +33,11 @@ orbit representatives as a :class:`~cbsim.liouvillian.GeneratorStack`;
 their moments then come from one product of the stacked densities with
 the observables; a spectrum reduces the pole weights of every
 representative to a ladder and a crossed row and sums the poles of all of
-them in one real pole sum.  Intensities are reported in units of the
+them in one real pole sum.  A sweep stacks the representatives of many
+saturations, each with its own Rabi frequency, in bounded stacks of whole
+saturations (``STACK_ENTRIES``): one assembly, one steady-state solve and
+one moment product per stack (and orientation), reduced saturation by
+saturation.  Intensities are reported in units of the
 squared exchange amplitude (3/(2*kr))^2 (gamma = 1) unless
 ``normalize=False``.
 
@@ -52,8 +56,8 @@ import numpy as np
 
 from . import atoms, spectra
 from .errors import CbsimError, ConditioningError, ConfigurationError, DomainError
-from .liouvillian import (MIN_RAW_INTENSITY, PhysicalParams, assemble, rabi_for_saturation,
-                          saturation)
+from .liouvillian import (MIN_RAW_INTENSITY, PhysicalParams, assemble, generator_entries,
+                          rabi_for_saturation, saturation)
 from .solver import steady_state
 
 #: Default phase-grid size per axis: exact at leading order in 1/kr, O(kr^-4) after.
@@ -64,6 +68,9 @@ DEFAULT_ORIENTATIONS = 64
 MAX_SWEEP_POINTS = 10**4
 #: Largest Rabi frequency and |detuning| of a sweep (the generator's norm overflows near 1e153).
 MAX_DRIVE = 1e150
+#: Most generator entries, summed over its phase points, of one stack of a
+#: sweep: about 1 MB per float64 temporary of the stacked solve.
+STACK_ENTRIES = 2**17
 
 _REAL_RESIDUE_TOL = 1e-10
 
@@ -157,11 +164,12 @@ def _detection_operators(scheme):
     return lows, highs
 
 
-def _moment_matrices(scheme, params, phases, detection=None):
+def _moment_matrices(scheme, params, phases, rabi=None, detection=None):
     """<R_j L_k> and <R_j><L_k> for the detected transition at the k points
-    of ``phases``, an (a, p) pair of arrays as in
-    :func:`~cbsim.liouvillian.assemble`: (2, 2, k) moment matrices, with
-    the generator stack and the (k, n, n) densities they come from.
+    of ``phases``, an (a, p) pair of arrays, and the per-point ``rabi`` (or
+    ``params.rabi``) as in :func:`~cbsim.liouvillian.assemble`: (2, 2, k)
+    moment matrices, with the generator stack and the (k, n, n) densities
+    they come from.
 
     ``detection`` is the :func:`_detection_operators` pair of ``scheme``,
     built here when not given.
@@ -169,7 +177,7 @@ def _moment_matrices(scheme, params, phases, detection=None):
     detected intensity real at every b.
     """
     lows, highs = detection or _detection_operators(scheme)
-    stack = assemble(scheme, params, phases)
+    stack = assemble(scheme, params, phases, rabi=rabi)
     rho = steady_state(stack)
     # tr(rho O) = vec(O^T) . vec(rho) in the row-major vectorization.
     observables = [high @ low for high in highs for low in lows] + lows + highs
@@ -222,39 +230,55 @@ def phase_orbits(n_a, n_p):
     return _read_only(*np.unique(np.minimum.reduce(images), return_counts=True))
 
 
-def _phase_average(scheme, params, n_a, n_p, omega_grid=None):
-    """(ladder, crossed) pairs of the total and elastic intensity, plus (given
+def _phase_average(scheme, params, n_a, n_p, rabi=None, omega_grid=None):
+    """Per Rabi frequency of ``rabi`` (default: that of ``params``), the
+    (ladder, crossed) pairs of the total and elastic intensity, plus (given
     ``omega_grid``) of the spectral density over it.
 
     The average runs over all n_a * n_p (a, p) points, but only one point
-    per :func:`phase_orbits` orbit is solved, all in one stack, and its rows
-    count once per orbit member; b is averaged exactly at each.  Only sums
-    over the points are kept, so no per-point spectrum is stored;
-    :func:`harmonic_extract` reduces them.
+    per :func:`phase_orbits` orbit is solved, those of every drive in one
+    stack, and its rows count once per orbit member; b is averaged exactly
+    at each.  Only sums over the points are kept, so no per-point spectrum
+    is stored; :func:`harmonic_extract` reduces them drive by drive.
     """
-    _check_drive_scale(params.rabi, params.detuning, params.kr)
+    rabi = np.asarray([params.rabi] if rabi is None else rabi, dtype=float)
+    for r in rabi:
+        _check_drive_scale(r, params.detuning, params.kr)
     detection = _detection_operators(scheme)
     points, counts = phase_orbits(n_a, n_p)
     a, p = (x[points] for x in phase_grid(n_a, n_p))
-    m, e, stack, rho = _moment_matrices(scheme, params, (a, p), detection=detection)
+    phases = np.tile(a, rabi.size), np.tile(p, rabi.size)
+    m, e, stack, rho = _moment_matrices(scheme, params, phases, rabi=np.repeat(rabi, a.size),
+                                        detection=detection)
     weight = np.exp(1j * a)
-    sums = [_b_harmonics(mat, weight).real @ counts for mat in (m, e)]
-    if omega_grid is not None:
-        lows, highs = detection
-        poles, density = [], np.zeros((2, omega_grid.size))
-        for i in range(len(stack)):
-            seeds = [spectra.connected_initial(rho[i], op) for op in highs]
-            lam, w = spectra.spectral_poles(stack.point(i), rho[i], seeds, lows, omega_grid)
-            rows = counts[i] * _b_harmonics(w, weight[i])
-            if lam is None:  # w holds this point's LU transforms
-                density += rows.real
-            else:
-                poles.append((lam, rows))
-        if poles:
-            lams, rows = zip(*poles)
-            density += spectra.real_pole_sum(np.hstack(lams), np.hstack(rows), omega_grid)
-        sums.append(density / np.pi)
-    return harmonic_extract(sums, n_a * n_p)
+    averages = []
+    for first in range(0, len(stack), a.size):
+        at = slice(first, first + a.size)
+        sums = [_b_harmonics(mat[..., at], weight).real @ counts for mat in (m, e)]
+        if omega_grid is not None:
+            sums.append(_spectral_sum(stack, rho, detection, at, weight, counts, omega_grid))
+        averages.append(harmonic_extract(sums, n_a * n_p))
+    return averages
+
+
+def _spectral_sum(stack, rho, detection, at, weight, counts, omega_grid):
+    """Sum over the points ``at`` of ``stack``, each weighted by its orbit
+    size in ``counts``, of the real :func:`_b_harmonics` rows of the spectral
+    density over ``omega_grid``, divided by pi; ``weight`` is exp(ia) there."""
+    lows, highs = detection
+    poles, density = [], np.zeros((2, omega_grid.size))
+    for i, point_weight, count in zip(range(at.start, at.stop), weight, counts):
+        seeds = [spectra.connected_initial(rho[i], op) for op in highs]
+        lam, w = spectra.spectral_poles(stack.point(i), rho[i], seeds, lows, omega_grid)
+        rows = count * _b_harmonics(w, point_weight)
+        if lam is None:  # w holds this point's LU transforms
+            density += rows.real
+        else:
+            poles.append((lam, rows))
+    if poles:
+        lams, rows = zip(*poles)
+        density += spectra.real_pole_sum(np.hstack(lams), np.hstack(rows), omega_grid)
+    return density / np.pi
 
 
 def harmonic_extract(sums, count):
@@ -321,7 +345,7 @@ def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POIN
     """
     _check_sizes(n_a, n_p)
     params = _resolve_drive(params, s, detuning)
-    total, elastic = _phase_average(scheme, params, n_a, n_p)
+    total, elastic = _phase_average(scheme, params, n_a, n_p)[0]
     scale = exchange_scale(params) if normalize else 1.0
     return _components(total, elastic, scale)
 
@@ -344,13 +368,23 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None,
     """Orientation-averaged components over an isotropic interatomic axis."""
     _check_sizes(n_a, n_p, n_configs, seed)
     params = _resolve_drive(params, s, detuning)
-    sums = np.zeros(4)
+    return _drive_components(scheme, params, [params.rabi], n_a, n_p, n_configs, seed)[0]
+
+
+def _drive_components(scheme, params, rabi, n_a, n_p, n_configs=None, seed=0):
+    """Normalized components at each Rabi frequency of ``rabi``, all solved in
+    one stack per orientation: that of ``params``, or with ``n_configs`` the
+    mean over that many seeded orientations."""
+    if n_configs is None:
+        return [_components(total, elastic, exchange_scale(params))
+                for total, elastic in _phase_average(scheme, params, n_a, n_p, rabi)]
+    sums = np.zeros((len(rabi), 4))
     for orientation in sample_orientations(n_configs, seed):
-        comp = cbs_components(scheme, replace(params, orientation=orientation),
-                              n_a=n_a, n_p=n_p)
-        sums += (comp.l2_el, comp.l2_inel, comp.c2_el, comp.c2_inel)
+        sums += [(comp.l2_el, comp.l2_inel, comp.c2_el, comp.c2_inel) for comp in
+                 _drive_components(scheme, replace(params, orientation=orientation),
+                                   rabi, n_a, n_p)]
     sums /= n_configs
-    return CbsComponents(*sums.tolist())
+    return [CbsComponents(*row) for row in sums.tolist()]
 
 
 # -- saturation sweep -------------------------------------------------------
@@ -386,6 +420,12 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
     that would fail every point, a scheme without a detected channel
     included, intensities that would go subnormal at ``params.kr`` and a
     drive beyond ``MAX_DRIVE`` raise before any point is solved.
+
+    The saturations are solved in stacks of consecutive ones, each holding
+    at most ``STACK_ENTRIES`` generator entries but at least one saturation
+    (all 25 of the README's fig2a sweep in one): one stacked solve per stack
+    and orientation.  When a stack fails, its saturations are solved one by
+    one, so that every error is reported at its own point.
     """
     _check_sizes(n_a, n_p, n_configs, seed)
     s_values = _check_sweep(s_values)
@@ -394,18 +434,26 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
         params = PhysicalParams()
     _check_intensity_scale(s_values, params.kr)
     _check_sweep_drive(s_values, params.detuning if detuning is None else detuning)
-    grid_sizes = dict(n_a=n_a, n_p=n_p)
+    params = _resolve_drive(params, None, detuning)
+    per_saturation = phase_orbits(n_a, n_p)[0].size * generator_entries(scheme)
+    size = max(1, STACK_ENTRIES // per_saturation)
+
+    def solve(chunk):
+        rabi = [rabi_for_saturation(s, params.detuning) for s in chunk]
+        comps = _drive_components(scheme, params, rabi, n_a, n_p, n_configs, seed)
+        return [(s, comp, None) for s, comp in zip(chunk, comps)]
+
     rows = []
-    for s in s_values:
+    for first in range(0, len(s_values), size):
+        chunk = s_values[first:first + size]
         try:
-            if n_configs is None:
-                comp = cbs_components(scheme, params, s=s, detuning=detuning, **grid_sizes)
-            else:
-                comp = cbs_components_isotropic(scheme, params, s=s, detuning=detuning,
-                                                n_configs=n_configs, seed=seed, **grid_sizes)
-            rows.append((s, comp, None))
-        except (CbsimError, np.linalg.LinAlgError) as exc:
-            rows.append((s, None, f"{type(exc).__name__}: {exc}"))
+            rows += solve(chunk)
+        except (CbsimError, np.linalg.LinAlgError):
+            for s in chunk:
+                try:
+                    rows += solve([s])
+                except (CbsimError, np.linalg.LinAlgError) as exc:
+                    rows.append((s, None, f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -433,7 +481,7 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
     """
     _check_sizes(n_a, n_p)
     omega_grid = spectra.checked_grid(omega_grid, params)
-    total, elastic, (ladder_density, crossed_density) = _phase_average(
+    (total, elastic, (ladder_density, crossed_density)), = _phase_average(
         scheme, params, n_a, n_p, omega_grid=omega_grid)
     scale = exchange_scale(params) if normalize else 1.0
     components = _components(total, elastic, scale)

@@ -25,6 +25,7 @@ significant digits, so identical config and seed reproduce identical bytes.
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,18 @@ def _check_battery():
     full = (np.array([low.T.reshape(-1) for low in lows]) @ x).T
     worst = np.abs(reduced - full).max() / np.abs(full).max()
     yield "spectral subspace", worst <= 1e-12, f"max relative deviation = {worst:.2e}"
+
+    # A sweep solves all its saturations in one stack; one solve per saturation checks it.
+    rows = cbs.sweep_alpha_collect(scheme, 0.0, [0.1, 1.0, 10.0])
+    errors = [err for _, _, err in rows if err is not None]
+    if errors:
+        yield "sweep stack", False, errors[0]
+    else:
+        stacked = np.array([astuple(comp) for _, comp, _ in rows])
+        single = np.array([astuple(cbs.cbs_components(scheme, liouvillian.PhysicalParams(),
+                                                      s=s, detuning=0.0)) for s, _, _ in rows])
+        worst = (np.abs(stacked - single) / np.abs(single)).max()
+        yield "sweep stack", worst <= 1e-12, f"max relative deviation = {worst:.2e}"
 
     coarse = cbs.cbs_components(scheme, liouvillian.PhysicalParams(), s=1.0,
                                 detuning=0.0)

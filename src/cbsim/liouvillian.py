@@ -63,7 +63,9 @@ one sparse :class:`GeneratorStack` on the union of their supports (about
 A :class:`GeneratorStack` is the one sparse form of a generator: it holds
 the row and the column of every entry (``rows``, ``cols``, read-only, in
 row-major order) and one row of real values per generator.  A whole grid
-of (a, p) phase points is assembled in one call: generator i of its stack
+of (a, p) phase points, at one Rabi frequency or at one per point (the
+grids of all the saturations of a sweep), is assembled in one call:
+generator i of its stack
 is the row ``coef[i] @ values`` of the block values, shares the index
 arrays of the cached blocks, stays sparse, and is checked for trace
 preservation from its entries.  Offsets into dense arrays are computed
@@ -274,10 +276,17 @@ class GeneratorStack:
     def __len__(self):
         return len(self.values)
 
-    def row_sums(self, weights):
-        """(k, N) sums of the real (k, m) ``weights`` of the entries, per
-        generator and row."""
-        return _grouped_sums(self.rows, weights, self.dim)
+    def apply(self, x):
+        """(k, N) products of generator i with row i of the real (k, N) ``x``,
+        from the entries, 16 generators at a time so that no temporary
+        grows with the stack."""
+        out = np.empty((len(self), self.dim))
+        for first in range(0, len(self), 16):
+            at = slice(first, first + 16)
+            products = np.take(x[at], self.cols, axis=1)
+            products *= self.values[at]
+            out[at] = _grouped_sums(self.rows, products, self.dim)
+        return out
 
     def dense(self, i):
         """Generator i in the Hermitian basis as a dense real N x N array of its own."""
@@ -299,8 +308,8 @@ class GeneratorStack:
         of one Hilbert dimension n = isqrt(N), on the union of their supports
         in the Hermitian basis.  ``generators`` may be any iterable, and only
         one dense array is held at a time.  Raises :class:`DimensionError` for
-        mixed sizes and :class:`ConfigurationError` for a generator that does
-        not preserve Hermiticity."""
+        no generators or mixed sizes and :class:`ConfigurationError` for a
+        generator that does not preserve Hermiticity."""
         entries = []
         for gen in generators:
             gen = np.asarray(gen, dtype=complex)
@@ -310,6 +319,8 @@ class GeneratorStack:
                                      f"{n}-level system")
             gen = _generator_map(gen, "forward").reshape(-1)
             entries.append((np.flatnonzero(gen), gen[gen != 0]))
+        if not entries:
+            raise DimensionError("a generator stack needs at least one generator, got none")
         support = np.unique(np.concatenate([flat for flat, _ in entries]))
         values = np.zeros((len(entries), support.size), dtype=complex)
         for row, (flat, entry) in zip(values, entries):
@@ -466,36 +477,56 @@ def _check_trace_preserving(stack):
     on_trace_row = stack.rows % (stack.hilbert_dim + 1) == 0
     residual = np.abs(_grouped_sums(stack.cols[on_trace_row], values[:, on_trace_row],
                                     stack.dim)).max(axis=1)
-    scale = np.maximum(np.abs(values).max(axis=1, initial=0.0), 1.0)
+    # The largest |entry| per generator, without a stack-sized temporary.
+    largest = np.maximum(values.max(axis=1, initial=0.0), -values.min(axis=1, initial=0.0))
+    scale = np.maximum(largest, 1.0)
     bad = np.flatnonzero(~(residual <= 1e-12 * scale))
     if bad.size:
         raise ConfigurationError("assembled generator is not trace preserving "
                                  f"(max residual {residual[bad[0]]:.3e})")
 
 
-def assemble(scheme, params, phases):
+def assemble(scheme, params, phases, rabi=None):
     """Two-atom generators: drive, decay, and photon exchange, combined
     from the cached affine blocks.
 
     ``phases`` is an (a, p) pair of equal-length sequences of finite
     drive-phase differences and propagation phases (:class:`DomainError`
     otherwise); the result is the :class:`GeneratorStack` of one sparse
-    real generator per pair.  The exchange enters as the coherent amplitude
-    ``-g0 cos(p) T[q, q']`` and the cross damping rate ``2 g0 sin(p) T[q, q']``
-    of every ordered transition pair, with ``g0 = 3 / (2 kr)``.
+    real generator per pair.  ``rabi``, if given, is one Rabi frequency per
+    pair in place of ``params.rabi``, so that the generators of several
+    drives share one stack: a sequence of that length
+    (:class:`DimensionError` otherwise) of finite non-negative values
+    (:class:`DomainError` otherwise).  The exchange enters as the coherent
+    amplitude ``-g0 cos(p) T[q, q']`` and the cross damping rate
+    ``2 g0 sin(p) T[q, q']`` of every ordered transition pair, with
+    ``g0 = 3 / (2 kr)``.
     """
     a, p = (np.asarray(x, dtype=float).reshape(-1) for x in phases)
     if a.shape != p.shape:
         raise DimensionError(f"{a.size} drive phases for {p.size} propagation phases")
     if not (np.isfinite(a).all() and np.isfinite(p).all()):
         raise DomainError("drive and propagation phases must be finite")
-    coefficients = [np.ones_like(a), np.full_like(a, params.detuning),
-                    np.full_like(a, params.rabi), params.rabi * np.cos(a),
-                    params.rabi * np.sin(a), np.cos(p), np.sin(p)]
+    if rabi is None:
+        rabi = np.full_like(a, params.rabi)
+    else:
+        rabi = np.asarray(rabi, dtype=float).reshape(-1)
+        if rabi.shape != a.shape:
+            raise DimensionError(f"{rabi.size} Rabi frequencies for {a.size} phase points")
+        if not np.all((rabi >= 0.0) & (rabi < math.inf)):
+            raise DomainError("Rabi frequencies must be finite and non-negative")
+    coefficients = [np.ones_like(a), np.full_like(a, params.detuning), rabi,
+                    rabi * np.cos(a), rabi * np.sin(a), np.cos(p), np.sin(p)]
     blocks, rows = _affine_rows(scheme, params)
     stack = replace(blocks, values=np.transpose(coefficients) @ rows)
     _check_trace_preserving(stack)
     return stack
+
+
+def generator_entries(scheme):
+    """Number of stored entries of each generator :func:`assemble` builds for
+    ``scheme``, the length of a row of its stack's values."""
+    return _affine_blocks(scheme).rows.size
 
 
 def assemble_single(scheme, params):

@@ -147,7 +147,8 @@ def steady_state(stack):
     only when M is near singular.
     """
     n, dim = stack.hilbert_dim, stack.dim
-    frobenius = np.linalg.norm(stack.values, axis=1)
+    # ||L||_F per generator; einsum forms no stack-sized temporary.
+    frobenius = np.sqrt(np.einsum("ij,ij->i", stack.values, stack.values))
     # When the singular-value check fires, sigma_{N-1}(L) < r sigma_1(L) with
     # N = n^2 and r = NULLITY_RATIO.  M is a rank-one update of L (row 0),
     # so Weyl's inequality gives sigma_min(M) <= sigma_{N-1}(L), and with
@@ -164,8 +165,7 @@ def steady_state(stack):
     triggers = UNIQUENESS_MARGIN * math.sqrt(dim) * NULLITY_RATIO * frobenius
     x = _bordered_solves(stack, triggers)
 
-    # L x from the entries: each entry times its column's coordinate, summed per row.
-    residuals = np.linalg.norm(stack.row_sums(stack.values * x[:, stack.cols]), axis=1)
+    residuals = np.linalg.norm(stack.apply(x), axis=1)
     bad = np.flatnonzero(~(residuals <= STEADY_RESIDUAL_TOL * frobenius))
     if bad.size:
         raise ConditioningError(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, settings
 
 from cbsim import atoms, cbs, liouvillian, spectra
+from cbsim.errors import ConditioningError
 
 # Hypothesis's explain phase re-runs a failing property under a tracer; over
 # these numpy-heavy properties it took minutes and gigabytes of memory before
@@ -42,6 +43,21 @@ def count_phase_points(monkeypatch):
 
     monkeypatch.setattr(cbs, "steady_state", spy)
     return calls
+
+
+def plant_failure_at(monkeypatch, s, detuning=0.0):
+    """Make every generator stack that the backscattering layer assembles
+    with the drive of saturation ``s`` raise :class:`ConditioningError`,
+    below the per-point ``cbs_components``."""
+    real = cbs.assemble
+    target = liouvillian.rabi_for_saturation(s, detuning)
+
+    def planted(scheme, params, phases, rabi=None):
+        if rabi is not None and target in np.asarray(rabi):
+            raise ConditioningError("synthetic failure")
+        return real(scheme, params, phases, rabi=rabi)
+
+    monkeypatch.setattr(cbs, "assemble", planted)
 
 
 def generator_at(scheme, params, a=0.0, p=0.0):

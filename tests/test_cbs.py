@@ -471,7 +471,52 @@ def test_small_s_alpha_linear_decrease(v_scheme):
     assert r2 >= 0.99
 
 
+@pytest.mark.parametrize("saturations,extra,sizes", [
+    (0, 1, [6] * 5), (2, 0, [12, 12, 6]), (2, -1, [6] * 5), (5, 0, [30]),
+], ids=["one_point", "two_saturations", "just_below_two", "one_stack"])
+def test_sweep_spans_stacks_of_whole_saturations(v_scheme, monkeypatch, saturations, extra,
+                                                 sizes):
+    # a budget of that many saturations of 6 orbit points (4 x 4 grid), plus extra entries
+    budget = saturations * 6 * lv.generator_entries(v_scheme) + extra
+    s_values = [0.1, 0.5, 1.0, 2.0, 5.0]
+    one_stack = cbs.sweep_alpha_collect(v_scheme, 0.0, s_values)
+    calls = count_phase_points(monkeypatch)
+    monkeypatch.setattr(cbs, "STACK_ENTRIES", budget)
+    assert cbs.sweep_alpha_collect(v_scheme, 0.0, s_values) == one_stack
+    assert calls == sizes
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from([atoms.V_TYPE, atoms.FULL_J0_J1]),
+       detuning=st.floats(-20.0, 20.0), log_kr=st.floats(1.0, 3.0),
+       log_s=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=4, unique=True),
+       n_a=st.integers(4, 6), n_p=st.integers(4, 6))
+def test_stacked_sweep_matches_pointwise_components(kind, detuning, log_kr, log_s, n_a, n_p):
+    scheme = atoms.build_scheme(kind)
+    params = default_params(kr=10.0**log_kr, orientation=(0.3, -0.5, 0.8))
+    s_values = sorted(10.0**x for x in log_s)
+    rows = cbs.sweep_alpha_collect(scheme, detuning, s_values, params=params, n_a=n_a,
+                                   n_p=n_p)
+    for s, comp, err in rows:
+        assert err is None
+        expected = np.array(astuple(cbs.cbs_components(scheme, params, s=s, detuning=detuning,
+                                                       n_a=n_a, n_p=n_p)))
+        assert np.all(np.abs(np.array(astuple(comp)) - expected) <= 1e-13 * np.abs(expected))
+
+
 # -- spectra ---------------------------------------------------------------------
+
+
+def test_spectrum_with_non_positive_background_area_rejected(v_scheme, monkeypatch):
+    # At rabi <= 1e-7 the inelastic area is roundoff, of either sign from one
+    # drive or machine to the next, so its sign is planted in the pole sum.
+    original = spectra.real_pole_sum
+    monkeypatch.setattr(spectra, "real_pole_sum", lambda *args: -original(*args))
+    params = default_params(rabi=2.0)
+    grid = np.linspace(-5.0, 5.0, 11)
+    assert cbs.cbs_spectrum(v_scheme, params, omega_grid=grid, normalize=False)
+    with pytest.raises(DomainError, match="background spectrum integral is not positive"):
+        cbs.cbs_spectrum(v_scheme, params, omega_grid=grid)
 
 
 def test_background_spectrum_nonnegative(spectrum_on_resonance):
@@ -657,7 +702,7 @@ def test_folded_phase_average_matches_every_point_solved(kind, sizes):
     grid = _peak_grid(10.0, 2.0)
     if kind == atoms.FULL_J0_J1 and sizes not in ((4, 4), (5, 4)):
         grid = None
-    folded = cbs._phase_average(scheme, params, *sizes, omega_grid=grid)
+    folded, = cbs._phase_average(scheme, params, *sizes, omega_grid=grid)
     unfolded = phase_average_unfolded(scheme, params, *sizes, omega_grid=grid)
     got, expected = (np.array(astuple(cbs._components(*pairs[:2], 1.0)))
                      for pairs in (folded, unfolded))

@@ -11,7 +11,7 @@ import pytest
 
 from cbsim import atoms, cbs, cli, config, liouvillian as lv, spectra
 from cbsim.errors import ConfigurationError, DomainError, ParseError
-from conftest import count_phase_points
+from conftest import count_phase_points, plant_failure_at
 from oracles import read_csv
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
@@ -279,17 +279,8 @@ def test_alpha_sweep_lf_endings_and_precision(tmp_path):
 
 
 def test_alpha_sweep_records_point_failures(tmp_path, monkeypatch):
-    from cbsim import cbs as cbs_module
-    from cbsim.errors import ConditioningError
-
-    real = cbs_module.cbs_components
-
-    def failing(scheme, params, s=None, **kwargs):
-        if s is not None and s > 1.0:
-            raise ConditioningError("synthetic failure")
-        return real(scheme, params, s=s, **kwargs)
-
-    monkeypatch.setattr(cbs_module, "cbs_components", failing)
+    # planted below cbs_components, which a sweep no longer calls per point
+    plant_failure_at(monkeypatch, 2.0)
     cfg = config.parse_config("sweep_s = 0.5, 2.0\n")
     cfg.output_dir = str(tmp_path)
     path, failures = cli.run_alpha_sweep(cfg)
@@ -298,6 +289,29 @@ def test_alpha_sweep_records_point_failures(tmp_path, monkeypatch):
     assert rows[0][-1] == ""
     assert "ConditioningError" in rows[1][-1]
     assert rows[1][2] == ""  # numeric columns left empty on failure
+
+
+@pytest.mark.parametrize("mode", ["", "orientation_mode = isotropic\nn_configs = 2\n"],
+                         ids=["fixed", "isotropic"])
+def test_failed_stack_fails_only_the_row_of_its_failing_point(tmp_path, monkeypatch,
+                                                              capsys, mode):
+    # the stack of all four saturations fails; solved one by one, only s = 2 does
+    def data_lines(name):
+        path = tmp_path / name
+        path.mkdir()
+        (path / "run.cfg").write_text(f"sweep_s = 0.5, 1, 2, 4\n{mode}output_dir = {path}\n")
+        code = cli.main(["alpha-sweep", str(path / "run.cfg")])
+        lines = (path / "alpha_sweep.csv").read_bytes().split(b"\n")
+        return code, [line for line in lines if not line.startswith(b"#")]
+
+    clean_code, clean = data_lines("clean")
+    plant_failure_at(monkeypatch, 2.0)
+    code, planted = data_lines("planted")
+    assert (clean_code, code) == (0, 2)
+    assert capsys.readouterr().err.count("ERROR") == 1
+    assert b"ConditioningError: synthetic failure" in planted[3]
+    del clean[3], planted[3]
+    assert planted == clean
 
 
 def test_alpha_sweep_requires_sweep_key(tmp_path):
@@ -531,6 +545,17 @@ def test_weak_sweep_at_default_kr_still_written(tmp_path):
 SPECTRUM_CONFIG = "rabi = 8\nomega_span = 40\n"
 
 
+def test_spectrum_with_non_positive_background_area_writes_nothing(tmp_path, monkeypatch,
+                                                                    capsys):
+    original = spectra.real_pole_sum
+    monkeypatch.setattr(spectra, "real_pole_sum", lambda *args: -original(*args))
+    (tmp_path / "run.cfg").write_text(SPECTRUM_CONFIG + f"output_dir = {tmp_path}\n")
+    assert cli.main(["spectrum", str(tmp_path / "run.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err == "ERROR: background spectrum integral is not positive\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_spectrum_csv_and_report(tmp_path):
     cfg = config.parse_config(SPECTRUM_CONFIG)
     cfg.output_dir = str(tmp_path)
@@ -710,6 +735,8 @@ def test_cli_check_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
     assert "PASS - phase-point symmetries" in out
     assert "PASS - spectral subspace" in out
+    assert "PASS - sweep stack" in out
+    assert out.count("PASS - ") == 13
 
 
 def test_cli_check_reports_a_spectral_subspace_that_drops_a_coordinate(monkeypatch, capsys):
@@ -726,6 +753,27 @@ def test_cli_check_reports_a_broken_phase_point_symmetry(monkeypatch, capsys):
                         lambda mat, weight: original(mat, weight * np.exp(0.1j)))
     assert cli.main(["check"]) == 2
     assert "FAIL - phase-point symmetries" in capsys.readouterr().out
+
+
+def test_cli_check_reports_a_sweep_stack_off_its_pointwise_solves(monkeypatch, capsys):
+    # a drive off by 1e-9 whenever a stack holds several saturations
+    original = cbs.assemble
+
+    def shifted(scheme, params, phases, rabi=None):
+        if rabi is not None and len(set(np.asarray(rabi).tolist())) > 1:
+            rabi = np.asarray(rabi) * (1.0 + 1e-9)
+        return original(scheme, params, phases, rabi=rabi)
+
+    monkeypatch.setattr(cbs, "assemble", shifted)
+    assert cli.main(["check"]) == 2
+    assert "FAIL - sweep stack (max relative deviation = " in capsys.readouterr().out
+
+
+def test_cli_check_reports_a_failed_sweep_point(monkeypatch, capsys):
+    plant_failure_at(monkeypatch, 10.0)  # a saturation that only the sweep solves
+    assert cli.main(["check"]) == 2
+    assert ("FAIL - sweep stack (ConditioningError: synthetic failure)"
+            in capsys.readouterr().out)
 
 
 def test_cli_check_reports_failing_steady_state_and_continues(monkeypatch, capsys):

@@ -470,6 +470,28 @@ def test_stack_slices_equal_single_point_assembly(v_scheme):
         lv.assemble(v_scheme, params, (a, p[:2]))
 
 
+def test_per_point_rabi_equals_one_drive_per_stack(v_scheme):
+    # a sweep assembles the drives of all its saturations in one stack
+    a, p, rabi = [0.0, 0.9, 4.0], [3.0, 0.1, 5.5], [0.3, 0.0, 7.5]
+    stack = lv.assemble(v_scheme, lv.PhysicalParams(rabi=2.0, detuning=-0.4), (a, p),
+                        rabi=rabi)
+    for i in range(3):
+        alone = lv.assemble(v_scheme, lv.PhysicalParams(rabi=rabi[i], detuning=-0.4),
+                            ([a[i]], [p[i]]))
+        assert np.array_equal(stack.values[i], alone.values[0])
+    assert stack.values.size == 3 * lv.generator_entries(v_scheme)
+
+
+@pytest.mark.parametrize("rabi,error", [
+    ([1.0, 2.0], DimensionError), ([1.0, -1.0, 2.0], DomainError),
+    ([1.0, np.nan, 2.0], DomainError), ([1.0, np.inf, 2.0], DomainError),
+], ids=["length", "negative", "nan", "inf"])
+def test_per_point_rabi_checked(v_scheme, rabi, error):
+    with pytest.raises(error, match="Rabi frequencies"):
+        lv.assemble(v_scheme, lv.PhysicalParams(), ([0.0, 1.0, 2.0], [0.5, 1.5, 2.5]),
+                    rabi=rabi)
+
+
 def test_cached_blocks_are_read_only(v_scheme):
     params = lv.PhysicalParams(rabi=2.0)
     blocks = lv._affine_blocks(v_scheme)
@@ -503,6 +525,12 @@ def test_from_dense_rejects_mixed_sizes():
         lv.GeneratorStack.from_dense(iter([np.zeros((4, 4)), np.zeros((9, 9))]))
 
 
+@pytest.mark.parametrize("generators", [[], iter(())], ids=["list", "iterator"])
+def test_from_dense_rejects_no_generators(generators):
+    with pytest.raises(DimensionError, match="at least one generator, got none"):
+        lv.GeneratorStack.from_dense(generators)
+
+
 def test_block_cache_bounded_over_isotropic_average(v_scheme):
     # every orientation, and any other kr, reuse the scheme's one set
     lv._affine_blocks.cache_clear()
@@ -513,12 +541,13 @@ def test_block_cache_bounded_over_isotropic_average(v_scheme):
 
 
 def test_two_orientation_average_reuses_blocks_across_saturations(v_scheme):
-    # an isotropic sweep loops over orientations inside every saturation;
-    # each phase grid looks the scheme's one set up once
+    # an isotropic sweep solves all its saturations in one stack per
+    # orientation: the scheme's one set is looked up once to size the stacks
+    # and once per orientation
     lv._affine_blocks.cache_clear()
     cbs.sweep_alpha_collect(v_scheme, 0.0, [0.5, 2.0], n_configs=2, seed=3)
     info = lv._affine_blocks.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_non_hermitian_weights_rejected(v_scheme, monkeypatch):
