@@ -64,6 +64,10 @@ from .solver import steady_state
 DEFAULT_PHASE_POINTS = 4
 #: Default number of seeded axes of an isotropic average.
 DEFAULT_ORIENTATIONS = 64
+#: Most points per phase axis: 8 times the 8 of the largest grid the package solves.
+MAX_PHASE_POINTS = 64
+#: Most seeded axes of an isotropic average: about 156 times the default 64.
+MAX_ORIENTATIONS = 10**4
 #: Most saturations a sweep may hold: 400 times the 25 of the README's fig2a sweep.
 MAX_SWEEP_POINTS = 10**4
 #: Largest Rabi frequency and |detuning| of a sweep (the generator's norm overflows near 1e153).
@@ -109,18 +113,21 @@ class CbsComponents:
 
 def _check_sizes(n_a=4, n_p=4, n_configs=None, seed=0):
     """Raise :class:`ConfigurationError` unless the phase-grid sizes are
-    integers of at least 4, ``n_configs``, if given, a positive integer and
-    ``seed`` a non-negative one."""
+    integers from 4 to ``MAX_PHASE_POINTS``, ``n_configs``, if given, an
+    integer from 1 to ``MAX_ORIENTATIONS`` and ``seed`` a non-negative one."""
     why = "at least 4 points per phase are needed to separate harmonics through order 2"
-    sizes = [("n_a", n_a, 4, why), ("n_p", n_p, 4, why),
-             ("seed", seed, 0, "the orientation sampler takes non-negative seeds")]
+    sizes = [("n_a", n_a, 4, MAX_PHASE_POINTS, why), ("n_p", n_p, 4, MAX_PHASE_POINTS, why),
+             ("seed", seed, 0, np.inf, "the orientation sampler takes non-negative seeds")]
     if n_configs is not None:
-        sizes.append(("n_configs", n_configs, 1, "at least one orientation is needed"))
-    for name, n, least, why in sizes:
+        sizes.append(("n_configs", n_configs, 1, MAX_ORIENTATIONS,
+                      "at least one orientation is needed"))
+    for name, n, least, most, why in sizes:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise ConfigurationError(f"{name} must be an integer, got {n!r}")
         if n < least:
             raise ConfigurationError(f"{name} = {n} too small; {why}")
+        if n > most:
+            raise ConfigurationError(f"{name} = {n:,} too large; at most {most:,} are allowed")
 
 
 def phase_values(n):
@@ -230,10 +237,10 @@ def phase_orbits(n_a, n_p):
     return _read_only(*np.unique(np.minimum.reduce(images), return_counts=True))
 
 
-def _phase_average(scheme, params, n_a, n_p, rabi=None, omega_grid=None):
-    """Per Rabi frequency of ``rabi`` (default: that of ``params``), the
-    (ladder, crossed) pairs of the total and elastic intensity, plus (given
-    ``omega_grid``) of the spectral density over it.
+def _phase_average(scheme, params, n_a, n_p, rabi, omega_grid=None):
+    """Per Rabi frequency of ``rabi``, the (ladder, crossed) pairs of the
+    total and elastic intensity, plus (given ``omega_grid``) of the spectral
+    density over it.  The callers check each drive where it enters.
 
     The average runs over all n_a * n_p (a, p) points, but only one point
     per :func:`phase_orbits` orbit is solved, those of every drive in one
@@ -241,13 +248,10 @@ def _phase_average(scheme, params, n_a, n_p, rabi=None, omega_grid=None):
     at each.  Only sums over the points are kept, so no per-point spectrum
     is stored; :func:`harmonic_extract` reduces them drive by drive.
     """
-    rabi = np.asarray([params.rabi] if rabi is None else rabi, dtype=float)
-    for r in rabi:
-        _check_drive_scale(r, params.detuning, params.kr)
     detection = _detection_operators(scheme)
     points, counts = phase_orbits(n_a, n_p)
     a, p = (x[points] for x in phase_grid(n_a, n_p))
-    phases = np.tile(a, rabi.size), np.tile(p, rabi.size)
+    phases = np.tile(a, len(rabi)), np.tile(p, len(rabi))
     m, e, stack, rho = _moment_matrices(scheme, params, phases, rabi=np.repeat(rabi, a.size),
                                         detection=detection)
     weight = np.exp(1j * a)
@@ -321,18 +325,20 @@ def _check_sweep_drive(s_values, detuning):
 
 
 def _resolve_drive(params, s, detuning):
+    """``params`` with the given ``s`` and ``detuning``, checked by :func:`_check_drive_scale`."""
     if detuning is not None:
         params = replace(params, detuning=float(detuning))
     if s is not None:
         params = replace(params, rabi=rabi_for_saturation(s, params.detuning))
+    _check_drive_scale(params.rabi, params.detuning, params.kr)
     return params
 
 
-def _components(total, elastic, scale):
-    """Components from the (ladder, crossed) pairs of the total and elastic intensity."""
+def _parts(total, elastic):
+    """[l2_el, l2_inel, c2_el, c2_inel] from the (ladder, crossed) pairs of
+    the total and elastic intensity."""
     (ladder, crossed), (ladder_el, crossed_el) = total, elastic
-    parts = np.array([ladder_el, ladder - ladder_el, crossed_el, crossed - crossed_el])
-    return CbsComponents(*(parts / scale).tolist())
+    return np.array([ladder_el, ladder - ladder_el, crossed_el, crossed - crossed_el])
 
 
 def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POINTS,
@@ -345,9 +351,8 @@ def cbs_components(scheme, params, s=None, detuning=None, n_a=DEFAULT_PHASE_POIN
     """
     _check_sizes(n_a, n_p)
     params = _resolve_drive(params, s, detuning)
-    total, elastic = _phase_average(scheme, params, n_a, n_p)[0]
-    scale = exchange_scale(params) if normalize else 1.0
-    return _components(total, elastic, scale)
+    return _drive_components(scheme, params, [params.rabi], n_a, n_p, [params.orientation],
+                             normalize)[0]
 
 
 def sample_orientations(n_configs, seed):
@@ -368,23 +373,18 @@ def cbs_components_isotropic(scheme, params, s=None, detuning=None,
     """Orientation-averaged components over an isotropic interatomic axis."""
     _check_sizes(n_a, n_p, n_configs, seed)
     params = _resolve_drive(params, s, detuning)
-    return _drive_components(scheme, params, [params.rabi], n_a, n_p, n_configs, seed)[0]
+    return _drive_components(scheme, params, [params.rabi], n_a, n_p,
+                             sample_orientations(n_configs, seed))[0]
 
 
-def _drive_components(scheme, params, rabi, n_a, n_p, n_configs=None, seed=0):
-    """Normalized components at each Rabi frequency of ``rabi``, all solved in
-    one stack per orientation: that of ``params``, or with ``n_configs`` the
-    mean over that many seeded orientations."""
-    if n_configs is None:
-        return [_components(total, elastic, exchange_scale(params))
-                for total, elastic in _phase_average(scheme, params, n_a, n_p, rabi)]
-    sums = np.zeros((len(rabi), 4))
-    for orientation in sample_orientations(n_configs, seed):
-        sums += [(comp.l2_el, comp.l2_inel, comp.c2_el, comp.c2_inel) for comp in
-                 _drive_components(scheme, replace(params, orientation=orientation),
-                                   rabi, n_a, n_p)]
-    sums /= n_configs
-    return [CbsComponents(*row) for row in sums.tolist()]
+def _drive_components(scheme, params, rabi, n_a, n_p, axes, normalize=True):
+    """Components at each Rabi frequency of ``rabi``, the mean over the
+    interatomic axes ``axes`` of one stacked phase average per axis; in
+    units of the squared exchange amplitude if ``normalize``."""
+    scale = exchange_scale(params) if normalize else 1.0
+    sums = sum(np.array([_parts(*pairs) for pairs in _phase_average(
+        scheme, replace(params, orientation=axis), n_a, n_p, rabi)]) / scale for axis in axes)
+    return [CbsComponents(*row) for row in (sums / len(axes)).tolist()]
 
 
 # -- saturation sweep -------------------------------------------------------
@@ -433,14 +433,15 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
     if params is None:
         params = PhysicalParams()
     _check_intensity_scale(s_values, params.kr)
-    _check_sweep_drive(s_values, params.detuning if detuning is None else detuning)
-    params = _resolve_drive(params, None, detuning)
+    params = replace(params, detuning=params.detuning if detuning is None else float(detuning))
+    _check_sweep_drive(s_values, params.detuning)
+    axes = [params.orientation] if n_configs is None else sample_orientations(n_configs, seed)
     per_saturation = phase_orbits(n_a, n_p)[0].size * generator_entries(scheme)
     size = max(1, STACK_ENTRIES // per_saturation)
 
     def solve(chunk):
         rabi = [rabi_for_saturation(s, params.detuning) for s in chunk]
-        comps = _drive_components(scheme, params, rabi, n_a, n_p, n_configs, seed)
+        comps = _drive_components(scheme, params, rabi, n_a, n_p, axes)
         return [(s, comp, None) for s, comp in zip(chunk, comps)]
 
     rows = []
@@ -481,10 +482,11 @@ def cbs_spectrum(scheme, params, omega_grid=None, n_a=DEFAULT_PHASE_POINTS,
     """
     _check_sizes(n_a, n_p)
     omega_grid = spectra.checked_grid(omega_grid, params)
+    _check_drive_scale(params.rabi, params.detuning, params.kr)
     (total, elastic, (ladder_density, crossed_density)), = _phase_average(
-        scheme, params, n_a, n_p, omega_grid=omega_grid)
+        scheme, params, n_a, n_p, [params.rabi], omega_grid=omega_grid)
     scale = exchange_scale(params) if normalize else 1.0
-    components = _components(total, elastic, scale)
+    components = CbsComponents(*(_parts(total, elastic) / scale).tolist())
 
     if normalize:
         norm = float(np.trapezoid(ladder_density, omega_grid))

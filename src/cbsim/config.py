@@ -18,20 +18,22 @@ kr                    100.0                    dimensionless interatomic distanc
 sweep_s               (none)                   saturation sweep: ``logspace(lo, hi, n)``
                                                or a comma-separated list
 rabi                  (none)                   single Rabi frequency (spectrum mode)
-n_phase_a             4                        drive-phase grid points (see below)
-n_phase_p             4                        propagation-phase grid points
+n_phase_a             4                        drive-phase grid points, 4 to 64
+                                               (see below)
+n_phase_p             4                        propagation-phase grid points, 4 to 64
 omega_span            auto                     half-width of the frequency grid;
                                                ``auto`` = 2.5 x generalized Rabi
 orientation_mode      fixed                    fixed | isotropic interatomic axis
                                                (isotropic: alpha-sweep only)
 orientation           1,0,0                    axis used in fixed mode
-n_configs             64                       isotropic-average sample count
+n_configs             64                       isotropic-average sample count,
+                                               1 to 10000
 seed                  0                        non-negative RNG seed (isotropic sampling)
 output_dir            .                        directory for emitted artifacts
 ====================  =======================  =====================================
 
-The drive phase a and the propagation phase p are sampled on grids of at
-least 4 points, which leave an aliasing error of order kr^-4 that larger
+The drive phase a and the propagation phase p are sampled on grids of 4
+to 64 points, which leave an aliasing error of order kr^-4 that larger
 grids refine; the detection phase b is averaged exactly, so it has no grid
 key.  The frequency steps are those of the library's default grid.  A
 saturation (of each ``sweep_s`` value, or of ``rabi`` and ``detuning``)

@@ -58,7 +58,9 @@ v_type, 23 for full_j0_j1) and kept read-only in the Hermitian basis as
 one sparse :class:`GeneratorStack` on the union of their supports (about
 4% of the 256 x 256 full_j0_j1 generator), built by
 :meth:`GeneratorStack.from_dense` one dense block at a time;
-:func:`assemble` folds g0 and the c_E into seven rows and combines them.
+:func:`assemble` weights them by one row of 5 + 2 n_t^2 coefficients per
+phase point, [1, delta, rabi, rabi cos(a), rabi sin(a), g0 cos(p) c_E,
+g0 sin(p) c_E], in one product with the cached block values.
 
 A :class:`GeneratorStack` is the one sparse form of a generator: it holds
 the row and the column of every entry (``rows``, ``cols``, read-only, in
@@ -460,15 +462,6 @@ def _affine_blocks(scheme):
     return blocks
 
 
-def _affine_rows(scheme, params):
-    """The cached blocks and the seven rows [D, H_delta, H_1, H_2c, H_2s,
-    X_c, X_s] of their values at the kr and T of ``params``."""
-    blocks = _affine_blocks(scheme)
-    c = _real_values(hermitian_coordinates(transverse_weights(scheme, params).ravel()))
-    exchange = 1.5 / params.kr * c @ blocks.values[5:].reshape(2, c.size, -1)
-    return blocks, np.vstack([blocks.values[:5], exchange])
-
-
 def _check_trace_preserving(stack):
     """Raise :class:`ConfigurationError` unless every generator L of the
     stack has tr(L x) = 0, i.e. vanishing column sums over the rows j*n + j
@@ -500,7 +493,8 @@ def assemble(scheme, params, phases, rabi=None):
     (:class:`DomainError` otherwise).  The exchange enters as the coherent
     amplitude ``-g0 cos(p) T[q, q']`` and the cross damping rate
     ``2 g0 sin(p) T[q, q']`` of every ordered transition pair, with
-    ``g0 = 3 / (2 kr)``.
+    ``g0 = 3 / (2 kr)``: one product of the coefficient rows of the module
+    docstring with the cached block values.
     """
     a, p = (np.asarray(x, dtype=float).reshape(-1) for x in phases)
     if a.shape != p.shape:
@@ -515,10 +509,13 @@ def assemble(scheme, params, phases, rabi=None):
             raise DimensionError(f"{rabi.size} Rabi frequencies for {a.size} phase points")
         if not np.all((rabi >= 0.0) & (rabi < math.inf)):
             raise DomainError("Rabi frequencies must be finite and non-negative")
-    coefficients = [np.ones_like(a), np.full_like(a, params.detuning), rabi,
-                    rabi * np.cos(a), rabi * np.sin(a), np.cos(p), np.sin(p)]
-    blocks, rows = _affine_rows(scheme, params)
-    stack = replace(blocks, values=np.transpose(coefficients) @ rows)
+    c = 1.5 / params.kr * _real_values(
+        hermitian_coordinates(transverse_weights(scheme, params).ravel()))
+    coefficients = np.column_stack([np.ones_like(a), np.full_like(a, params.detuning), rabi,
+                                    rabi * np.cos(a), rabi * np.sin(a),
+                                    np.outer(np.cos(p), c), np.outer(np.sin(p), c)])
+    blocks = _affine_blocks(scheme)
+    stack = replace(blocks, values=coefficients @ blocks.values)
     _check_trace_preserving(stack)
     return stack
 

@@ -45,6 +45,17 @@ def count_phase_points(monkeypatch):
     return calls
 
 
+def forbid_builders(monkeypatch):
+    """Make the phase-grid, orbit and orientation builders of the
+    backscattering layer raise from now on: an input rejected while they
+    stay unused is rejected before any array is built."""
+    def unbuilt(*args):
+        raise AssertionError(f"an oversized input was built: {args}")
+
+    for name in ("phase_grid", "phase_orbits", "sample_orientations"):
+        monkeypatch.setattr(cbs, name, unbuilt)
+
+
 def plant_failure_at(monkeypatch, s, detuning=0.0):
     """Make every generator stack that the backscattering layer assembles
     with the drive of saturation ``s`` raise :class:`ConditioningError`,

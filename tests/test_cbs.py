@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cbsim import atoms, cbs, dressed, liouvillian as lv, solver, spectra
 from cbsim.errors import ConditioningError, ConfigurationError, DomainError
-from conftest import completed_sweep, count_phase_points, generator_at, uncoupled_pair
+from conftest import (completed_sweep, count_phase_points, forbid_builders, generator_at,
+                      uncoupled_pair)
 from oracles import correlation, phase_average_unfolded
 
 
@@ -108,6 +109,26 @@ def test_non_integral_or_empty_sizes_rejected_before_any_steady_state(
     with pytest.raises(ConfigurationError, match=next(iter(sizes))):
         observable(v_scheme, default_params(rabi=2.0), **sizes)
     assert calls == []
+
+
+@pytest.mark.parametrize("observable,sizes", [
+    (cbs.cbs_components, dict(n_a=10**9)),
+    (cbs.cbs_components, dict(n_p=cbs.MAX_PHASE_POINTS + 1)),
+    (cbs.cbs_components_isotropic, dict(n_configs=10**9)),
+    (cbs.cbs_components_isotropic, dict(n_a=cbs.MAX_PHASE_POINTS + 1)),
+    (_sweep, dict(n_a=10**9)),
+    (_sweep, dict(n_configs=cbs.MAX_ORIENTATIONS + 1)),
+    (cbs.cbs_spectrum, dict(n_p=10**9)),
+], ids=["components_n_a_1e9", "components_n_p_65", "isotropic_n_configs_1e9",
+        "isotropic_n_a_65", "sweep_n_a_1e9", "sweep_n_configs_10001", "spectrum_n_p_1e9"])
+def test_oversized_sizes_rejected_before_any_array_is_built(v_scheme, monkeypatch, observable,
+                                                            sizes):
+    # n_a = 1e9 used to pass: phase_orbits then asked np.arange for 4e9
+    # indices, and n_configs = 1e9 had sample_orientations build 1e9 tuples
+    cbs._check_sizes(cbs.MAX_PHASE_POINTS, cbs.MAX_PHASE_POINTS, cbs.MAX_ORIENTATIONS)  # allowed
+    forbid_builders(monkeypatch)
+    with pytest.raises(ConfigurationError, match=f"{next(iter(sizes))} = .* too large"):
+        observable(v_scheme, default_params(rabi=2.0), **sizes)
 
 
 @pytest.mark.parametrize("kind,s_values,error", [
@@ -443,6 +464,19 @@ def test_isotropic_average_is_seed_deterministic(v_scheme):
     assert other != first
 
 
+@pytest.mark.parametrize("kind", [atoms.V_TYPE, atoms.FULL_J0_J1])
+def test_isotropic_average_is_the_mean_over_its_axes(kind):
+    # pinned bit for bit: the isotropic components are np.mean of the
+    # fixed-axis components over the seeded axes
+    scheme, params = atoms.build_scheme(kind), default_params(kr=50.0)
+    drive = dict(s=0.7, detuning=3.0)
+    isotropic = cbs.cbs_components_isotropic(scheme, params, n_configs=3, seed=5, **drive)
+    fixed = [astuple(cbs.cbs_components(scheme, default_params(kr=50.0, orientation=axis),
+                                        **drive))
+             for axis in cbs.sample_orientations(3, 5)]
+    assert astuple(isotropic) == tuple(np.mean(fixed, axis=0).tolist())
+
+
 # -- sweeps ----------------------------------------------------------------------
 
 
@@ -702,10 +736,9 @@ def test_folded_phase_average_matches_every_point_solved(kind, sizes):
     grid = _peak_grid(10.0, 2.0)
     if kind == atoms.FULL_J0_J1 and sizes not in ((4, 4), (5, 4)):
         grid = None
-    folded, = cbs._phase_average(scheme, params, *sizes, omega_grid=grid)
+    folded, = cbs._phase_average(scheme, params, *sizes, [params.rabi], omega_grid=grid)
     unfolded = phase_average_unfolded(scheme, params, *sizes, omega_grid=grid)
-    got, expected = (np.array(astuple(cbs._components(*pairs[:2], 1.0)))
-                     for pairs in (folded, unfolded))
+    got, expected = (cbs._parts(*pairs[:2]) for pairs in (folded, unfolded))
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
     if grid is not None:
         for got, expected in zip(folded[2], unfolded[2]):

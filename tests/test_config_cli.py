@@ -11,7 +11,7 @@ import pytest
 
 from cbsim import atoms, cbs, cli, config, liouvillian as lv, spectra
 from cbsim.errors import ConfigurationError, DomainError, ParseError
-from conftest import count_phase_points, plant_failure_at
+from conftest import count_phase_points, forbid_builders, plant_failure_at
 from oracles import read_csv
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
@@ -135,8 +135,12 @@ _LIBRARY_RULES = {
         _V_TYPE, 0.0, np.geomspace(1.0, 10.0, 10001))),
     "n_phase_a": ("2", lambda: cbs.cbs_components(_V_TYPE, lv.PhysicalParams(), n_a=2)),
     "n_phase_p": ("3", lambda: cbs.cbs_components(_V_TYPE, lv.PhysicalParams(), n_p=3)),
+    "n_phase_a-large": ("65", lambda: cbs.cbs_components(_V_TYPE, lv.PhysicalParams(), n_a=65)),
+    "n_phase_p-large": ("65", lambda: cbs.cbs_components(_V_TYPE, lv.PhysicalParams(), n_p=65)),
     "n_configs": ("0", lambda: cbs.cbs_components_isotropic(
         _V_TYPE, lv.PhysicalParams(), s=0.5, n_configs=0)),
+    "n_configs-large": ("10001", lambda: cbs.cbs_components_isotropic(
+        _V_TYPE, lv.PhysicalParams(), s=0.5, n_configs=10001)),
     "seed": ("-1", lambda: cbs.cbs_components_isotropic(
         _V_TYPE, lv.PhysicalParams(), s=0.5, seed=-1)),
     "omega_span": ("1e308", lambda: spectra.default_omega_grid(8.0, 0.0, span=1e308)),
@@ -679,6 +683,37 @@ def test_sweep_length_bounded_before_the_sweep_is_built(tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+@pytest.mark.parametrize("command,text,key", [
+    ("alpha-sweep", "sweep_s = 0.5\nn_phase_a = 1000000000\n", "n_phase_a"),
+    ("alpha-sweep", "sweep_s = 0.5\norientation_mode = isotropic\nn_configs = 1000000000\n",
+     "n_configs"),
+    ("spectrum", "rabi = 8\nn_phase_p = 1000000000\n", "n_phase_p"),
+], ids=["sweep_n_phase_a", "sweep_n_configs", "spectrum_n_phase_p"])
+def test_oversized_grid_or_average_rejected_before_anything_is_built(tmp_path, monkeypatch,
+                                                                     capsys, command, text, key):
+    # these used to pass parse time and end in a MemoryError traceback
+    forbid_builders(monkeypatch)
+    with pytest.raises(ParseError, match="too large") as info:
+        config.parse_config(text)
+    assert (info.value.line, info.value.key) == (text.count("\n"), key)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text + f"output_dir = {tmp_path}\n")
+    assert cli.main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR:") and err.count("\n") == 1 and f"key '{key}'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_cli_main_spectrum_writes_both_artifacts(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text(SMALL_RUNS["spectrum"][1] + f"output_dir = {tmp_path}\n")
+    assert cli.main(["spectrum", str(tmp_path / "run.cfg")]) == 0
+    csv_path, report_path = tmp_path / "spectrum.csv", tmp_path / "spectrum_peaks.txt"
+    assert capsys.readouterr().out == f"wrote {csv_path}\nwrote {report_path}\n"
+    metadata, header, rows = read_csv(csv_path)
+    assert "rabi = 8.0" in metadata and header == cli.SPECTRUM_HEADER.split(",") and rows
+    assert report_path.read_text().startswith("spectrum peak report\n")
+
+
 def test_spectrum_requires_rabi(tmp_path):
     cfg = config.parse_config("detuning = 1\n")
     cfg.output_dir = str(tmp_path)
@@ -744,6 +779,22 @@ def test_cli_check_reports_a_spectral_subspace_that_drops_a_coordinate(monkeypat
     monkeypatch.setattr(spectra, "_coupled", lambda *args: original(*args)[1:])
     assert cli.main(["check"]) == 2
     assert "FAIL - spectral subspace" in capsys.readouterr().out
+
+
+def test_cli_check_reports_a_generator_that_does_not_preserve_the_trace(monkeypatch, capsys):
+    # a population that leaks at rate 1e-6 out of the trace: one column of
+    # the trace rows no longer sums to zero
+    original = lv.GeneratorStack.standard
+
+    def leaking(stack, i):
+        gen = original(stack, i)
+        gen[0, 0] -= 1e-6
+        return gen
+
+    monkeypatch.setattr(lv.GeneratorStack, "standard", leaking)
+    assert cli.main(["check"]) == 2
+    assert "FAIL - trace preservation (max trace-row column sum = 1.00e-06)" in \
+        capsys.readouterr().out
 
 
 def test_cli_check_reports_a_broken_phase_point_symmetry(monkeypatch, capsys):
