@@ -17,21 +17,18 @@ SIGMA_PLUS = "sigma_plus"
 SIGMA_MINUS = "sigma_minus"
 PI = "pi"
 
-POLARIZATIONS = (SIGMA_PLUS, SIGMA_MINUS, PI)
-
 # Spherical polarization unit vectors, quantization axis along z (the laser
-# propagation direction).
+# propagation direction), keyed by the labels ``POLARIZATIONS`` lists.
 POLARIZATION_VECTORS = {
     SIGMA_PLUS: np.array([-1.0, -1.0j, 0.0]) / np.sqrt(2.0),
     SIGMA_MINUS: np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0),
     PI: np.array([0.0, 0.0, 1.0], dtype=complex),
 }
+POLARIZATIONS = tuple(POLARIZATION_VECTORS)
 
 TWO_LEVEL = "two_level"
 V_TYPE = "v_type"
 FULL_J0_J1 = "full_j0_j1"
-
-SCHEME_KINDS = (TWO_LEVEL, V_TYPE, FULL_J0_J1)
 
 
 @dataclass(frozen=True)
@@ -97,38 +94,29 @@ class LevelScheme:
         return tuple(sorted({t.upper for t in self.transitions}))
 
 
+_SCHEMES = {scheme.kind: scheme for scheme in (
+    LevelScheme(TWO_LEVEL, ("|1>", "|4>"), (Transition(0, 1, SIGMA_PLUS),)),
+    LevelScheme(V_TYPE, ("|1>", "|2>", "|4>"),
+                (Transition(0, 2, SIGMA_PLUS), Transition(0, 1, SIGMA_MINUS))),
+    LevelScheme(FULL_J0_J1, ("|1>", "|2>", "|3>", "|4>"),
+                (Transition(0, 3, SIGMA_PLUS), Transition(0, 1, SIGMA_MINUS),
+                 Transition(0, 2, PI))),
+)}
+SCHEME_KINDS = tuple(_SCHEMES)
+
+
 def build_scheme(kind):
-    """Return one of the predefined level schemes.
+    """Return the predefined level scheme ``kind``, a key of the scheme table.
 
     ``two_level`` holds the driven pair only, ``v_type`` adds the detected
     sigma-minus arm sharing the ground level, and ``full_j0_j1`` is the
     complete ground J=0 to excited J=1 manifold including the pi sublevel.
     """
     key = str(kind).strip().lower()
-    if key == TWO_LEVEL:
-        return LevelScheme(
-            kind=TWO_LEVEL,
-            levels=("|1>", "|4>"),
-            transitions=(Transition(0, 1, SIGMA_PLUS),),
-        )
-    if key == V_TYPE:
-        return LevelScheme(
-            kind=V_TYPE,
-            levels=("|1>", "|2>", "|4>"),
-            transitions=(Transition(0, 2, SIGMA_PLUS), Transition(0, 1, SIGMA_MINUS)),
-        )
-    if key == FULL_J0_J1:
-        return LevelScheme(
-            kind=FULL_J0_J1,
-            levels=("|1>", "|2>", "|3>", "|4>"),
-            transitions=(
-                Transition(0, 3, SIGMA_PLUS),
-                Transition(0, 1, SIGMA_MINUS),
-                Transition(0, 2, PI),
-            ),
-        )
-    raise ConfigurationError(
-        f"unknown scheme kind {kind!r}; expected one of {', '.join(SCHEME_KINDS)}")
+    if key not in _SCHEMES:
+        raise ConfigurationError(
+            f"unknown scheme kind {kind!r}; expected one of {', '.join(SCHEME_KINDS)}")
+    return _SCHEMES[key]
 
 
 def lowering_operator(scheme, transition):

@@ -59,11 +59,15 @@ def write_csv(path, command, cfg, header, rows):
 
 
 def _artifact_path(cfg, path, name):
-    """``path``, or ``name`` in ``cfg.output_dir``; raises unless its directory exists."""
+    """``path``, or ``name`` in ``cfg.output_dir``; raises unless its directory
+    exists and it is not itself a directory (naming the key that set it)."""
+    key = "output_dir" if path is None else "--output"
     path = Path(cfg.output_dir) / name if path is None else Path(path)
     if not path.parent.is_dir():
         raise ParseError(f"output directory {str(path.parent)!r} does not exist",
                          key="output_dir")
+    if path.is_dir():
+        raise ParseError(f"output path {str(path)!r} is a directory", key=key)
     return path
 
 

@@ -67,11 +67,11 @@ the row and the column of every entry (``rows``, ``cols``, read-only, in
 row-major order) and one row of real values per generator.  A whole grid
 of (a, p) phase points, at one Rabi frequency or at one per point (the
 grids of all the saturations of a sweep), is assembled in one call:
-generator i of its stack
-is the row ``coef[i] @ values`` of the block values, shares the index
-arrays of the cached blocks, stays sparse, and is checked for trace
-preservation from its entries.  Offsets into dense arrays are computed
-where they are used.  ``stack.standard(i)`` is the dense array of
+generator i of its stack is the row ``coef[i] @ values`` of the block
+values, shares the index arrays of the cached blocks and stays sparse.
+Trace preservation is checked once per block set, on the blocks: a finite
+combination of them preserves the trace.  Offsets into dense arrays are
+computed where they are used.  ``stack.standard(i)`` is the dense array of
 generator i in the standard (row-major, complex) vectorization, and
 :meth:`GeneratorStack.from_dense` builds a stack from such arrays.
 """
@@ -453,15 +453,6 @@ def _dense_blocks(scheme):
     yield from (master_generator(np.zeros(jumps.shape[1:]), jumps, 2.0 * c) for c in couplings)
 
 
-@functools.cache
-def _affine_blocks(scheme):
-    """Read-only :class:`GeneratorStack` of the affine blocks in the Hermitian
-    basis, one generator per block, on the entries where any block is nonzero."""
-    blocks = GeneratorStack.from_dense(_dense_blocks(scheme))
-    blocks.values.flags.writeable = False
-    return blocks
-
-
 def _check_trace_preserving(stack):
     """Raise :class:`ConfigurationError` unless every generator L of the
     stack has tr(L x) = 0, i.e. vanishing column sums over the rows j*n + j
@@ -475,8 +466,19 @@ def _check_trace_preserving(stack):
     scale = np.maximum(largest, 1.0)
     bad = np.flatnonzero(~(residual <= 1e-12 * scale))
     if bad.size:
-        raise ConfigurationError("assembled generator is not trace preserving "
+        raise ConfigurationError("generator is not trace preserving "
                                  f"(max residual {residual[bad[0]]:.3e})")
+
+
+@functools.cache
+def _affine_blocks(scheme):
+    """Read-only :class:`GeneratorStack` of the affine blocks in the Hermitian
+    basis, one generator per block, on the entries where any block is nonzero;
+    each block is checked trace preserving here, once per scheme."""
+    blocks = GeneratorStack.from_dense(_dense_blocks(scheme))
+    _check_trace_preserving(blocks)
+    blocks.values.flags.writeable = False
+    return blocks
 
 
 def assemble(scheme, params, phases, rabi=None):
@@ -494,7 +496,8 @@ def assemble(scheme, params, phases, rabi=None):
     amplitude ``-g0 cos(p) T[q, q']`` and the cross damping rate
     ``2 g0 sin(p) T[q, q']`` of every ordered transition pair, with
     ``g0 = 3 / (2 kr)``: one product of the coefficient rows of the module
-    docstring with the cached block values.
+    docstring with the cached block values, whose trace preservation
+    :func:`_affine_blocks` checks once; finite combinations keep it.
     """
     a, p = (np.asarray(x, dtype=float).reshape(-1) for x in phases)
     if a.shape != p.shape:
@@ -515,9 +518,7 @@ def assemble(scheme, params, phases, rabi=None):
                                     rabi * np.cos(a), rabi * np.sin(a),
                                     np.outer(np.cos(p), c), np.outer(np.sin(p), c)])
     blocks = _affine_blocks(scheme)
-    stack = replace(blocks, values=coefficients @ blocks.values)
-    _check_trace_preserving(stack)
-    return stack
+    return replace(blocks, values=coefficients @ blocks.values)
 
 
 def generator_entries(scheme):

@@ -15,11 +15,11 @@ check that reports the nullity runs only when the LAPACK condition
 estimate of that factorization falls below a bound derived in
 :func:`steady_state`.  It takes a :class:`~cbsim.liouvillian.GeneratorStack`
 only, and solves the whole stack in one call: each sparse generator is
-scattered into one reused Fortran-ordered buffer, at offsets computed
-once per call from the stack's ``rows`` and ``cols``, and LAPACK factors a
-copy.  The Frobenius norms come from the entries and the residuals
-from grouped row sums of them; they and the density checks act on the
-whole stack.  A single generator is a stack of one
+scattered into one reused Fortran-ordered buffer, zeroed once per call,
+at offsets computed once per call from the stack's ``rows`` and ``cols``,
+and LAPACK factors a copy.  The Frobenius norms come from the entries and
+the residuals from grouped row sums of them; they and the density checks
+act on the whole stack.  A single generator is a stack of one
 (:meth:`~cbsim.liouvillian.GeneratorStack.from_dense`).
 
 Stacks hold their generators in the orthonormal Hermitian operator basis
@@ -103,9 +103,9 @@ def _bordered_solves(stack, triggers):
     matrix each; the singular-value check runs for the slices whose
     estimate of 1 / ||M_i^-1||_1 is below their trigger."""
     dim = stack.dim
-    # The Fortran-ordered buffer is refilled per generator and kept, beside
-    # its LU, for the residual of the refinement step.
-    system = np.empty((dim, dim), order="F")
+    # Zeroed once: every generator writes the same entries, then row 0 and the
+    # border; kept beside its LU for the residual of the refinement step.
+    system = np.zeros((dim, dim), order="F")
     entries = system.reshape(-1, order="F")
     # Where the stack's entries and the border row go in that buffer.
     entry_at = stack.cols * dim + stack.rows
@@ -114,7 +114,6 @@ def _bordered_solves(stack, triggers):
     rhs[0] = 1.0
     x = np.empty((len(stack), dim))
     for i in range(len(stack)):
-        system.fill(0.0)
         entries[entry_at] = stack.values[i]
         system[0] = 0.0
         entries[border_at] = 1.0

@@ -1,6 +1,13 @@
 """Shared fixtures; the two production-size spectra are computed once per session."""
 
+import os
 import time
+
+# The suite's solves are small dense ones, which a second OpenBLAS thread only
+# slows down: on two cores the suite took 1.3-1.7 times as long with two
+# threads.  OpenBLAS reads the setting when numpy loads it, so it is set
+# before numpy is first imported; an explicit setting is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

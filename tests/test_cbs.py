@@ -553,6 +553,16 @@ def test_spectrum_with_non_positive_background_area_rejected(v_scheme, monkeypat
         cbs.cbs_spectrum(v_scheme, params, omega_grid=grid)
 
 
+@pytest.mark.parametrize("rabi", [1e-6, 1e-8])
+def test_weak_drive_spectrum_of_roundoff_rejected(v_scheme, rabi):
+    # A power spectrum is non-negative.  At these drives the background dips
+    # to -8.4e-3 and -5.4e-2 of its maximum while its area stays positive;
+    # roundoff of the other sign would fail the area check instead.
+    params = default_params(rabi=rabi, detuning=5.0)
+    with pytest.raises(DomainError, match="background spectrum (density dips to -|integral)"):
+        cbs.cbs_spectrum(v_scheme, params)
+
+
 def test_background_spectrum_nonnegative(spectrum_on_resonance):
     result, _ = spectrum_on_resonance
     bg = result.background.density

@@ -429,6 +429,27 @@ def test_missing_output_directory_rejected_before_solving(tmp_path, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+@pytest.mark.parametrize("command,artifact", [
+    ("alpha-sweep", None), ("spectrum", None), ("alpha-sweep", "alpha_sweep.csv"),
+    ("spectrum", "spectrum.csv"), ("spectrum", "spectrum_peaks.txt")])
+def test_directory_output_path_rejected_before_solving(tmp_path, monkeypatch, capsys,
+                                                       command, artifact):
+    # a directory named by --output, or one in the place of a derived artifact
+    calls = count_phase_points(monkeypatch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_RUNS[command][1] + f"output_dir = {tmp_path}\n")
+    taken = tmp_path / (artifact or "taken")
+    taken.mkdir()
+    argv = [command, str(cfg_path)] + (["--output", str(taken)] if artifact is None else [])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    key = "--output" if artifact is None else "output_dir"
+    assert err == f"ERROR: key '{key}': output path {str(taken)!r} is a directory\n"
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.cfg", taken.name])
+    assert list(taken.iterdir()) == []
+
+
 def _rejected_before_solving(tmp_path, monkeypatch, capsys, line, key, match):
     """Parsing ``sweep_s = 0.5`` with ``line`` second raises a ParseError
     naming line 2, ``key`` and ``match``; ``cbsim alpha-sweep`` exits 1 with
@@ -601,6 +622,17 @@ def test_isotropic_spectrum_rejected_before_solving(tmp_path, monkeypatch, capsy
     assert err.startswith("ERROR:") and err.count("\n") == 1 and "Traceback" not in err
     assert "line 3: key 'orientation_mode'" in err
     assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_weak_drive_spectrum_of_roundoff_writes_nothing(tmp_path, capsys):
+    # at rabi 1e-6, detuning 5 the background density is roundoff of both signs
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"rabi = 1e-6\ndetuning = 5\noutput_dir = {tmp_path}\n")
+    assert cli.main(["spectrum", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: background spectrum density dips to -")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 

@@ -457,6 +457,38 @@ def test_non_trace_preserving_slice_rejected(v_scheme):
     lv._check_trace_preserving(replace(stack, values=planted[::2]))
 
 
+def test_planted_non_trace_preserving_block_rejected(v_scheme, monkeypatch):
+    # a decay block whose ground population leaks at rate 1e-6 out of the trace
+    original = lv._dense_blocks
+
+    def leaking(scheme):
+        blocks = original(scheme)
+        decay = next(blocks).copy()
+        decay[0, 0] -= 1e-6
+        yield decay
+        yield from blocks
+
+    monkeypatch.setattr(lv, "_dense_blocks", leaking)
+    lv._affine_blocks.cache_clear()
+    for _ in range(2):  # a failed block set is not cached
+        with pytest.raises(ConfigurationError, match="not trace preserving"):
+            lv.assemble(v_scheme, lv.PhysicalParams(rabi=1.0), ([0.0], [0.0]))
+    assert lv._affine_blocks.cache_info().currsize == 0
+
+
+def test_trace_preservation_checked_once_per_block_set(v_scheme, monkeypatch):
+    checked = []
+    original = lv._check_trace_preserving
+    monkeypatch.setattr(lv, "_check_trace_preserving",
+                        lambda stack: checked.append(len(stack)) or original(stack))
+    lv._affine_blocks.cache_clear()
+    for rabi in (0.5, 2.0, 40.0):
+        lv.assemble(v_scheme, lv.PhysicalParams(rabi=rabi, kr=30.0), ([0.0, 1.0], [0.5, 1.5]))
+    assert checked == [len(lv._affine_blocks(v_scheme))]  # the 13 v_type blocks, once
+    lv.assemble_single(v_scheme, lv.PhysicalParams(rabi=1.0))
+    assert checked == [13, 1]  # a single-atom generator is checked on its own
+
+
 def test_stack_slices_equal_single_point_assembly(v_scheme):
     params = lv.PhysicalParams(rabi=1.7, detuning=-0.4)
     a, p = [0.0, 0.9, 4.0], [3.0, 0.1, 5.5]
