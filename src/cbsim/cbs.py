@@ -26,9 +26,14 @@ indices swap, m_jk(-a) = m_(1-j)(1-k)(a).  The half shift
 exp(i pi N_e) on atom 2 alone, which flips the sign of its drive, of every
 exchange term and of L2.  Both keep the ladder row m00 + m11 and the
 crossed row exp(ia) m01 + exp(-ia) m10 of the moment matrix, the elastic
-matrix and the pole weights, so :func:`phase_orbits` picks one point per
-orbit (4 x 4: 6 of 16; 5 x 4: 12; 8 x 5: 25; 6 x 6: 12; 8 x 8: 20) and
-its rows count once per orbit member.  That is one stacked solve of the
+matrix and the pole weights.  At detuning 0 complex conjugation, followed
+by the mirror and the gauge exp(i pi N_e) on both atoms, maps (a, p) to
+(a, pi - p) and keeps the rows of both moment matrices, though not of the
+spectrum, whose frequencies it reverses; for even n_p that image joins the
+orbits of the intensities.  So :func:`phase_orbits` picks one point per
+orbit (4 x 4: 6 of 16, and 5 of 16 at detuning 0; 5 x 4: 12 and 9; 8 x 5:
+25 and 25; 6 x 6: 12 and 6; 8 x 8: 20 and 13) and its rows count once per
+orbit member.  That is one stacked solve of the
 orbit representatives as a :class:`~cbsim.liouvillian.GeneratorStack`;
 their moments then come from one product of the stacked densities with
 the observables; a spectrum reduces the pole weights of every
@@ -37,7 +42,9 @@ them in one real pole sum.  A sweep stacks the representatives of many
 saturations, each with its own Rabi frequency, in bounded stacks of whole
 saturations (``STACK_ENTRIES``): one assembly, one steady-state solve and
 one moment product per stack (and orientation), reduced saturation by
-saturation.  Intensities are reported in units of the
+saturation.  The solver eliminates the odd-parity block of each phase
+point of such a stack once for all its saturations
+(:mod:`cbsim.solver`).  Intensities are reported in units of the
 squared exchange amplitude (3/(2*kr))^2 (gamma = 1) unless
 ``normalize=False``.
 
@@ -226,19 +233,29 @@ def detected_intensity(scheme, params, a=0.0, b=0.0, p=0.0):
     return float((m[0, 0, 0] + m[1, 1, 0] + 2.0 * eb * m[0, 1, 0]).real)
 
 
-@functools.lru_cache(maxsize=16)
-def phase_orbits(n_a, n_p):
+@functools.lru_cache(maxsize=32)
+def phase_orbits(n_a, n_p, resonant=False):
     """Indices into :func:`phase_grid` of one point per symmetry orbit, with
     the orbit sizes.  Grid index (ka, kp) shares its rows with (-ka, kp) and,
     when both sizes are even, with (ka + n_a/2, kp + n_p/2) and
-    (-ka - n_a/2, kp + n_p/2); the image with the smallest index stands for
-    the orbit.  Built once per size; the arrays are read-only."""
+    (-ka - n_a/2, kp + n_p/2); if ``resonant`` and n_p is even, every one of
+    these also with its conjugate image (ka', n_p/2 - kp').  The image with
+    the smallest index stands for the orbit.  Built once per size; the arrays
+    are read-only."""
     ka, kp = np.divmod(np.arange(n_a * n_p), n_p)
-    images = [ka * n_p + kp, -ka % n_a * n_p + kp]
+    images = [(ka, kp), (-ka, kp)]
     if n_a % 2 == 0 and n_p % 2 == 0:
-        ka, kp = ka + n_a // 2, (kp + n_p // 2) % n_p
-        images += [ka % n_a * n_p + kp, -ka % n_a * n_p + kp]
-    return _read_only(*np.unique(np.minimum.reduce(images), return_counts=True))
+        images += [(ka + n_a // 2, kp + n_p // 2), (-ka - n_a // 2, kp + n_p // 2)]
+    if resonant and n_p % 2 == 0:
+        images += [(a, n_p // 2 - p) for a, p in images]
+    index = [ka % n_a * n_p + kp % n_p for ka, kp in images]
+    return _read_only(*np.unique(np.minimum.reduce(index), return_counts=True))
+
+
+def _resonant(params, omega_grid=None):
+    """Whether the conjugate images of :func:`phase_orbits` keep the rows:
+    at zero detuning, for the intensities but not for a spectrum."""
+    return params.detuning == 0.0 and omega_grid is None
 
 
 def _phase_average(scheme, params, n_a, n_p, rabi, omega_grid=None):
@@ -253,7 +270,7 @@ def _phase_average(scheme, params, n_a, n_p, rabi, omega_grid=None):
     is stored; :func:`harmonic_extract` reduces them drive by drive.
     """
     detection = _detection_operators(scheme)
-    points, counts = phase_orbits(n_a, n_p)
+    points, counts = phase_orbits(n_a, n_p, _resonant(params, omega_grid))
     a, p = (x[points] for x in phase_grid(n_a, n_p))
     phases = np.tile(a, len(rabi)), np.tile(p, len(rabi))
     m, e, stack, rho = _moment_matrices(scheme, params, phases, rabi=np.repeat(rabi, a.size),
@@ -440,7 +457,7 @@ def sweep_alpha_collect(scheme, detuning, s_values, params=None,
     params = replace(params, detuning=params.detuning if detuning is None else float(detuning))
     _check_sweep_drive(s_values, params.detuning)
     axes = [params.orientation] if n_configs is None else sample_orientations(n_configs, seed)
-    per_saturation = phase_orbits(n_a, n_p)[0].size * generator_entries(scheme)
+    per_saturation = phase_orbits(n_a, n_p, _resonant(params))[0].size * generator_entries(scheme)
     size = max(1, STACK_ENTRIES // per_saturation)
 
     def solve(chunk):

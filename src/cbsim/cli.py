@@ -64,8 +64,7 @@ def _artifact_path(cfg, path, name):
     key = "output_dir" if path is None else "--output"
     path = Path(cfg.output_dir) / name if path is None else Path(path)
     if not path.parent.is_dir():
-        raise ParseError(f"output directory {str(path.parent)!r} does not exist",
-                         key="output_dir")
+        raise ParseError(f"output directory {str(path.parent)!r} does not exist", key=key)
     if path.is_dir():
         raise ParseError(f"output path {str(path)!r} is a directory", key=key)
     return path
@@ -239,8 +238,10 @@ def _check_battery():
     yield "inverse-square exchange scaling", ok, \
         "ratios " + ", ".join(f"{r:.4f}" for r in ratios)
 
-    # The phase average solves one point per orbit of these two symmetries.
-    a, p = np.array([0.7, -0.7, 0.7 + np.pi]), np.array([1.3, 1.3, 1.3 + np.pi])
+    # The phase average solves one point per orbit of these symmetries: the
+    # mirror, the half shift and, at this detuning 0, the conjugation p -> pi - p.
+    a = np.array([0.7, -0.7, 0.7 + np.pi, 0.7])
+    p = np.array([1.3, 1.3, 1.3 + np.pi, np.pi - 1.3])
     worst = 0.0
     m, e, pair, rho = cbs._moment_matrices(scheme, params, (a, p))
     for mat in (m, e):
@@ -258,8 +259,11 @@ def _check_battery():
     worst = np.abs(reduced - full).max() / np.abs(full).max()
     yield "spectral subspace", worst <= 1e-12, f"max relative deviation = {worst:.2e}"
 
-    # A sweep solves all its saturations in one stack; one solve per saturation checks it.
-    rows = cbs.sweep_alpha_collect(scheme, 0.0, [0.1, 1.0, 10.0])
+    # A sweep solves all its saturations in one stack; with six drives per phase
+    # point, at least ELIMINATION_MIN_DRIVES, the solver eliminates the
+    # odd-parity block there, and one direct solve per saturation (a single
+    # drive per point) checks it.
+    rows = cbs.sweep_alpha_collect(scheme, 0.0, [0.1, 0.3, 1.0, 3.0, 10.0, 30.0])
     errors = [err for _, _, err in rows if err is not None]
     if errors:
         yield "sweep stack", False, errors[0]

@@ -74,6 +74,13 @@ combination of them preserves the trace.  Offsets into dense arrays are
 computed where they are used.  ``stack.standard(i)`` is the dense array of
 generator i in the standard (row-major, complex) vectorization, and
 :meth:`GeneratorStack.from_dense` builds a stack from such arrays.
+
+Decay, detuning and exchange keep the parity of the excitation number
+n_j + n_k of a coordinate j*n + k (n_j counts the excited atoms of pair
+level j), and the three drive blocks flip it.  That split is checked once
+per block set, with trace preservation, and every stack :func:`assemble`
+builds carries it as a :class:`DriveSplit`, with the phase point and the
+Rabi frequency of each generator, for :func:`cbsim.solver.steady_state`.
 """
 
 import functools
@@ -244,6 +251,22 @@ def _grouped_sums(keys, weights, size):
 
 
 @dataclass(frozen=True, eq=False)
+class DriveSplit:
+    """The drive-parity structure of a stack built by :func:`assemble`.
+
+    ``odd`` marks the N coordinates j*n + k whose excitation number
+    n_j + n_k is odd.  Decay, detuning and exchange keep that parity and the
+    drive flips it, so with the even coordinates first generator i is
+    [[A, r_i C], [r_i D, B]], r_i = ``rabi[i]``, and the generators of one
+    phase point, those with equal ``point[i]``, share A, B, C and D.
+    """
+
+    odd: np.ndarray
+    point: np.ndarray
+    rabi: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class GeneratorStack:
     """k generators of N x N entries (N = n^2 for Hilbert dimension n) on
     shared sparse entries: ``values[i, e]`` is entry (``rows[e]``,
@@ -253,18 +276,24 @@ class GeneratorStack:
     read-only, so every stack built from one block set shares them.  The
     values are real (float64); complex ones are accepted only with an
     imaginary part within ``HERMITICITY_TOL`` (:func:`_real_values`).
-    :func:`assemble` builds one per grid of phase points, and
-    :func:`cbsim.solver.steady_state` solves all of them in one call.
+    :func:`assemble` builds one per grid of phase points, with its
+    :class:`DriveSplit` as ``split``, and :func:`cbsim.solver.steady_state`
+    solves all of them in one call.  A stack whose values are replaced by a
+    different number of generators, a single :meth:`point` among them, has
+    no split.
     """
 
     hilbert_dim: int
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
+    split: DriveSplit = None
 
     def __post_init__(self):
         self.rows.flags.writeable = self.cols.flags.writeable = False
         object.__setattr__(self, "values", _real_values(self.values))
+        if self.split is not None and self.split.rabi.size != len(self.values):
+            object.__setattr__(self, "split", None)
 
     @property
     def dim(self):
@@ -470,13 +499,44 @@ def _check_trace_preserving(stack):
                                  f"(max residual {residual[bad[0]]:.3e})")
 
 
+#: The drive blocks H_1, H_2c, H_2s among the affine blocks (:func:`_dense_blocks`).
+_DRIVE_BLOCKS = slice(2, 5)
+
+
+@functools.cache
+def _odd_coordinates(scheme):
+    """Read-only (N,) mask of the pair coordinates j*n + k of odd excitation
+    number n_j + n_k, where a pair level l1*n_levels + l2 (atom 1 major, as
+    :func:`cbsim.atoms.embed`) counts the excited levels among l1 and l2."""
+    excited = np.isin(np.arange(scheme.n_levels), scheme.excited_levels)
+    pair = (excited[:, None].astype(int) + excited).reshape(-1)
+    odd = ((pair[:, None] + pair) % 2 == 1).reshape(-1)
+    odd.flags.writeable = False
+    return odd
+
+
+def _check_drive_parity(blocks, odd):
+    """Raise :class:`ConfigurationError` unless the drive blocks of the block
+    stack couple only coordinates of opposite parity in ``odd`` and every
+    other block only coordinates of equal parity (:class:`DriveSplit`)."""
+    flips = odd[blocks.rows] != odd[blocks.cols]
+    drive = np.zeros((len(blocks), 1), dtype=bool)
+    drive[_DRIVE_BLOCKS] = True
+    misplaced = (blocks.values != 0.0) & (drive != flips)
+    if misplaced.any():
+        block = np.flatnonzero(misplaced.any(axis=1))[0]
+        raise ConfigurationError(f"affine block {block} does not split by drive parity")
+
+
 @functools.cache
 def _affine_blocks(scheme):
     """Read-only :class:`GeneratorStack` of the affine blocks in the Hermitian
     basis, one generator per block, on the entries where any block is nonzero;
-    each block is checked trace preserving here, once per scheme."""
+    each block is checked trace preserving and split by the drive parity of
+    :func:`_odd_coordinates` here, once per scheme."""
     blocks = GeneratorStack.from_dense(_dense_blocks(scheme))
     _check_trace_preserving(blocks)
+    _check_drive_parity(blocks, _odd_coordinates(scheme))
     blocks.values.flags.writeable = False
     return blocks
 
@@ -518,7 +578,9 @@ def assemble(scheme, params, phases, rabi=None):
                                     rabi * np.cos(a), rabi * np.sin(a),
                                     np.outer(np.cos(p), c), np.outer(np.sin(p), c)])
     blocks = _affine_blocks(scheme)
-    return replace(blocks, values=coefficients @ blocks.values)
+    point = np.unique(np.column_stack([a, p]), axis=0, return_inverse=True)[1].reshape(-1)
+    return replace(blocks, values=coefficients @ blocks.values,
+                   split=DriveSplit(_odd_coordinates(scheme), point, rabi))
 
 
 def generator_entries(scheme):

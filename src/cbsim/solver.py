@@ -31,6 +31,39 @@ Frobenius norms and residual norms are those of the standard
 vectorization, and the populations, with them the trace functional and
 the border row 0, keep their indices.  The resolvent solves stay complex:
 i omega Id - L is complex in either basis.
+
+A stack from :func:`~cbsim.liouvillian.assemble` carries its
+:class:`~cbsim.liouvillian.DriveSplit`: with the coordinates of even
+excitation number first (row 0 and the trace columns are populations, so
+even), every bordered M_i is [[A, r_i C], [r_i D, B]], and the drives r_i of
+one phase point share A, B, C and D.  At a point with at least
+``ELIMINATION_MIN_DRIVES`` drives, B is factored once, E = B^-1 D formed,
+and each drive factors only the Schur complement S_i = A - r_i^2 C E
+(dgetrf, dgecon, dgetrs; 41 x 41 for v_type, 136 x 136 for full_j0_j1),
+with x_odd = -r_i E x_even.  One step of iterative refinement follows, with
+the residual of the full bordered M_i, scattered as on the direct path, and
+the correction solved through the same block factors.  Factoring B and
+forming E repays itself from about five drives of a v_type point on: a
+sweep's points carry one drive per saturation, a single ``cbs_components``
+call or a spectrum one.  E is formed by one single right-hand-side dgetrs
+per column.  One dgetrs with all its columns as a block of right-hand sides
+is faster alone, but inside the benchmark's fig2a sweep, under OpenBLAS's
+default two threads, it made an operation take 24.5 ms instead of 12.5 ms.
+A block solve runs on OpenBLAS's level-3 kernels, which may use the second
+thread; the likely cost is waking it between the many small one-thread
+calls, which was not measured further.
+
+The uniqueness test holds on that path as well.  S_i^-1 is the even block of
+M_i^-1, so 1 / ||S_i^-1||_1 >= 1 / ||M_i^-1||_1, and dgecon's estimates were
+measured in the ratio 1.0003 to 1.71 (both schemes, s from 1e-2 to 1e7, kr
+from 10 to 1000, random axes and phases).  An estimate of S_i below the
+trigger, or a singular S_i, runs the singular-value check of the full
+generator as M_i's would; one less than ``SCHUR_ESTIMATE_RATIO`` times the
+trigger above it leaves that drive to the direct path, where the estimate of
+M_i decides.  So the check runs for exactly the drives it runs for on the
+direct path while that ratio holds.  A drive whose trigger B's estimate does
+not reach, and every drive of a point whose B is singular, takes the direct
+path too.  Stacks built otherwise (``from_dense``) take the direct path.
 """
 
 import math
@@ -53,6 +86,15 @@ NULLITY_RATIO = 1e-6
 #: Safety factor on the trigger of the singular-value check, since LAPACK's
 #: estimate of 1 / ||M^-1||_1 can exceed the true value.
 UNIQUENESS_MARGIN = 10.0
+#: Least number of drives of one phase point for which its steady states are
+#: solved through the drive split (module docstring).  Eliminated over direct
+#: time, at the 5 resonant orbit points of the 4 x 4 grid: v_type 1.09, 0.95,
+#: 0.91 and 0.84 with 4, 5, 6 and 8 drives per point; full_j0_j1 1.21 with 2.
+ELIMINATION_MIN_DRIVES = 6
+#: Largest ratio of the condition estimate of the Schur complement S to that of
+#: the bordered matrix M it comes from (module docstring); measured 1.0003 to
+#: 1.71 over both schemes.
+SCHUR_ESTIMATE_RATIO = 2.0
 #: Reciprocal-condition floor for resolvent solves (condition > 1e12 fails).
 RCOND_MIN = 1e-12
 #: Residual bound for resolvent solves, relative to ||rhs||.
@@ -98,32 +140,53 @@ def _check_unique(gen):
         raise MultiplicityError(int(small.sum()))
 
 
-def _bordered_solves(stack, triggers):
-    """Real coordinates x_i solving M_i x_i = e_0, one LU of the bordered
-    matrix each; the singular-value check runs for the slices whose
-    estimate of 1 / ||M_i^-1||_1 is below their trigger."""
+def _bordered_buffer(stack, at=None):
+    """A function that writes the bordered matrix M_i of generator i of
+    ``stack`` into one reused Fortran-ordered N x N buffer and returns that
+    buffer, with coordinate c at position ``at[c]`` (c by default; row 0 must
+    stay there).  The buffer is zeroed once: every generator writes the same
+    entries, then row 0 and the border."""
     dim = stack.dim
-    # Zeroed once: every generator writes the same entries, then row 0 and the
-    # border; kept beside its LU for the residual of the refinement step.
     system = np.zeros((dim, dim), order="F")
     entries = system.reshape(-1, order="F")
+    rows, cols, border = stack.rows, stack.cols, stack.trace_columns
+    if at is not None:
+        rows, cols, border = at[rows], at[cols], at[border]
     # Where the stack's entries and the border row go in that buffer.
-    entry_at = stack.cols * dim + stack.rows
-    border_at = stack.trace_columns * dim
-    rhs = np.zeros(dim)
-    rhs[0] = 1.0
-    x = np.empty((len(stack), dim))
-    for i in range(len(stack)):
+    entry_at = cols * dim + rows
+    border_at = border * dim
+
+    def fill(i):
         entries[entry_at] = stack.values[i]
         system[0] = 0.0
         entries[border_at] = 1.0
+        return system
+
+    return fill
+
+
+def _check_slice(stack, i, info, inverse_norm, trigger):
+    """The singular-value check of generator i when its LU failed (``info``)
+    or its estimate of 1 / ||M_i^-1||_1 is below ``trigger``; a failed LU
+    then raises."""
+    if info != 0 or not inverse_norm >= trigger:
+        _check_unique(stack.dense(i))
+        if info != 0:
+            raise ConditioningError(f"bordered steady-state system is singular (info={info})")
+
+
+def _bordered_solves(stack, slices, triggers, x):
+    """Real coordinates x[i] solving M_i x[i] = e_0 for the generators i of
+    ``slices``, one LU of the bordered matrix each."""
+    fill = _bordered_buffer(stack)
+    rhs = np.zeros(stack.dim)
+    rhs[0] = 1.0
+    for i in slices:
+        system = fill(i)
         lu, piv, info = lapack.dgetrf(system)
         # With anorm = 1, dgecon's rcond is its estimate of 1 / ||M^-1||_1.
         inverse_norm = lapack.dgecon(lu, 1.0)[0] if info == 0 else 0.0
-        if info != 0 or not inverse_norm >= triggers[i]:
-            _check_unique(stack.dense(i))
-            if info != 0:
-                raise ConditioningError(f"bordered steady-state system is singular (info={info})")
+        _check_slice(stack, i, info, inverse_norm, triggers[i])
         x[i], info = lapack.dgetrs(lu, piv, rhs)
         if info != 0:
             raise ConditioningError(f"steady-state LU solve failed (info={info})")
@@ -131,7 +194,73 @@ def _bordered_solves(stack, triggers):
         # coordinates, which carry the detected moments, with errors up to
         # 1e-11 of their size; the corrected ones agree to roundoff.
         x[i] += lapack.dgetrs(lu, piv, rhs - system @ x[i])[0]
-    return x
+
+
+def _eliminated_solves(stack, triggers, x):
+    """Real coordinates x[i] solving M_i x[i] = e_0 through the drive split of
+    the stack (module docstring) at the phase points with at least
+    ``ELIMINATION_MIN_DRIVES`` drives; returns the generators left to
+    :func:`_bordered_solves`."""
+    split = stack.split
+    groups = [np.flatnonzero(split.point == point) for point in np.unique(split.point)]
+    direct = [group for group in groups if group.size < ELIMINATION_MIN_DRIVES]
+    if len(direct) == len(groups):
+        return np.concatenate(direct)
+    order = np.argsort(split.odd, kind="stable")  # even coordinates first, 0 among them
+    even = order.size - np.count_nonzero(split.odd)
+    fill = _bordered_buffer(stack, at=np.argsort(order))
+    rhs = np.zeros(stack.dim)
+    rhs[0] = 1.0
+    for group in groups:
+        if group.size < ELIMINATION_MIN_DRIVES:
+            continue  # listed in direct above
+        strongest = group[np.argmax(split.rabi[group])]
+        if not split.rabi[strongest] > 0.0:
+            direct.append(group)
+            continue
+        # A, B, C and D at unit drive, from the bordered matrix of the strongest drive.
+        system = fill(strongest)
+        a = system[:even, :even].copy(order="F")
+        c = system[:even, even:] / split.rabi[strongest]
+        d = system[even:, :even] / split.rabi[strongest]
+        lu_b, piv_b, info = lapack.dgetrf(system[even:, even:])
+        # Generators whose trigger B's estimate does not reach, and all of them
+        # if B is singular, are left to the direct path.
+        inverse_norm = lapack.dgecon(lu_b, 1.0)[0] if info == 0 else 0.0
+        usable = triggers[group] <= inverse_norm
+        direct.append(group[~usable])
+        group = group[usable]
+        if not group.size:
+            continue
+        # One right-hand side per solve (module docstring).
+        b_d = np.column_stack([lapack.dgetrs(lu_b, piv_b, column)[0] for column in d.T])
+        w = np.asfortranarray(c @ b_d)
+        schur = np.empty_like(a)
+        x_sorted = np.empty((group.size, stack.dim))
+        solved = np.ones(group.size, dtype=bool)
+        for k, (i, rabi, trigger) in enumerate(zip(group, split.rabi[group].tolist(),
+                                                   triggers[group].tolist())):
+            np.multiply(w, -rabi * rabi, out=schur)
+            schur += a
+            lu, piv, info = lapack.dgetrf(schur, overwrite_a=True)
+            inverse_norm = lapack.dgecon(lu, 1.0)[0] if info == 0 else 0.0
+            if trigger <= inverse_norm < SCHUR_ESTIMATE_RATIO * trigger:
+                solved[k] = False  # M's own estimate decides
+                continue
+            _check_slice(stack, i, info, inverse_norm, trigger)
+            x_i = x_sorted[k]
+            x_i[:even] = lapack.dgetrs(lu, piv, rhs[:even])[0]
+            x_i[even:] = -rabi * (b_d @ x_i[:even])
+            # One step of iterative refinement against the full M_i, solved
+            # through the same block factors.
+            residual = rhs - fill(i) @ x_i
+            z = lapack.dgetrs(lu_b, piv_b, residual[even:])[0]
+            y_even = lapack.dgetrs(lu, piv, residual[:even] - rabi * (c @ z))[0]
+            x_i[:even] += y_even
+            x_i[even:] += z - rabi * (b_d @ y_even)
+        x[group[solved, None], order] = x_sorted[solved]
+        direct.append(group[~solved])
+    return np.concatenate(direct)
 
 
 def steady_state(stack):
@@ -140,7 +269,10 @@ def steady_state(stack):
 
     The singular linear system L x = 0 is regularized by replacing its
     first row with the trace constraint, and that bordered matrix M is
-    LU-factorized once, in real arithmetic in the Hermitian basis.  A
+    LU-factorized once, in real arithmetic in the Hermitian basis; at a
+    phase point of an assembled stack with at least
+    ``ELIMINATION_MIN_DRIVES`` drives, only the Schur complement of its
+    odd-parity block is (module docstring).  A
     second near-vanishing singular value of L raises
     :class:`MultiplicityError` with the estimated nullity; it is looked for
     only when M is near singular.
@@ -162,7 +294,10 @@ def steady_state(stack):
     # below and so can overestimate its reciprocal; UNIQUENESS_MARGIN covers
     # that.  NaN entries also take the check.
     triggers = UNIQUENESS_MARGIN * math.sqrt(dim) * NULLITY_RATIO * frobenius
-    x = _bordered_solves(stack, triggers)
+    x = np.empty((len(stack), dim))
+    direct = np.arange(len(stack)) if stack.split is None else _eliminated_solves(
+        stack, triggers, x)
+    _bordered_solves(stack, direct, triggers, x)
 
     residuals = np.linalg.norm(stack.apply(x), axis=1)
     bad = np.flatnonzero(~(residuals <= STEADY_RESIDUAL_TOL * frobenius))

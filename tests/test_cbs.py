@@ -55,17 +55,20 @@ def test_planted_non_hermitian_moments_rejected(v_scheme, monkeypatch):
     monkeypatch.setattr(cbs, "steady_state", planted)
     with pytest.raises(ConditioningError, match="anti-Hermitian"):
         cbs.cbs_components(v_scheme, default_params(rabi=2.0))
-    assert calls == [6]  # one point per symmetry orbit of the 4 x 4 grid
+    assert calls == [5]  # one point per symmetry orbit of the 4 x 4 grid at detuning 0
 
 
 def test_phase_point_spy_sees_every_point(v_scheme, monkeypatch):
     # positive control of count_phase_points: one stacked solve per phase
-    # grid, of one point per symmetry orbit (4 x 4: 6 of 16, 8 x 5: 25 of 40)
+    # grid, of one point per symmetry orbit (at detuning 0, 4 x 4: 5 of 16 and
+    # 8 x 5: 25 of 40; detuned, 4 x 4: 6 of 16)
     calls = count_phase_points(monkeypatch)
     cbs.cbs_components(v_scheme, default_params(rabi=2.0))
-    assert calls == [6]
+    assert calls == [5]
     cbs.cbs_components(v_scheme, default_params(rabi=2.0), n_a=8, n_p=5)
-    assert calls == [6, 25]
+    assert calls == [5, 25]
+    cbs.cbs_components(v_scheme, default_params(rabi=2.0, detuning=1.0))
+    assert calls == [5, 25, 6]
 
 
 @pytest.mark.parametrize("observable,sizes", [
@@ -506,12 +509,13 @@ def test_small_s_alpha_linear_decrease(v_scheme):
 
 
 @pytest.mark.parametrize("saturations,extra,sizes", [
-    (0, 1, [6] * 5), (2, 0, [12, 12, 6]), (2, -1, [6] * 5), (5, 0, [30]),
+    (0, 1, [5] * 5), (2, 0, [10, 10, 5]), (2, -1, [5] * 5), (5, 0, [25]),
 ], ids=["one_point", "two_saturations", "just_below_two", "one_stack"])
 def test_sweep_spans_stacks_of_whole_saturations(v_scheme, monkeypatch, saturations, extra,
                                                  sizes):
-    # a budget of that many saturations of 6 orbit points (4 x 4 grid), plus extra entries
-    budget = saturations * 6 * lv.generator_entries(v_scheme) + extra
+    # a budget of that many saturations of 5 orbit points (4 x 4 grid at detuning 0),
+    # plus extra entries
+    budget = saturations * 5 * lv.generator_entries(v_scheme) + extra
     s_values = [0.1, 0.5, 1.0, 2.0, 5.0]
     one_stack = cbs.sweep_alpha_collect(v_scheme, 0.0, s_values)
     calls = count_phase_points(monkeypatch)
@@ -698,6 +702,14 @@ def test_phase_orbit_counts(sizes, solved):
     assert (len(points), counts.sum()) == (solved, sizes[0] * sizes[1])
 
 
+@pytest.mark.parametrize("sizes,solved", [((4, 4), 5), ((5, 4), 9), ((8, 5), 25),
+                                          ((6, 6), 6), ((8, 8), 13), ((4, 7), 21)])
+def test_resonant_phase_orbit_counts(sizes, solved):
+    # the conjugate image p -> pi - p needs an even n_p
+    points, counts = cbs.phase_orbits(*sizes, resonant=True)
+    assert (len(points), counts.sum()) == (solved, sizes[0] * sizes[1])
+
+
 @pytest.mark.parametrize("build", [cbs.phase_grid, cbs.phase_orbits])
 def test_phase_grid_and_orbits_built_once_per_size(build):
     # a sweep or an isotropic average reuses one grid for every point
@@ -732,6 +744,57 @@ def test_phase_point_symmetries_keep_the_rows(kind, log_rabi, detuning, kr, axis
     for mat in (m, e):
         rows = cbs._b_harmonics(mat, np.exp(1j * a_images)).real
         assert np.abs(rows - rows[:, :1]).max() <= 1e-12 * np.abs(rows).max() + floor
+
+
+def _conjugate_rows(kind, params, a, p):
+    """The real rows of both moment matrices at (a, p) and at (a, pi - p)."""
+    a_images, p_images = np.array([a, a]), np.array([p, np.pi - p])
+    m, e, _, _ = cbs._moment_matrices(atoms.build_scheme(kind), params, (a_images, p_images))
+    return [cbs._b_harmonics(mat, np.exp(1j * a_images)).real for mat in (m, e)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from([atoms.V_TYPE, atoms.FULL_J0_J1]),
+       log_rabi=st.floats(-1.0, 2.0), kr=st.floats(10.0, 1000.0),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.hypot(v[0], v[1]) > 0.1),
+       a=st.floats(0.0, 2 * np.pi), p=st.floats(0.0, 2 * np.pi))
+def test_resonant_conjugation_keeps_the_rows(kind, log_rabi, kr, axis, a, p):
+    # at detuning 0 complex conjugation maps (a, p) to (a, pi - p)
+    params = default_params(rabi=10.0**log_rabi, detuning=0.0, kr=kr, orientation=axis)
+    floor = 1e-15 * cbs.exchange_scale(params)  # as in the test above
+    for rows in _conjugate_rows(kind, params, a, p):
+        assert np.abs(rows[:, 1] - rows[:, 0]).max() <= 1e-12 * np.abs(rows).max() + floor
+
+
+@pytest.mark.parametrize("kind", [atoms.V_TYPE, atoms.FULL_J0_J1])
+def test_detuned_conjugate_points_differ(kind):
+    # detuning changes sign under the conjugation, so a detuned grid is not folded
+    params = default_params(rabi=3.0, detuning=2.0, kr=30.0, orientation=(0.3, -0.5, 0.8))
+    total, elastic = _conjugate_rows(kind, params, 0.9, 0.4)
+    for rows in (total, elastic):
+        assert np.abs(rows[:, 1] - rows[:, 0]).max() >= 1e-4 * np.abs(rows).max()
+
+
+@pytest.mark.parametrize("sizes", [(4, 4), (5, 4), (6, 6), (4, 7)],
+                         ids=lambda sizes: "x".join(map(str, sizes)))
+@pytest.mark.parametrize("kind", [atoms.V_TYPE, atoms.FULL_J0_J1])
+def test_resonant_folded_average_matches_every_point_solved(kind, sizes):
+    scheme = atoms.build_scheme(kind)
+    params = default_params(rabi=10.0, detuning=0.0, kr=40.0, orientation=(0.3, -0.5, 0.8))
+    folded, = cbs._phase_average(scheme, params, *sizes, [params.rabi])
+    unfolded = phase_average_unfolded(scheme, params, *sizes)
+    got, expected = (cbs._parts(*pairs[:2]) for pairs in (folded, unfolded))
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+
+
+def test_resonant_spectrum_solves_the_unfolded_orbits(v_scheme, monkeypatch):
+    # conjugation reverses the frequency axis of a spectrum, so it is not folded
+    calls = count_phase_points(monkeypatch)
+    params = default_params(rabi=3.0, detuning=0.0)
+    cbs.cbs_spectrum(v_scheme, params, omega_grid=_peak_grid(3.0, 0.0), normalize=False)
+    cbs.cbs_components(v_scheme, params)
+    assert calls == [6, 5]
 
 
 @pytest.mark.parametrize("sizes", [(4, 4), (5, 4), (4, 7), (6, 6), (8, 5)],

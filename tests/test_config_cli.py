@@ -424,7 +424,7 @@ def test_missing_output_directory_rejected_before_solving(tmp_path, monkeypatch,
         argv += ["--output", str(absent / "out.csv")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.count("ERROR:") == 1 and "output_dir" in err and str(absent) in err
+    assert err.count("ERROR:") == 1 and f"key '{missing}'" in err and str(absent) in err
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 

@@ -489,6 +489,82 @@ def test_trace_preservation_checked_once_per_block_set(v_scheme, monkeypatch):
     assert checked == [13, 1]  # a single-atom generator is checked on its own
 
 
+# -- the drive-parity split ---------------------------------------------------
+
+
+def _odd_parity(scheme):
+    """Coordinates j*n + k of odd n_j + n_k, n the excitation number of the pair
+    built from the excited-level projectors of both atoms."""
+    excited = sum(atoms.level_projector(scheme, level) for level in scheme.excited_levels)
+    number = np.diag(atoms.embed(excited, 1) + atoms.embed(excited, 2)).real
+    return ((number[:, None] + number[None, :]) % 2 == 1).reshape(-1)
+
+
+@pytest.mark.parametrize("kind", [atoms.V_TYPE, atoms.FULL_J0_J1])
+def test_drive_flips_the_excitation_parity_and_nothing_else_does(kind):
+    rng = np.random.default_rng(23)
+    scheme = atoms.build_scheme(kind)
+    odd = _odd_parity(scheme)
+    assert np.array_equal(lv._odd_coordinates(scheme), odd)
+    assert np.count_nonzero(~odd) == {atoms.V_TYPE: 41, atoms.FULL_J0_J1: 136}[kind]
+    flips = odd[:, None] != odd[None, :]
+    # the cached blocks: H_1, H_2c and H_2s couple opposite parities only, the others equal ones
+    blocks = lv._affine_blocks(scheme)
+    for index in range(len(blocks)):
+        block = blocks.dense(index)
+        is_drive = index in range(len(blocks))[lv._DRIVE_BLOCKS]
+        assert np.abs(block).max() > 0
+        assert not block[flips != is_drive].any()
+    # the term-by-term reference at random axes and phases, where the drive is
+    # what a nonzero Rabi frequency adds
+    for _ in range(2):
+        params = lv.PhysicalParams(rabi=0.0, detuning=rng.uniform(-5, 5), kr=rng.uniform(10, 100),
+                                   orientation=tuple(rng.standard_normal(3)))
+        a, p = rng.uniform(0, 2 * np.pi, 2)
+        undriven = _reference(scheme, params, a, p, "vector", True, True)
+        drive = _reference(scheme, replace(params, rabi=2.5), a, p, "vector", True, True) - undriven
+        assert not undriven[flips].any() and np.abs(undriven).max() > 0
+        assert not drive[~flips].any() and np.abs(drive).max() > 0
+
+
+@pytest.mark.parametrize("planted", ["drive_in_decay", "detuning_in_drive"])
+def test_planted_entry_across_the_drive_split_rejected(v_scheme, monkeypatch, planted):
+    # both plants keep the trace and Hermiticity, so only the parity check sees them
+    original = lv._dense_blocks
+
+    def planting(scheme):
+        blocks = list(original(scheme))
+        decay, pull, drive = blocks[0], blocks[1], blocks[2]
+        if planted == "drive_in_decay":
+            blocks[0] = decay + 1e-3 * drive
+        else:
+            blocks[2] = drive + 1e-3 * pull
+        yield from blocks
+
+    monkeypatch.setattr(lv, "_dense_blocks", planting)
+    lv._affine_blocks.cache_clear()
+    try:
+        with pytest.raises(ConfigurationError, match="drive parity"):
+            lv.assemble(v_scheme, lv.PhysicalParams(rabi=1.0), ([0.0], [0.0]))
+        assert lv._affine_blocks.cache_info().currsize == 0
+    finally:
+        lv._affine_blocks.cache_clear()
+
+
+def test_assembled_stack_records_its_phase_points_and_drives(v_scheme):
+    a, p = [0.3, 1.2, 0.3, 0.3], [2.0, 2.0, 2.0, 5.0]
+    stack = lv.assemble(v_scheme, lv.PhysicalParams(), (a, p), rabi=[1.0, 2.0, 3.0, 4.0])
+    split = stack.split
+    assert np.array_equal(split.rabi, [1.0, 2.0, 3.0, 4.0])
+    # equal (a, p) pairs share a point index, distinct ones do not
+    assert split.point[0] == split.point[2] and len(set(split.point)) == 3
+    assert split.odd is lv._odd_coordinates(v_scheme)
+    # a stack of other generators than the assembled ones carries no split
+    assert stack.point(1).split is None
+    assert replace(stack, values=stack.values[:2]).split is None
+    assert lv.GeneratorStack.from_dense([stack.standard(0)]).split is None
+
+
 def test_stack_slices_equal_single_point_assembly(v_scheme):
     params = lv.PhysicalParams(rabi=1.7, detuning=-0.4)
     a, p = [0.0, 0.9, 4.0], [3.0, 0.1, 5.5]

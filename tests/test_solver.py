@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbsim import atoms, cbs, cli, config, liouvillian as lv, solver
 from cbsim.errors import (ConditioningError, ConfigurationError, DimensionError,
@@ -181,10 +182,11 @@ def test_production_workloads_never_take_the_svd_check(uniqueness_checks, tmp_pa
 
 def test_svd_check_runs_at_extreme_drive(uniqueness_checks):
     # the spy above sees the check once the drive is strong enough, at each
-    # of the 6 solved points (one per symmetry orbit of the 4 x 4 grid)
+    # of the 5 solved points (one per symmetry orbit of the 4 x 4 grid at
+    # detuning 0)
     cbs.cbs_components(atoms.build_scheme(atoms.V_TYPE), lv.PhysicalParams(),
                        s=1e6, detuning=0.0)
-    assert uniqueness_checks == [(81, 81)] * 6
+    assert uniqueness_checks == [(81, 81)] * 5
 
 
 @pytest.mark.parametrize("drive", [dict(s=1e4, detuning=0.0),
@@ -251,6 +253,145 @@ def test_residual_bound_applies_per_slice():
         solver.steady_state(bad.point(1))
     assert str(stacked.value) == str(alone.value)
     solver.steady_state(replace(stack, values=planted[:1]))
+
+
+# -- the drive split: the odd-parity block eliminated once per phase point ----
+
+
+def drive_stack(kind, params, points, s_values):
+    """The assembled stack of every saturation of ``s_values`` at each (a, p)
+    of ``points``, ordered as a sweep stacks them."""
+    a, p = (np.array(x, dtype=float) for x in zip(*points))
+    rabi = [lv.rabi_for_saturation(s, params.detuning) for s in s_values]
+    return lv.assemble(atoms.build_scheme(kind), params,
+                       (np.tile(a, len(rabi)), np.tile(p, len(rabi))),
+                       rabi=np.repeat(rabi, a.size))
+
+
+@pytest.fixture
+def direct_slices(monkeypatch):
+    """The generators that ``steady_state`` solves by the LU of their bordered matrix."""
+    solved = []
+    original = solver._bordered_solves
+
+    def spy(stack, slices, triggers, x):
+        solved.extend(int(i) for i in slices)
+        return original(stack, slices, triggers, x)
+
+    monkeypatch.setattr(solver, "_bordered_solves", spy)
+    return solved
+
+
+def detected_rows(kind, rho, a):
+    """Per density of ``rho``, the real ladder and crossed rows of the total and
+    of the elastic moment matrix of the detected transition at drive phase ``a``."""
+    lows, highs = cbs._detection_operators(atoms.build_scheme(kind))
+    observables = [high @ low for high in highs for low in lows] + lows + highs
+    moments = np.array([op.T.reshape(-1) for op in observables]) @ rho.reshape(len(rho), -1).T
+    total = moments[:4].reshape(2, 2, -1)
+    elastic = moments[6:8, None] * moments[None, 4:6]
+    weight = np.exp(1j * np.asarray(a))
+    return [cbs._b_harmonics(mat, weight).real for mat in (total, elastic)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from([atoms.V_TYPE, atoms.FULL_J0_J1]),
+       log_kr=st.floats(1.0, 3.0), detuning=st.floats(-20.0, 20.0),
+       # over a decade, so that some drive is clear of the band in which the
+       # direct path decides the uniqueness check
+       log_s=st.lists(st.floats(-2.0, 4.0), min_size=solver.ELIMINATION_MIN_DRIVES,
+                      max_size=solver.ELIMINATION_MIN_DRIVES + 2, unique=True).filter(
+           lambda xs: max(xs) - min(xs) >= 1.0),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.hypot(v[0], v[1]) > 0.1),
+       a=st.floats(0.0, 2 * np.pi), p=st.floats(0.0, 2 * np.pi))
+def test_eliminated_and_direct_steady_states_give_the_same_moments(
+        kind, log_kr, detuning, log_s, axis, a, p):
+    # kr = 10 is the strong-exchange corner where the refinement step first mattered
+    params = lv.PhysicalParams(detuning=detuning, kr=10.0**log_kr, orientation=axis)
+    stack = drive_stack(kind, params, [(a, p)], 10.0 ** np.array(log_s))
+    solved = []
+    original = solver._bordered_solves
+    try:
+        solver._bordered_solves = lambda *args: solved.extend(args[1]) or original(*args)
+        eliminated = solver.steady_state(stack)
+    finally:
+        solver._bordered_solves = original
+    direct = solver.steady_state(replace(stack, split=None))
+    assert len(solved) < len(stack)
+    phase = np.full(len(stack), a)
+    (total, elastic), (total_ref, elastic_ref) = (detected_rows(kind, rho, phase)
+                                                  for rho in (eliminated, direct))
+    # relative to the largest detected row of each generator: the elastic rows
+    # and the total ones carry the same exchange scale, and the inelastic part
+    # is their difference
+    scale = np.abs(total_ref).max(axis=0)
+    for got, expected in ((total, total_ref), (elastic, elastic_ref)):
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("detuning", [0.0, 20.0, -5.0])
+@pytest.mark.parametrize("kind", [atoms.V_TYPE, atoms.FULL_J0_J1])
+def test_eliminated_path_checks_uniqueness_of_the_slices_the_direct_path_does(
+        monkeypatch, direct_slices, kind, detuning):
+    params = lv.PhysicalParams(detuning=detuning, orientation=(0.3, -0.5, 0.8))
+    stack = drive_stack(kind, params, [(0.4, 1.1), (2.5, 4.0)], np.geomspace(1e3, 1e7))
+    slice_of = {stack.dense(i).tobytes(): i for i in range(len(stack))}
+    checked = []
+    # the spy records which generator is checked, in full, and skips the SVD
+    monkeypatch.setattr(solver, "_check_unique", lambda gen: checked.append(
+        slice_of[gen.tobytes()] if gen.shape == (stack.dim, stack.dim) else None))
+    solver.steady_state(stack)
+    eliminated_checks, on_direct_path = sorted(checked), set(direct_slices)
+    checked.clear()
+    solver.steady_state(replace(stack, split=None))
+    assert eliminated_checks == sorted(checked)
+    # the Schur complement's estimate itself fired for some eliminated slices
+    assert set(eliminated_checks) - on_direct_path
+
+
+def test_ill_conditioned_odd_block_falls_back_to_the_direct_path(monkeypatch, direct_slices):
+    params = lv.PhysicalParams(orientation=(0.3, -0.5, 0.8))
+    stack = drive_stack(atoms.V_TYPE, params, [(0.4, 1.1), (2.5, 4.0)],
+                        np.geomspace(0.01, 1000.0, 8))
+    rho = solver.steady_state(stack)
+    assert direct_slices == []
+    # B's estimate, at the first phase point only, below every trigger
+    odd_size = stack.dim - 41
+    estimates = []
+    original = solver.lapack
+
+    class FirstOddBlockIllConditioned:
+        def __getattr__(self, name):
+            return getattr(original, name)
+
+        def dgecon(self, lu, anorm):
+            rcond, info = original.dgecon(lu, anorm)
+            if len(lu) == odd_size:
+                estimates.append(rcond)
+                if len(estimates) == 1:
+                    return 1e-300, info
+            return rcond, info
+
+    monkeypatch.setattr(solver, "lapack", FirstOddBlockIllConditioned())
+    fallback = solver.steady_state(stack)
+    first_point = np.flatnonzero(stack.split.point == stack.split.point[0])
+    assert len(estimates) == 2 and sorted(direct_slices) == first_point.tolist()
+    # the fallen-back point is the direct solve itself, the other is unchanged
+    direct = solver.steady_state(replace(stack, split=None))
+    assert np.array_equal(fallback[first_point], direct[first_point])
+    others = np.setdiff1d(np.arange(len(stack)), first_point)
+    assert np.array_equal(fallback[others], rho[others])
+
+
+@pytest.mark.parametrize("drives", [1, solver.ELIMINATION_MIN_DRIVES - 1])
+def test_phase_points_with_few_drives_take_the_direct_path(direct_slices, drives):
+    # factoring B and forming C B^-1 D does not pay for so few drives
+    stack = drive_stack(atoms.V_TYPE, lv.PhysicalParams(), [(0.4, 1.1), (2.5, 4.0)],
+                        np.geomspace(0.1, 10.0, drives))
+    rho = solver.steady_state(stack)
+    assert sorted(direct_slices) == list(range(len(stack)))
+    assert np.array_equal(rho, solver.steady_state(replace(stack, split=None)))
 
 
 def hermiticity_breaking(gen, strength=1e-6):
