@@ -272,13 +272,13 @@ def drive_stack(kind, params, points, s_values):
 def direct_slices(monkeypatch):
     """The generators that ``steady_state`` solves by the LU of their bordered matrix."""
     solved = []
-    original = solver._bordered_solves
+    original = solver._direct_route
 
-    def spy(stack, slices, triggers, x):
-        solved.extend(int(i) for i in slices)
-        return original(stack, slices, triggers, x)
+    def spy(fill, i):
+        solved.append(int(i))
+        return original(fill, i)
 
-    monkeypatch.setattr(solver, "_bordered_solves", spy)
+    monkeypatch.setattr(solver, "_direct_route", spy)
     return solved
 
 
@@ -311,12 +311,12 @@ def test_eliminated_and_direct_steady_states_give_the_same_moments(
     params = lv.PhysicalParams(detuning=detuning, kr=10.0**log_kr, orientation=axis)
     stack = drive_stack(kind, params, [(a, p)], 10.0 ** np.array(log_s))
     solved = []
-    original = solver._bordered_solves
+    original = solver._direct_route
     try:
-        solver._bordered_solves = lambda *args: solved.extend(args[1]) or original(*args)
+        solver._direct_route = lambda *args: solved.append(args[1]) or original(*args)
         eliminated = solver.steady_state(stack)
     finally:
-        solver._bordered_solves = original
+        solver._direct_route = original
     direct = solver.steady_state(replace(stack, split=None))
     assert len(solved) < len(stack)
     phase = np.full(len(stack), a)
@@ -392,6 +392,24 @@ def test_phase_points_with_few_drives_take_the_direct_path(direct_slices, drives
     rho = solver.steady_state(stack)
     assert sorted(direct_slices) == list(range(len(stack)))
     assert np.array_equal(rho, solver.steady_state(replace(stack, split=None)))
+
+
+def test_phase_point_without_a_nonzero_drive_takes_the_direct_path(direct_slices):
+    # C and D are read off at the strongest drive, so all of them at 0 leave
+    # nothing to eliminate
+    s = np.zeros(solver.ELIMINATION_MIN_DRIVES)
+    stack = drive_stack(atoms.V_TYPE, lv.PhysicalParams(), [(0.4, 1.1)], s)
+    rho = solver.steady_state(stack)
+    assert sorted(direct_slices) == list(range(len(stack)))
+    assert np.array_equal(rho, solver.steady_state(replace(stack, split=None)))
+    # one drive at Rabi frequency 1 among the zeros is enough
+    direct_slices.clear()
+    s[2] = 0.5
+    stack = drive_stack(atoms.V_TYPE, lv.PhysicalParams(), [(0.4, 1.1)], s)
+    assert stack.split.rabi.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    rho = solver.steady_state(stack)
+    assert direct_slices == []
+    assert np.abs(rho - solver.steady_state(replace(stack, split=None))).max() <= 1e-14
 
 
 def hermiticity_breaking(gen, strength=1e-6):
