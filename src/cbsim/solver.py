@@ -16,13 +16,13 @@ condition estimate of that factorization falls below a bound derived in
 :func:`steady_state`.  It takes a :class:`~cbsim.liouvillian.GeneratorStack`
 only (a single generator is a stack of one,
 :meth:`~cbsim.liouvillian.GeneratorStack.from_dense`) and solves it in one
-loop: each generator is scattered into one reused Fortran-ordered buffer,
-zeroed once per call, and takes one of two routes, each giving LAPACK's
-info, dgecon's estimate of 1 / ||M_i^-1||_1 (or of what stands in for it)
-and a solve of M_i; the loop checks uniqueness from that estimate, solves
-e_0, and takes one step of iterative refinement with the residual of M_i
-itself, read from the buffer.  Norms, residuals and density checks act on
-the whole stack.
+loop over batches: the generators that one route solves together.  A batch
+gives, for each of its generators, LAPACK's info and dgecon's estimate of
+1 / ||M_i^-1||_1 (or of what stands in for it), a solve of every M_i at
+once, and the products M_i x_i; the loop checks uniqueness from the
+estimates, solves e_0, and takes one step of iterative refinement with
+the residual of each M_i.  Norms, residuals and density checks act on the
+whole stack.
 
 Stacks hold their generators in the orthonormal Hermitian operator basis
 of :mod:`cbsim.liouvillian`, where they are real, so the steady state is a
@@ -33,17 +33,25 @@ populations, with them the trace functional and the border row 0, keep
 their indices.  The resolvent solves stay complex: i omega Id - L is
 complex in either basis.
 
-The direct route is the LU of a copy of the buffer.  The eliminated route
-uses the :class:`~cbsim.liouvillian.DriveSplit` of a stack from
+The direct route solves a batch of one: the generator is scattered into
+one reused Fortran-ordered buffer, zeroed once per call, and the LU of a
+copy of that buffer solves it.  The eliminated route uses the
+:class:`~cbsim.liouvillian.DriveSplit` of a stack from
 :func:`~cbsim.liouvillian.assemble`: with the coordinates of even
 excitation number first (row 0 and the trace columns are populations, so
 even), every bordered M_i is [[A, r_i C], [r_i D, B]], and the drives r_i
 of one phase point share A, B, C and D.  At a point with at least
-``ELIMINATION_MIN_DRIVES`` drives and a nonzero strongest one, B is
-factored once and E = B^-1 D and W = C E formed; each drive then factors
-only S_i = A - r_i^2 W (41 x 41 for v_type, 136 x 136 for full_j0_j1).
-e_0 has no odd part, so its solve is x_even = S_i^-1 e_0, x_odd = -r_i E
-x_even; other right-hand sides are solved through B and S_i.
+``ELIMINATION_MIN_DRIVES`` drives and a nonzero strongest one, the blocks
+are read from that drive's entries, B is factored once and E = B^-1 D and
+W = C E formed, and the point's drives are one batch.  All their Schur
+complements S_i = A - r_i^2 W (41 x 41 for v_type, 136 x 136 for
+full_j0_j1) come from one broadcast; per drive there remain only the LU
+and estimate of S_i and two one-column solves through it.  e_0 has no
+odd part, so its solve is x_even = S_i^-1 e_0, x_odd = -r_i E x_even;
+the refinement solves its odd parts through B in one block solve, and
+the residuals, the odd parts x_odd and the right-hand sides of the
+S_i solves are products over the whole batch, the residuals from the
+blocks.
 
 The uniqueness test holds on that route too.  S_i^-1 is the even block of
 M_i^-1, so 1 / ||S_i^-1||_1 >= 1 / ||M_i^-1||_1; dgecon's estimate for S_i,
@@ -56,11 +64,28 @@ the two the drive takes the direct route, where M_i's estimate decides.
 A drive whose trigger B's estimate does not reach, and every drive of a
 point whose B is singular, takes the direct route too: the elimination
 never solves through a B conditioned worse than M_i may be unchecked.
+
+:func:`steady_state` and :func:`cbsim.spectra.spectral_poles` run under
+:func:`one_blas_thread`, which sets one thread for the calling thread in
+the OpenBLAS copies bundled with numpy and with scipy and restores the
+previous counts on return and on a raise.  At these sizes a second thread
+buys no time, and a solve with a block of right-hand sides can stall
+under OpenBLAS's threads: with E = B^-1 D as one block solve, the
+eliminated route took about twice as long on two threads as on one.  A
+BLAS without ``openblas_set_num_threads_local`` runs the block solves on
+its own threads.  The count is the calling thread's own, so concurrent
+solves do not share it.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 
 import numpy as np
+import scipy
 from scipy.linalg import lapack
 
 from .errors import ConditioningError, DimensionError, MultiplicityError
@@ -79,8 +104,10 @@ NULLITY_RATIO = 1e-6
 #: estimate of 1 / ||M^-1||_1 can exceed the true value.
 UNIQUENESS_MARGIN = 10.0
 #: Least number of drives of one phase point for which its steady states take
-#: the eliminated route (module docstring): factoring B and forming E and W
-#: costs about as much as the Schur complements save on five v_type drives.
+#: the eliminated route (module docstring).  Factoring B and forming E and W
+#: pay from about four v_type drives (two full_j0_j1 ones); below six, the
+#: rows of a sweep of up to five saturations keep the direct route's bits
+#: however its saturations are split into stacks.
 ELIMINATION_MIN_DRIVES = 6
 #: Bound on dgecon's estimate for the Schur complement S over its estimate for
 #: the bordered matrix M it comes from.  A drive whose S estimate lies within
@@ -117,9 +144,48 @@ def validate_density(rho):
     trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
     if not trace_err <= DENSITY_TRACE_TOL:
         raise ConditioningError(f"density matrix trace deviates by {trace_err:.3e}")
-    min_eig = np.linalg.eigvalsh(0.5 * (rho + adjoint)).min()
-    if not min_eig >= DENSITY_EIG_FLOOR:
-        raise ConditioningError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+    hermitian = 0.5 * (rho + adjoint)
+    # Positive definite once shifted by the floor: every eigenvalue is above it.
+    # Only a failed factorization takes the eigenvalues, which name the worst.
+    try:
+        np.linalg.cholesky(hermitian - DENSITY_EIG_FLOOR * np.eye(rho.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(hermitian).min()
+        if not min_eig >= DENSITY_EIG_FLOOR:
+            raise ConditioningError(
+                f"density matrix has negative eigenvalue {min_eig:.3e}") from None
+
+
+@functools.cache
+def _blas_thread_setters():
+    """``openblas_set_num_threads_local`` of each OpenBLAS copy bundled with
+    numpy and with scipy, resolved once; empty where none exports it."""
+    setters = []
+    for package in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs", "*openblas*")
+        for path in glob.glob(libs):
+            try:
+                setter = ctypes.CDLL(path).openblas_set_num_threads_local
+            except (OSError, AttributeError):  # does not load, or has no such symbol
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            setters.append(setter)
+    return tuple(setters)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block in one BLAS thread of the calling thread, then restore
+    the previous count, also on a raise (module docstring).  Usable as a
+    decorator; a no-op where no setter is found."""
+    setters = _blas_thread_setters()
+    previous = [setter(1) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, previous):
+            setter(count)
 
 
 def _check_unique(gen):
@@ -185,76 +251,130 @@ def _lu_solve(lu, piv, rhs):
 
 
 def _direct_route(fill, i):
-    """The route of generator i through the LU of its bordered matrix."""
-    info, inverse_norm, lu, piv = _factor(fill(i))
-    return info, inverse_norm, lambda rhs: _lu_solve(lu, piv, rhs)
+    """Generator i as a batch of one (:func:`_routes`), through the LU of its
+    bordered matrix in the buffer of ``fill``."""
+    system = fill(i)
+    info, inverse_norm, lu, piv = _factor(system)
+    return ([i], [(info, inverse_norm)], lambda rhs: _lu_solve(lu, piv, rhs),
+            lambda x: system @ x)
 
 
-def _eliminator(system, rabi, triggers, e0, even, odd):
-    """The eliminated route of one phase point (module docstring), from
-    ``system``, its bordered matrix at its strongest drive ``rabi`` > 0: a
-    function of a drive r and its trigger that returns its route, or None
-    where the direct route decides; None if B's estimate reaches none of the
-    ``triggers``."""
-    def block(rows, cols):  # Fortran-ordered, as system is
-        return system.T.take(cols, axis=0).take(rows, axis=1).T
+def _block_gather(stack, even, odd):
+    """A function of generator i of ``stack`` that returns new Fortran-ordered
+    blocks A, B, C, D of its bordered matrix (module docstring), written from
+    its entries and the border row alone."""
+    at = np.empty(stack.dim, dtype=np.intp)
+    at[even], at[odd] = np.arange(even.size), np.arange(odd.size)
+    odd_row, odd_col = stack.split.odd[stack.rows], stack.split.odd[stack.cols]
+    kept = stack.rows != 0  # row 0 is the border
+    places = []
+    for rows_odd, cols_odd in ((False, False), (True, True), (False, True), (True, False)):
+        entries = np.flatnonzero(kept & (odd_row == rows_odd) & (odd_col == cols_odd))
+        shape = (odd if rows_odd else even).size, (odd if cols_odd else even).size
+        places.append((entries, at[stack.rows[entries]] + at[stack.cols[entries]] * shape[0],
+                       shape))
+    border = at[stack.trace_columns]
 
-    _, b_estimate, lu_b, piv_b = _factor(block(odd, odd), overwrite=True)
-    if not any(trigger <= b_estimate for trigger in triggers):
+    def gather(i):
+        values = stack.values[i]
+        blocks = []
+        for entries, flat, shape in places:
+            block = np.zeros(shape, order="F")
+            block.reshape(-1, order="F")[flat] = values[entries]
+            blocks.append(block)
+        blocks[0][0, border] = 1.0
+        return blocks
+
+    return gather
+
+
+def _eliminated_batch(blocks, drives, e0, even, odd):
+    """The batch of the eliminated route (module docstring) of one phase point,
+    from ``blocks``, A, B, C, D of the bordered matrix at its strongest drive,
+    and ``drives``, its (generator, Rabi frequency, trigger) triples: the
+    drives that take that route, or None if none does."""
+    a, b, c, d = blocks
+    rabi = max(r for _, r, _ in drives)
+    _, b_estimate, lu_b, piv_b = _factor(b)
+    drives = [drive for drive in drives if drive[2] <= b_estimate]
+    if not drives:
         return None
-    a, c = block(even, even), block(even, odd) / rabi
-    # One right-hand side per solve: a block dgetrs can stall under OpenBLAS's threads.
-    e = np.column_stack([_lu_solve(lu_b, piv_b, column)
-                         for column in (block(odd, even) / rabi).T])
-    w = np.asfortranarray(c @ e)
-    schur = np.empty_like(w)
+    c /= rabi
+    d /= rabi
+    e = _lu_solve(lu_b, piv_b, d)
+    r = np.array([r for _, r, _ in drives])
+    # S_i = A - r_i^2 W, W = C E, for every drive at once, formed transposed
+    # in C order: slice i is Fortran-ordered, so dgetrf factors it in place.
+    schurs = np.multiply.outer(-(r * r), e.T @ c.T)
+    schurs += a.T
+    factors = [_factor(schur, overwrite=True) for schur in schurs.transpose(0, 2, 1)]
+    kept = [k for k, (_, _, trigger) in enumerate(drives)
+            if not trigger <= factors[k][1] < SCHUR_ESTIMATE_RATIO * trigger]
+    if not kept:
+        return None
+    factors, r = [factors[k] for k in kept], r[kept]
     e0_even = e0[even]
 
-    def route(r, trigger):
-        if not trigger <= b_estimate:
-            return None
-        np.add(a, np.multiply(w, -r * r, out=schur), out=schur)
-        info, inverse_norm, lu, piv = _factor(schur, overwrite=True)
-        if trigger <= inverse_norm < SCHUR_ESTIMATE_RATIO * trigger:
-            return None
+    def solve(rhs):
+        """x_i = M_i^-1 rhs_i for rows rhs_i of ``rhs``, or of e_0 for all."""
+        if rhs is e0:  # no odd part, so no solve through B
+            y = _schur_solves(factors, [e0_even] * len(factors))
+            x_odd = (e @ y) * -r
+        else:
+            z = _lu_solve(lu_b, piv_b, rhs[:, odd].T)
+            y = _schur_solves(factors, rhs[:, even] - ((c @ z) * r).T)
+            x_odd = z - (e @ y) * r
+        x = np.empty((len(factors), len(e0)))
+        x[:, even], x[:, odd] = y.T, x_odd.T
+        return x
 
-        def solve(rhs):
-            x = np.empty(len(e0))
-            if rhs is e0:  # no odd part, so no solve through B
-                x[even] = y = _lu_solve(lu, piv, e0_even)
-                x[odd] = -r * (e @ y)
-            else:
-                z = _lu_solve(lu_b, piv_b, rhs[odd])
-                x[even] = y = _lu_solve(lu, piv, rhs[even] - r * (c @ z))
-                x[odd] = z - r * (e @ y)
-            return x
+    def product(x):
+        """M_i x_i for rows x_i of ``x``, from the blocks."""
+        y, z = x[:, even].T, x[:, odd].T
+        out = np.empty_like(x)
+        out[:, even] = (a @ y + (c @ z) * r).T
+        out[:, odd] = ((d @ y) * r + b @ z).T
+        return out
 
-        return info, inverse_norm, solve
+    return [drives[k][0] for k in kept], [f[:2] for f in factors], solve, product
 
-    return route
+
+def _schur_solves(factors, columns):
+    """The (m, k) Fortran-ordered solves S_j^-1 columns[j], one dgetrs each
+    with the factors of S_j."""
+    y = np.empty((len(columns[0]), len(factors)), order="F")
+    for j, ((_, _, lu, piv), column) in enumerate(zip(factors, columns)):
+        y[:, j] = _lu_solve(lu, piv, column)
+    return y
 
 
 def _routes(stack, fill, triggers, e0):
-    """Each generator i of ``stack`` with its route, phase point by phase
-    point (module docstring)."""
+    """The generators of ``stack`` as batches, phase point by phase point: each
+    batch is its generator indices, LAPACK's info and dgecon's estimate of
+    1 / ||M_i^-1||_1 (or of what stands in for it) for each, a solve of its
+    M_i for a row per generator (or e_0 for all), and the products M_i x_i
+    for such rows."""
     split = stack.split
     if split is None:
-        yield from ((i, _direct_route(fill, i)) for i in range(len(stack)))
+        yield from (_direct_route(fill, i) for i in range(len(stack)))
         return
     even, odd = np.flatnonzero(~split.odd), np.flatnonzero(split.odd)
+    gather = _block_gather(stack, even, odd)
     rabi = split.rabi.tolist()
     for point in np.unique(split.point):
         group = np.flatnonzero(split.point == point).tolist()
         strongest = max(group, key=rabi.__getitem__)
-        eliminate = None
+        batch = None
         if len(group) >= ELIMINATION_MIN_DRIVES and rabi[strongest] > 0.0:
-            eliminate = _eliminator(fill(strongest), rabi[strongest],
-                                    [triggers[i] for i in group], e0, even, odd)
-        for i in group:
-            route = eliminate and eliminate(rabi[i], triggers[i])
-            yield i, route or _direct_route(fill, i)
+            batch = _eliminated_batch(gather(strongest),
+                                      [(i, rabi[i], triggers[i]) for i in group], e0, even, odd)
+            if batch:
+                yield batch
+        eliminated = set(batch[0]) if batch else ()
+        yield from (_direct_route(fill, i) for i in group if i not in eliminated)
 
 
+@one_blas_thread()
 def steady_state(stack):
     """The (k, n, n) stationary density matrices of the k trace-preserving
     generators of a :class:`~cbsim.liouvillian.GeneratorStack`.
@@ -288,14 +408,16 @@ def steady_state(stack):
     e0 = np.zeros(dim)
     e0[0] = 1.0
     x = np.empty((len(stack), dim))
-    for i, (info, inverse_norm, solve) in _routes(stack, fill, triggers, e0):
-        _check_slice(stack, i, info, inverse_norm, triggers[i])
-        x[i] = solve(e0)
+    for members, estimates, solve, product in _routes(stack, fill, triggers, e0):
+        for i, (info, inverse_norm) in zip(members, estimates):
+            _check_slice(stack, i, info, inverse_norm, triggers[i])
+        solved = solve(e0)
         # One step of iterative refinement: the first solve leaves the small
         # coordinates, which carry the detected moments, with errors up to
         # 1e-11 of their size; the corrected ones agree to roundoff.
-        x[i] += solve(e0 - fill(i) @ x[i])
-        del solve  # frees its factors before the next generator's are made
+        solved += solve(e0 - product(solved))
+        x[members] = solved
+        del solve, product  # frees the factors before the next batch's are made
 
     residuals = np.linalg.norm(stack.apply(x), axis=1)
     bad = np.flatnonzero(~(residuals <= STEADY_RESIDUAL_TOL * frobenius))

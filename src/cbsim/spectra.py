@@ -32,7 +32,8 @@ import numpy as np
 from . import atoms, dressed
 from .errors import DomainError
 from .liouvillian import assemble_single, hermitian_coordinates
-from .solver import RESOLVENT_RESIDUAL_TOL, ResolventSolver, steady_state, vectorize
+from .solver import (RESOLVENT_RESIDUAL_TOL, ResolventSolver, one_blas_thread, steady_state,
+                     vectorize)
 
 BACKGROUND = "background"
 INTERFERENCE = "interference"
@@ -103,6 +104,7 @@ def spectral_response(stack, rho_ss, seeds, observables, omegas):
     return re + 1j * im
 
 
+@one_blas_thread()
 def spectral_poles(stack, rho_ss, seeds, observables, omegas):
     """Poles of the connected regression transforms over a frequency grid.
 

@@ -3,8 +3,9 @@
 import os
 import time
 
-# The suite's solves are small dense ones, which a second OpenBLAS thread only
-# slows down: on two cores the suite took 1.3-1.7 times as long with two
+# The suite's linear algebra is small and dense, which a second OpenBLAS thread
+# only slows down.  The solver sets one thread for its own solves, but not for
+# the rest: on two cores the suite still took 1.1-1.2 times as long with two
 # threads.  OpenBLAS reads the setting when numpy loads it, so it is set
 # before numpy is first imported; an explicit setting is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbsim import atoms, cbs, cli, config, liouvillian as lv, solver
+from cbsim import atoms, cbs, cli, config, liouvillian as lv, solver, spectra
 from cbsim.errors import (ConditioningError, ConfigurationError, DimensionError,
                           DomainError, MultiplicityError)
 from conftest import generator_at
@@ -412,6 +412,124 @@ def test_phase_point_without_a_nonzero_drive_takes_the_direct_path(direct_slices
     assert np.abs(rho - solver.steady_state(replace(stack, split=None))).max() <= 1e-14
 
 
+def sweep_stack(monkeypatch, tmp_path, text):
+    """The one stack that ``cli.run_alpha_sweep`` solves for the config ``text``."""
+    stacks = []
+    real = cbs.steady_state
+    monkeypatch.setattr(cbs, "steady_state", lambda stack: stacks.append(stack) or real(stack))
+    assert cli.run_alpha_sweep(config.parse_config(text + f"output_dir = {tmp_path}\n"))[1] == 0
+    monkeypatch.setattr(cbs, "steady_state", real)
+    (stack,) = stacks
+    return stack
+
+
+def test_sweep_stack_is_solved_one_phase_point_at_a_time_in_block_solves(
+        monkeypatch, tmp_path, svd_calls, direct_slices):
+    stack = sweep_stack(monkeypatch, tmp_path,
+                        "detuning = 0\nsweep_s = logspace(0.01, 1000, 25)\n")
+    assert len(stack) == 125 and len(np.unique(stack.split.point)) == 5
+    svd_calls.clear()
+    direct_slices.clear()
+    spy = LapackSpy(solver.lapack)
+    monkeypatch.setattr(solver, "lapack", spy)
+    solver.steady_state(stack)
+    assert svd_calls == [] and direct_slices == []
+    # one B (40 x 40) per phase point and one Schur complement (41 x 41) per drive
+    factored = sorted(shapes[0] for name, shapes in spy.shapes if name == "dgetrf")
+    assert factored == [(40, 40)] * 5 + [(41, 41)] * 125
+    # per point, E = B^-1 D and the odd part of the refinement are one solve
+    # each through B, with the 41 columns of D and the 25 drives; each drive
+    # solves its Schur complement twice, for one column each time
+    solved = sorted(shapes[-1] for name, shapes in spy.shapes if name == "dgetrs")
+    assert solved == [(40, 25)] * 5 + [(40, 41)] * 5 + [(41,)] * 250
+
+
+def test_drive_in_the_estimate_band_alone_takes_the_direct_path(monkeypatch, direct_slices):
+    stack = drive_stack(atoms.V_TYPE, lv.PhysicalParams(), [(0.4, 1.1)],
+                        np.geomspace(0.01, 1000.0, 8))
+    frobenius = np.linalg.norm(stack.values, axis=1)
+    triggers = solver.UNIQUENESS_MARGIN * math.sqrt(stack.dim) * solver.NULLITY_RATIO * frobenius
+    # the third Schur complement factored, that of drive 2, reads inside the band
+    schurs = []
+    original = solver._factor
+
+    def planted(matrix, overwrite=False):
+        info, inverse_norm, lu, piv = original(matrix, overwrite)
+        if len(matrix) == 41:
+            schurs.append(matrix.shape)
+            if len(schurs) == 3:
+                inverse_norm = 1.5 * triggers[2]
+        return info, inverse_norm, lu, piv
+
+    monkeypatch.setattr(solver, "_factor", planted)
+    spy = LapackSpy(solver.lapack)
+    monkeypatch.setattr(solver, "lapack", spy)
+    rho = solver.steady_state(stack)
+    assert direct_slices == [2] and len(schurs) == 8
+    # the seven others stay one batch: the refinement solves them through B at once
+    assert [shapes[-1] for name, shapes in spy.shapes
+            if name == "dgetrs" and shapes[0] == (40, 40)] == [(40, 41), (40, 7)]
+    direct = solver.steady_state(replace(stack, split=None))
+    assert np.abs(rho - direct).max() <= 1e-13
+
+
+class FakeThreadSetter:
+    """Stands in for ``openblas_set_num_threads_local``: sets a count and
+    returns the previous one, recording every count set."""
+
+    def __init__(self, count):
+        self.count, self.history = count, []
+
+    def __call__(self, count):
+        previous, self.count = self.count, count
+        self.history.append(count)
+        return previous
+
+
+def test_blas_thread_guard_restores_each_library_count(monkeypatch):
+    setters = FakeThreadSetter(2), FakeThreadSetter(3)
+    monkeypatch.setattr(solver, "_blas_thread_setters", lambda: setters)
+    inside = []
+    original = solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda *args: inside.append(
+        [setter.count for setter in setters]) or original(*args))
+    solver.steady_state(single_two_level(1.3, 0.4))
+    assert inside == [[1, 1]]
+    assert [setter.count for setter in setters] == [2, 3]
+    with pytest.raises(ConditioningError):
+        solver.steady_state(exactly_singular_border())
+    assert [setter.history for setter in setters] == [[1, 2, 1, 2], [1, 3, 1, 3]]
+    # the spectral kernel takes the guard too, after its steady state
+    spectra.single_atom_spectrum(lv.PhysicalParams(rabi=2.0), omega_grid=np.linspace(-5, 5, 11))
+    assert [setter.history[4:] for setter in setters] == [[1, 2, 1, 2], [1, 3, 1, 3]]
+
+
+def test_blas_thread_guard_sets_the_real_libraries_for_the_calling_thread(monkeypatch):
+    setters = solver._blas_thread_setters()
+    if not setters:
+        pytest.skip("no bundled OpenBLAS exports openblas_set_num_threads_local")
+    before = [setter(2) for setter in setters]
+    inside = []
+    original = solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda *args: inside.append(
+        [setter(1) for setter in setters]) or original(*args))
+    try:
+        solver.steady_state(single_two_level(1.3, 0.4))
+    finally:
+        after = [setter(count) for setter, count in zip(setters, before)]
+    assert inside == [[1] * len(setters)] and after == [2] * len(setters)
+
+
+def test_blas_thread_guard_is_a_no_op_without_the_symbol(monkeypatch):
+    import _ctypes
+    monkeypatch.setattr(solver.glob, "glob", lambda pattern: [_ctypes.__file__])
+    assert solver._blas_thread_setters.__wrapped__() == ()
+    stack = single_two_level(1.3, 0.4)
+    rho = solver.steady_state(stack)
+    monkeypatch.setattr(solver, "_blas_thread_setters", lambda: ())
+    assert np.array_equal(solver.steady_state(stack), rho)
+
+
 def hermiticity_breaking(gen, strength=1e-6):
     """``gen`` plus ``strength`` [P, .] for the projector P on level 1: still
     trace preserving, but it maps Hermitian operators to non-Hermitian ones."""
@@ -423,14 +541,21 @@ def hermiticity_breaking(gen, strength=1e-6):
 
 
 class LapackSpy:
-    """Stands in for ``scipy.linalg.lapack`` and records every routine looked up."""
+    """Stands in for ``scipy.linalg.lapack``: records every routine looked up,
+    and per call its name and the shapes of the arrays it is given."""
 
     def __init__(self, lapack):
-        self.lapack, self.calls = lapack, []
+        self.lapack, self.calls, self.shapes = lapack, [], []
 
     def __getattr__(self, name):
         self.calls.append(name)
-        return getattr(self.lapack, name)
+        routine = getattr(self.lapack, name)
+
+        def call(*args, **kwargs):
+            self.shapes.append((name, [np.shape(a) for a in args if isinstance(a, np.ndarray)]))
+            return routine(*args, **kwargs)
+
+        return call
 
 
 @pytest.mark.parametrize("kind", [atoms.TWO_LEVEL, atoms.V_TYPE])
@@ -495,13 +620,52 @@ def test_density_invariants_rejected(rho, match):
         solver.validate_density(np.stack([np.eye(2) / 2, rho]))  # a stack, by its worst
 
 
+def rotated_density(eigenvalues, seed=6):
+    """A density matrix with ``eigenvalues`` in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    n = len(eigenvalues)
+    unitary, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return unitary @ np.diag(eigenvalues) @ unitary.conj().T
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or original(a))
+    return calls
+
+
+def test_density_below_the_eigenvalue_floor_rejected_with_its_eigenvalue(eigvalsh_calls):
+    with pytest.raises(ConditioningError, match=r"^density matrix has negative eigenvalue "
+                                                r"-2\.000e-08$"):
+        solver.validate_density(rotated_density([0.6, 0.4 + 2e-8, -2e-8]))
+    # in a stack, the message names the eigenvalue of the slice that fails
+    stack = np.stack([rotated_density([0.5, 0.3, 0.2]), rotated_density([0.7, 0.3 + 3e-8, -3e-8]),
+                      rotated_density([0.6, 0.4 - 5e-9, 5e-9])])
+    with pytest.raises(ConditioningError, match=r"negative eigenvalue -3\.000e-08$"):
+        solver.validate_density(stack)
+    assert eigvalsh_calls == [(3, 3), (3, 3, 3)]
+
+
+def test_density_within_the_eigenvalue_floor_passes_without_eigenvalues(eigvalsh_calls):
+    solver.validate_density(rotated_density([0.6, 0.4 + 5e-9, -5e-9]))
+    solver.validate_density(np.stack([rotated_density([0.5, 0.5]), np.diag([1 + 5e-9, -5e-9])]))
+    assert eigvalsh_calls == []
+
+
+def exactly_singular_border():
+    """L = diag(-1, 0, -1, -1) in the Hermitian basis of 2 x 2 operators."""
+    on = np.array([0, 2, 3])
+    return lv.GeneratorStack(2, on, on.copy(), np.array([[-1.0, -1.0, -1.0]]))
+
+
 def test_exactly_singular_border_with_unique_null_vector_raises_conditioning_error():
     # L = diag(-1, 0, -1, -1) in the Hermitian basis of 2 x 2 operators has
     # the one null vector e_1 (sqrt(2) Re rho_01), which is trace-free, so
     # the bordered M annihilates it too: dgetrf meets an exact zero pivot,
     # the singular-value check finds nullity 1, and the solve is refused
-    on = np.array([0, 2, 3])
-    stack = lv.GeneratorStack(2, on, on.copy(), np.array([[-1.0, -1.0, -1.0]]))
+    stack = exactly_singular_border()
     assert (np.linalg.svd(stack.dense(0), compute_uv=False) < 1e-12).sum() == 1
     with pytest.raises(ConditioningError, match="bordered steady-state system is singular"):
         solver.steady_state(stack)
