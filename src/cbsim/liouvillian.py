@@ -70,10 +70,13 @@ grids of all the saturations of a sweep), is assembled in one call:
 generator i of its stack is the row ``coef[i] @ values`` of the block
 values, shares the index arrays of the cached blocks and stays sparse.
 Trace preservation is checked once per block set, on the blocks: a finite
-combination of them preserves the trace.  Offsets into dense arrays are
-computed where they are used.  ``stack.standard(i)`` is the dense array of
-generator i in the standard (row-major, complex) vectorization, and
-:meth:`GeneratorStack.from_dense` builds a stack from such arrays.
+combination of them preserves the trace.  ``stack.dense(i)`` is the one
+scatter of generator i's entries into a dense array, in the stack's own
+coordinate order or in any other placement of the coordinates (the
+steady-state solver reads its bordered matrices from it, in both);
+``stack.standard(i)`` is the dense array of generator i in the standard
+(row-major, complex) vectorization, and :meth:`GeneratorStack.from_dense`
+builds a stack from such arrays.
 
 Decay, detuning and exchange keep the parity of the excitation number
 n_j + n_k of a coordinate j*n + k (n_j counts the excited atoms of pair
@@ -319,10 +322,14 @@ class GeneratorStack:
             out[at] = _grouped_sums(self.rows, products, self.dim)
         return out
 
-    def dense(self, i):
-        """Generator i in the Hermitian basis as a dense real N x N array of its own."""
-        generator = np.zeros((self.dim, self.dim))
-        generator[self.rows, self.cols] = self.values[i]
+    def dense(self, i, at=None):
+        """Generator i in the Hermitian basis as a new dense real N x N
+        Fortran-ordered array, the one scatter of the entries into dense
+        storage; with ``at``, a permutation of the N coordinates, coordinate j
+        is placed at row and column ``at[j]``."""
+        rows, cols = (self.rows, self.cols) if at is None else (at[self.rows], at[self.cols])
+        generator = np.zeros((self.dim, self.dim), order="F")
+        generator[rows, cols] = self.values[i]
         return generator
 
     def point(self, i):
@@ -330,8 +337,9 @@ class GeneratorStack:
         return replace(self, values=self.values[i:i + 1])
 
     def standard(self, i):
-        """Generator i in the standard vectorization, as a dense complex array."""
-        return _generator_map(self.dense(i), "inverse")
+        """Generator i in the standard vectorization, as a dense complex
+        C-ordered array."""
+        return np.ascontiguousarray(_generator_map(self.dense(i), "inverse"))
 
     @classmethod
     def from_dense(cls, generators):

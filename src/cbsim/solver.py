@@ -33,25 +33,27 @@ populations, with them the trace functional and the border row 0, keep
 their indices.  The resolvent solves stay complex: i omega Id - L is
 complex in either basis.
 
-The direct route solves a batch of one: the generator is scattered into
-one reused Fortran-ordered buffer, zeroed once per call, and the LU of a
-copy of that buffer solves it.  The eliminated route uses the
+Both routes read their bordered matrix from
+:meth:`~cbsim.liouvillian.GeneratorStack.dense`, the one scatter of a
+generator's entries into a dense array.  The direct route solves a batch
+of one: the LU of a copy of M_i, in the stack's own coordinate order,
+solves it.  The eliminated route uses the
 :class:`~cbsim.liouvillian.DriveSplit` of a stack from
 :func:`~cbsim.liouvillian.assemble`: with the coordinates of even
 excitation number first (row 0 and the trace columns are populations, so
 even), every bordered M_i is [[A, r_i C], [r_i D, B]], and the drives r_i
 of one phase point share A, B, C and D.  At a point with at least
 ``ELIMINATION_MIN_DRIVES`` drives and a nonzero strongest one, the blocks
-are read from that drive's entries, B is factored once and E = B^-1 D and
-W = C E formed, and the point's drives are one batch.  All their Schur
-complements S_i = A - r_i^2 W (41 x 41 for v_type, 136 x 136 for
-full_j0_j1) come from one broadcast; per drive there remain only the LU
-and estimate of S_i and two one-column solves through it.  e_0 has no
-odd part, so its solve is x_even = S_i^-1 e_0, x_odd = -r_i E x_even;
-the refinement solves its odd parts through B in one block solve, and
-the residuals, the odd parts x_odd and the right-hand sides of the
-S_i solves are products over the whole batch, the residuals from the
-blocks.
+are the four corners of that drive's M_i placed even-first, B is factored
+once and E = B^-1 D and W = C E formed, and the point's drives are one
+batch.  All their Schur complements S_i = A - r_i^2 W (41 x 41 for
+v_type, 136 x 136 for full_j0_j1) come from one broadcast; per drive
+there remain only the LU and estimate of S_i and two one-column solves
+through it.  e_0 has no odd part, so its solve is x_even = S_i^-1 e_0,
+x_odd = -r_i E x_even; the refinement solves its odd parts through B in
+one block solve, and the residuals, the odd parts x_odd and the
+right-hand sides of the S_i solves are products over the whole batch, the
+residuals from the blocks.
 
 The uniqueness test holds on that route too.  S_i^-1 is the even block of
 M_i^-1, so 1 / ||S_i^-1||_1 >= 1 / ||M_i^-1||_1; dgecon's estimate for S_i,
@@ -198,31 +200,15 @@ def _check_unique(gen):
         raise MultiplicityError(int(small.sum()))
 
 
-def _bordered_buffer(stack):
-    """A function that writes the bordered matrix M_i of generator i of
-    ``stack`` into one reused Fortran-ordered N x N buffer and returns that
-    buffer.  The buffer is zeroed once: every generator writes the same
-    entries, then row 0 and the border; the generator it holds is not
-    written again."""
-    dim = stack.dim
-    system = np.zeros((dim, dim), order="F")
-    entries = system.reshape(-1, order="F")
-    # Where the stack's entries and the border row go in that buffer.
-    entry_at = stack.cols * dim + stack.rows
-    border_at = stack.trace_columns * dim
-
-    held = None
-
-    def fill(i):
-        nonlocal held
-        if i != held:
-            entries[entry_at] = stack.values[i]
-            system[0] = 0.0
-            entries[border_at] = 1.0
-            held = i
-        return system
-
-    return fill
+def _bordered(stack, i, at=None):
+    """The bordered matrix M_i of generator i of ``stack`` as a new
+    Fortran-ordered array: :meth:`~cbsim.liouvillian.GeneratorStack.dense`,
+    with the coordinates placed by ``at`` as there, and row 0 replaced by the
+    trace functional.  ``at`` must keep coordinate 0 in place."""
+    system = stack.dense(i, at)
+    system[0] = 0.0
+    system[0, stack.trace_columns if at is None else at[stack.trace_columns]] = 1.0
+    return system
 
 
 def _check_slice(stack, i, info, inverse_norm, trigger):
@@ -250,50 +236,23 @@ def _lu_solve(lu, piv, rhs):
     return x
 
 
-def _direct_route(fill, i):
-    """Generator i as a batch of one (:func:`_routes`), through the LU of its
-    bordered matrix in the buffer of ``fill``."""
-    system = fill(i)
+def _direct_route(stack, i):
+    """Generator i of ``stack`` as a batch of one (:func:`_routes`), through
+    the LU of its bordered matrix."""
+    system = _bordered(stack, i)
     info, inverse_norm, lu, piv = _factor(system)
     return ([i], [(info, inverse_norm)], lambda rhs: _lu_solve(lu, piv, rhs),
             lambda x: system @ x)
 
 
-def _block_gather(stack, even, odd):
-    """A function of generator i of ``stack`` that returns new Fortran-ordered
-    blocks A, B, C, D of its bordered matrix (module docstring), written from
-    its entries and the border row alone."""
-    at = np.empty(stack.dim, dtype=np.intp)
-    at[even], at[odd] = np.arange(even.size), np.arange(odd.size)
-    odd_row, odd_col = stack.split.odd[stack.rows], stack.split.odd[stack.cols]
-    kept = stack.rows != 0  # row 0 is the border
-    places = []
-    for rows_odd, cols_odd in ((False, False), (True, True), (False, True), (True, False)):
-        entries = np.flatnonzero(kept & (odd_row == rows_odd) & (odd_col == cols_odd))
-        shape = (odd if rows_odd else even).size, (odd if cols_odd else even).size
-        places.append((entries, at[stack.rows[entries]] + at[stack.cols[entries]] * shape[0],
-                       shape))
-    border = at[stack.trace_columns]
-
-    def gather(i):
-        values = stack.values[i]
-        blocks = []
-        for entries, flat, shape in places:
-            block = np.zeros(shape, order="F")
-            block.reshape(-1, order="F")[flat] = values[entries]
-            blocks.append(block)
-        blocks[0][0, border] = 1.0
-        return blocks
-
-    return gather
-
-
-def _eliminated_batch(blocks, drives, e0, even, odd):
+def _eliminated_batch(system, drives, e0, even, odd):
     """The batch of the eliminated route (module docstring) of one phase point,
-    from ``blocks``, A, B, C, D of the bordered matrix at its strongest drive,
-    and ``drives``, its (generator, Rabi frequency, trigger) triples: the
-    drives that take that route, or None if none does."""
-    a, b, c, d = blocks
+    from ``system``, the bordered matrix at its strongest drive with the
+    ``even`` coordinates first, whose corners A, C, D, B it keeps as views and
+    scales, and ``drives``, its (generator, Rabi frequency, trigger) triples:
+    the drives that take that route, or None if none does."""
+    m = even.size
+    a, c, d, b = system[:m, :m], system[:m, m:], system[m:, :m], system[m:, m:]
     rabi = max(r for _, r, _ in drives)
     _, b_estimate, lu_b, piv_b = _factor(b)
     drives = [drive for drive in drives if drive[2] <= b_estimate]
@@ -348,7 +307,7 @@ def _schur_solves(factors, columns):
     return y
 
 
-def _routes(stack, fill, triggers, e0):
+def _routes(stack, triggers, e0):
     """The generators of ``stack`` as batches, phase point by phase point: each
     batch is its generator indices, LAPACK's info and dgecon's estimate of
     1 / ||M_i^-1||_1 (or of what stands in for it) for each, a solve of its
@@ -356,22 +315,22 @@ def _routes(stack, fill, triggers, e0):
     for such rows."""
     split = stack.split
     if split is None:
-        yield from (_direct_route(fill, i) for i in range(len(stack)))
+        yield from (_direct_route(stack, i) for i in range(len(stack)))
         return
     even, odd = np.flatnonzero(~split.odd), np.flatnonzero(split.odd)
-    gather = _block_gather(stack, even, odd)
+    at = np.argsort(np.concatenate([even, odd]))  # even-first places
     rabi = split.rabi.tolist()
     for point in np.unique(split.point):
         group = np.flatnonzero(split.point == point).tolist()
         strongest = max(group, key=rabi.__getitem__)
         batch = None
         if len(group) >= ELIMINATION_MIN_DRIVES and rabi[strongest] > 0.0:
-            batch = _eliminated_batch(gather(strongest),
+            batch = _eliminated_batch(_bordered(stack, strongest, at),
                                       [(i, rabi[i], triggers[i]) for i in group], e0, even, odd)
             if batch:
                 yield batch
         eliminated = set(batch[0]) if batch else ()
-        yield from (_direct_route(fill, i) for i in group if i not in eliminated)
+        yield from (_direct_route(stack, i) for i in group if i not in eliminated)
 
 
 @one_blas_thread()
@@ -404,11 +363,10 @@ def steady_state(stack):
     # below and so can overestimate its reciprocal; UNIQUENESS_MARGIN covers
     # that.  NaN entries also take the check.
     triggers = (UNIQUENESS_MARGIN * math.sqrt(dim) * NULLITY_RATIO * frobenius).tolist()
-    fill = _bordered_buffer(stack)
     e0 = np.zeros(dim)
     e0[0] = 1.0
     x = np.empty((len(stack), dim))
-    for members, estimates, solve, product in _routes(stack, fill, triggers, e0):
+    for members, estimates, solve, product in _routes(stack, triggers, e0):
         for i, (info, inverse_norm) in zip(members, estimates):
             _check_slice(stack, i, info, inverse_norm, triggers[i])
         solved = solve(e0)

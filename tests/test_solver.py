@@ -274,9 +274,9 @@ def direct_slices(monkeypatch):
     solved = []
     original = solver._direct_route
 
-    def spy(fill, i):
+    def spy(stack, i):
         solved.append(int(i))
-        return original(fill, i)
+        return original(stack, i)
 
     monkeypatch.setattr(solver, "_direct_route", spy)
     return solved
@@ -313,7 +313,7 @@ def test_eliminated_and_direct_steady_states_give_the_same_moments(
     solved = []
     original = solver._direct_route
     try:
-        solver._direct_route = lambda *args: solved.append(args[1]) or original(*args)
+        solver._direct_route = lambda stack, i: solved.append(i) or original(stack, i)
         eliminated = solver.steady_state(stack)
     finally:
         solver._direct_route = original
@@ -410,6 +410,52 @@ def test_phase_point_without_a_nonzero_drive_takes_the_direct_path(direct_slices
     rho = solver.steady_state(stack)
     assert direct_slices == []
     assert np.abs(rho - solver.steady_state(replace(stack, split=None))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", [atoms.V_TYPE, atoms.FULL_J0_J1])
+def test_both_routes_read_their_bordered_matrix_from_one_scatter(monkeypatch, kind):
+    params = lv.PhysicalParams(detuning=3.0, orientation=(0.3, -0.5, 0.8))
+    stack = drive_stack(kind, params, [(0.4, 1.1)],
+                        np.geomspace(0.1, 10.0, solver.ELIMINATION_MIN_DRIVES))
+    strongest = len(stack) - 1
+    even, odd = np.flatnonzero(~stack.split.odd), np.flatnonzero(stack.split.odd)
+    order = np.concatenate([even, odd])
+    at = np.argsort(order)
+    assert at[0] == 0
+    natural = stack.dense(strongest)
+    placed = stack.dense(strongest, at)
+    assert natural.flags.f_contiguous and placed.flags.f_contiguous
+    assert np.array_equal(placed, natural[np.ix_(order, order)])
+    # the bordered matrix built independently: the entries added one by one
+    # into a C-ordered array, row 0 replaced by the trace functional
+    trace = np.eye(stack.hilbert_dim).reshape(-1)
+    bordered = np.zeros((stack.dim, stack.dim))
+    np.add.at(bordered, (stack.rows, stack.cols), stack.values[strongest])
+    assert np.array_equal(natural, bordered)
+    bordered[0] = trace
+    for places, expected in ((None, bordered), (at, bordered[np.ix_(order, order)])):
+        system = solver._bordered(stack, strongest, places)
+        assert system.flags.f_contiguous and np.array_equal(system, expected)
+        assert np.array_equal(system[0], trace if places is None else trace[order])
+    # the eliminated route receives that matrix placed even-first, and its
+    # corners are the blocks A, C, D, B
+    received = []
+    original = solver._eliminated_batch
+
+    def spy(system, *args):
+        received.append(system.copy(order="K"))
+        return original(system, *args)
+
+    monkeypatch.setattr(solver, "_eliminated_batch", spy)
+    solver.steady_state(stack)
+    (system,) = received
+    assert system.flags.f_contiguous
+    m = even.size
+    for corner, (rows, cols) in (((slice(None, m), slice(None, m)), (even, even)),
+                                 ((slice(None, m), slice(m, None)), (even, odd)),
+                                 ((slice(m, None), slice(None, m)), (odd, even)),
+                                 ((slice(m, None), slice(m, None)), (odd, odd))):
+        assert np.array_equal(system[corner], bordered[np.ix_(rows, cols)])
 
 
 def sweep_stack(monkeypatch, tmp_path, text):
